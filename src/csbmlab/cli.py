@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Verbs: sample, detect, sweep, verify, trees, analyze. Global flags --seed,
---out, --format and --config (a flat key=value file whose keys mirror the
-flag names with dashes replaced by underscores). Exit codes: 0 success,
+--out, --format and --config (a flat key=value file whose keys are the
+verb's flag names, with dashes or underscores). Exit codes: 0 success,
 1 verification failure, 2 usage error.
 """
 
@@ -44,8 +44,9 @@ def _write_graph(graph: Graph, path: str, fmt: str) -> None:
     Path(path).write_text(payload + "\n")
 
 
-def _load_config(path: str) -> dict:
-    out: dict[str, str] = {}
+def _config_args(path: str) -> list[str]:
+    """One ``--key=value`` token per line of a flat key=value file."""
+    out: list[str] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -53,7 +54,7 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return out
 
 
@@ -252,28 +253,21 @@ def _cmd_analyze(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # apply config-file values as defaults before the real parse
+    # Config values become flags placed right after the verb, so the verb's
+    # parser checks them like any flag and later command-line flags win.
     if "--config" in argv:
         idx = argv.index("--config")
         try:
-            config = _load_config(argv[idx + 1])
+            config = _config_args(argv[idx + 1])
         except (IndexError, OSError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return 2
         del argv[idx: idx + 2]
-    else:
-        config = {}
-    parser = build_parser()
-    if config:
-        for sub in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: _coerce(v) for k, v in config.items()
-                                if k in known})
-            for action in sub._actions:
-                if action.dest in config:
-                    action.required = False
+        verb = next((i for i, tok in enumerate(argv) if not tok.startswith("-")),
+                    len(argv))
+        argv[verb + 1: verb + 1] = config
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handlers = {
@@ -289,15 +283,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
 
 
 if __name__ == "__main__":

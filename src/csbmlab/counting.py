@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import Graph, canonical_form, connected_components, two_core
-from .trees import enumerate_trees, tree_canonical_key
+from .trees import enumerate_trees
 
 __all__ = ["CountingEngine", "counting_engine", "falling_factorial"]
 
@@ -40,15 +40,6 @@ def falling_factorial(base: int, length: int) -> int:
     for i in range(length):
         out *= base - i
     return out
-
-
-def shape_key(g: Graph) -> tuple:
-    """Hashable isomorphism key; trees get the fast rooted code."""
-    if g.n_edges == g.n_vertices - 1:
-        comps = connected_components(g)
-        if len(comps) == 1:
-            return ("t", tree_canonical_key(g))
-    return ("c",) + canonical_form(g)
 
 
 def _compact(g: Graph) -> Graph:
@@ -71,7 +62,7 @@ class _Algebra:
         self._glue_cache: dict[tuple, dict[tuple, int]] = {}
 
     def register(self, g: Graph) -> tuple:
-        key = shape_key(g)
+        key = canonical_form(g)
         if key not in self.patterns:
             self.patterns[key] = _compact(g)
         return key
@@ -230,8 +221,7 @@ class _GrowthPlan:
             self.by_depth.setdefault(node.depth, []).append(node)
             self._by_prefix[prefix] = node.node_id
             node_id = node.node_id
-        key = ("t", tree_canonical_key(tree))
-        self.target_node[key] = node_id
+        self.target_node[canonical_form(tree)] = node_id
 
     def count_embeddings(self, graph: Graph) -> dict[tuple, int]:
         """Ordered injective-map counts for every target tree shape."""
@@ -379,8 +369,9 @@ class CountingEngine:
             self.forest_expansion[fkey] = [(c, prod) for prod, c in sorted(
                 expansion.items(), key=repr)]
 
-        self.tree_keys = set(self.plan.target_node)
-        self.cyclic_keys = {k for k in self._needed_keys() if k[0] == "c"}
+        # needed keys are connected with at most aleph edges, so the ones
+        # that are not tree shapes up to aleph edges are exactly the cyclic ones
+        self.cyclic_keys = self._needed_keys() - set(self.plan.target_node)
 
     def _forest_key(self, subset: list[tuple[int, int]]) -> tuple[tuple, int, int]:
         if not subset:

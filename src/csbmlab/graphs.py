@@ -24,20 +24,15 @@ __all__ = [
     "edge_union",
     "intersection",
     "edge_difference",
-    "vertex_induced",
-    "edge_deleted",
     "is_subgraph",
-    "is_subgraph_covering_isolates",
     "cycles_up_to",
     "count_cycles",
     "independent_cycles",
     "two_core",
     "connected_components",
-    "is_connected",
-    "is_forest",
+    "tree_code",
     "canonical_form",
     "automorphism_count",
-    "apply_permutation",
 ]
 
 MAX_CANONICAL_VERTICES = 16
@@ -148,11 +143,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edge_set
 
-    def without_isolated(self) -> "Graph":
-        """Drop isolated vertices (edge-induced view of the same edges)."""
-        keep = sorted({w for e in self.edges for w in e})
-        return Graph(tuple(keep), self.edges)
-
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -197,9 +187,17 @@ class Graph:
     @staticmethod
     def from_json(payload: str) -> "Graph":
         obj = json.loads(payload)
-        if "vertices" in obj:
-            return Graph.build(obj["edges"], vertices=obj["vertices"])
-        return Graph.build(obj["edges"], n=obj["n"])
+        try:
+            labels = [w for e in obj["edges"] for w in e]
+            labels += obj["vertices"] if "vertices" in obj else [obj["n"]]
+            if not all(type(w) is int for w in labels):  # no bools, no floats
+                raise TypeError("labels and n must be integers")
+            if "vertices" in obj:
+                return Graph.build(obj["edges"], vertices=obj["vertices"])
+            return Graph.build(obj["edges"], n=obj["n"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError("malformed graph JSON: needs an 'edges' list and an "
+                             f"integer 'n' or a 'vertices' list ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -217,24 +215,8 @@ class Permutation:
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(n)))
 
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
     def __call__(self, i: int) -> int:
         return self.image[i]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return self∘other (apply `other` first)."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.image[other.image[i]] for i in range(self.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +259,8 @@ def edge_difference(s: Graph, h: Graph) -> Graph:
     return Graph.build(sorted(s.edge_set - h.edge_set))
 
 
-def vertex_induced(g: Graph, subset: Iterable[int]) -> Graph:
-    sub = set(subset)
-    if not sub <= g.vertex_set:
-        raise ValueError("subset not contained in the vertex set")
-    edges = [e for e in g.edges if e[0] in sub and e[1] in sub]
-    return Graph.build(edges, vertices=sub)
-
-
-def edge_deleted(g: Graph, subset: Iterable[int]) -> Graph:
-    """Delete all edges with both endpoints in `subset`; keep every vertex."""
-    sub = set(subset)
-    edges = [e for e in g.edges if not (e[0] in sub and e[1] in sub)]
-    return Graph.build(edges, vertices=g.vertices)
-
-
 def is_subgraph(h: Graph, g: Graph) -> bool:
     return h.vertex_set <= g.vertex_set and h.edge_set <= g.edge_set
-
-
-def is_subgraph_covering_isolates(h: Graph, g: Graph) -> bool:
-    """h ⊆ g and every isolated vertex of g is isolated in h.
-
-    Both graphs must share the same vertex universe; differing universes are
-    rejected rather than coerced.
-    """
-    if h.vertices != g.vertices:
-        raise ValueError("predicate requires identical vertex universes")
-    return h.edge_set <= g.edge_set and isolated(g) <= isolated(h)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +311,9 @@ def independent_cycles(g: Graph, m: int) -> list[Graph]:
     of degree 2 in g: a cycle whose vertices have no other edge is a whole
     component, and a connected 2-regular graph is a cycle. So one pass over
     `connected_components` lists them, with no cycle enumeration: linear in
-    the size of g, up to sorting each component's edges. The result equals `cycles_up_to(g, m)` filtered to length m
-    and to degree-2 vertices, in the same order (by vertex tuple).
+    the size of g, up to sorting each component's edges. The result equals
+    `cycles_up_to(g, m)` filtered to length m and to degree-2 vertices, in
+    the same order (by vertex tuple).
     """
     if m < 3:
         raise ValueError("m must be >= 3")
@@ -411,23 +368,15 @@ def connected_components(g: Graph) -> list[Graph]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
-def is_forest(g: Graph) -> bool:
-    return all(excess(c) == -1 for c in connected_components(g))
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism machinery (pattern graphs, <= 16 vertices)
 # ---------------------------------------------------------------------------
 
-def _tree_rooted_code(adj: dict[int, tuple[int, ...]], root: int, parent: int) -> tuple:
+def _tree_rooted_code(adj, root: int, parent: int) -> tuple:
     return tuple(sorted(_tree_rooted_code(adj, c, root) for c in adj[root] if c != parent))
 
 
-def _tree_centers(adj: dict[int, tuple[int, ...]], verts: list[int]) -> list[int]:
+def _tree_centers(adj, verts: Sequence[int]) -> list[int]:
     if len(verts) == 1:
         return list(verts)
     deg = {v: len(adj[v]) for v in verts}
@@ -449,16 +398,19 @@ def _tree_centers(adj: dict[int, tuple[int, ...]], verts: list[int]) -> list[int
     return sorted(alive)
 
 
-def _tree_canonical_code(component: Graph) -> tuple:
-    adj = component.adjacency
-    verts = list(component.vertices)
+def tree_code(adj, verts: Sequence[int]) -> tuple:
+    """Center-rooted canonical code of the tree on `verts` (isomorphism key).
+
+    `adj` maps each vertex to its neighbours: a dict, or a list indexed by
+    vertex. Every neighbour of a vertex in `verts` must be in `verts`, so the
+    adjacency of a whole graph serves for any of its tree components.
+    """
     centers = _tree_centers(adj, verts)
     if len(centers) == 1:
-        return ("T1", _tree_rooted_code(adj, centers[0], -1))
+        return ("c1", _tree_rooted_code(adj, centers[0], -1))
     a, b = centers
-    ca = _tree_rooted_code(adj, a, b)
-    cb = _tree_rooted_code(adj, b, a)
-    return ("T2",) + tuple(sorted([ca, cb]))
+    return ("c2",) + tuple(sorted([_tree_rooted_code(adj, a, b),
+                                   _tree_rooted_code(adj, b, a)]))
 
 
 def _refined_classes(g: Graph) -> list[int]:
@@ -516,14 +468,15 @@ def _general_canonical_code(g: Graph) -> tuple:
             rows.pop()
 
     search([], [], list(range(n)))
-    assert best[0] is not None
+    if best[0] is None:
+        raise RuntimeError("canonical search placed no complete vertex order")
     return ("G", n, tuple(sorted(colors))) + best[0]
 
 
 def canonical_form(g: Graph) -> tuple:
     """Isomorphism-invariant code: equal codes iff isomorphic graphs.
 
-    Forest components get a fast center-rooted code; anything with a cycle
+    Tree components get the center-rooted `tree_code`; anything with a cycle
     goes through refined backtracking (graphs up to 16 non-isolated vertices).
     """
     comps = [c for c in connected_components(g) if c.n_edges > 0]
@@ -531,7 +484,8 @@ def canonical_form(g: Graph) -> tuple:
     codes = []
     for c in comps:
         if excess(c) == -1:
-            codes.append(_tree_canonical_code(c))
+            # g's adjacency serves: building each component's own costs more
+            codes.append(tree_code(g.adjacency, c.vertices))
         else:
             if c.n_vertices > MAX_CANONICAL_VERTICES:
                 raise ValueError(
@@ -593,11 +547,3 @@ def _component_automorphisms(g: Graph) -> int:
 
     extend([], set())
     return count[0]
-
-
-def apply_permutation(g: Graph, p: Permutation) -> Graph:
-    """Relabeled graph; satisfies (p∘q)(g) = p(q(g))."""
-    if any(v >= p.n for v in g.vertices):
-        raise ValueError("permutation does not cover the graph's labels")
-    return Graph.build([(p(u), p(v)) for u, v in g.edges],
-                       vertices=[p(v) for v in g.vertices])

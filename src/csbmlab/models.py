@@ -10,6 +10,7 @@ edges in O(expected edges) time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -160,7 +161,7 @@ def sample_sbm(params: ModelParams, rng: np.random.Generator) -> tuple[tuple[int
     return tuple(int(x) for x in sigma), Graph.build(edges, n=params.n)
 
 
-def _subsample_edges(edges: tuple[tuple[int, int], ...], s: float,
+def _subsample_edges(edges: Sequence[tuple[int, int]], s: float,
                      rng: np.random.Generator) -> list[tuple[int, int]]:
     if not edges:
         return []
@@ -168,21 +169,23 @@ def _subsample_edges(edges: tuple[tuple[int, int], ...], s: float,
     return [e for e, k in zip(edges, keep) if k]
 
 
+def _correlated_pair(sigma: tuple[int, ...], parent: Graph, params: ModelParams,
+                     rng: np.random.Generator) -> CorrelatedSample:
+    """Uniform matching, then A and the relabeled B as independent masks of
+    the parent (draws in that order)."""
+    pi = Permutation(tuple(int(x) for x in rng.permutation(params.n)))
+    a_edges = _subsample_edges(parent.edges, params.s, rng)
+    b_edges = _subsample_edges([(pi(u), pi(v)) for u, v in parent.edges],
+                               params.s, rng)
+    return CorrelatedSample(sigma=sigma, pi=pi, parent=parent,
+                            a=Graph.build(a_edges, n=params.n),
+                            b=Graph.build(b_edges, n=params.n))
+
+
 def sample_correlated(params: ModelParams, rng: np.random.Generator) -> CorrelatedSample:
     """Planted draw: parent SBM, uniform matching, two independent masks."""
     sigma, parent = sample_sbm(params, rng)
-    pi = Permutation(tuple(int(x) for x in rng.permutation(params.n)))
-    a_edges = _subsample_edges(parent.edges, params.s, rng)
-    b_parent = [(pi(u), pi(v)) for u, v in parent.edges]
-    b_keep = rng.random(len(b_parent)) < params.s if b_parent else []
-    b_edges = [e for e, k in zip(b_parent, b_keep) if k]
-    return CorrelatedSample(
-        sigma=sigma,
-        pi=pi,
-        parent=parent,
-        a=Graph.build(a_edges, n=params.n),
-        b=Graph.build(b_edges, n=params.n),
-    )
+    return _correlated_pair(sigma, parent, params, rng)
 
 
 def sample_null(params: ModelParams, rng: np.random.Generator) -> tuple[Graph, Graph]:
@@ -254,9 +257,10 @@ def truncate_graph(g: Graph, N: int, vertex_cap: int, rng: np.random.Generator,
         removed.add(edge)
     kept = [e for e in g.edges if e not in removed]
     out = Graph.build(kept, vertices=g.vertices)
-    assert not cycles_up_to(out, N), "truncation must kill all short cycles"
-    if density.log_edge_factor < 0:
-        assert not detect_self_bad_patterns(out, density, vertex_cap)
+    if cycles_up_to(out, N):
+        raise RuntimeError("truncation left a short cycle")
+    if detect_self_bad_patterns(out, density, vertex_cap):
+        raise RuntimeError("truncation left a self-bad subgraph")
     return out
 
 
@@ -275,14 +279,7 @@ def sample_truncated_pair(params: ModelParams, N: int, vertex_cap: int,
                           density: DensityParams | None = None) -> CorrelatedSample:
     """Correlated pair built on the truncated parent graph."""
     sigma, _, truncated = sample_truncated(params, N, vertex_cap, rng, density)
-    pi = Permutation(tuple(int(x) for x in rng.permutation(params.n)))
-    a_edges = _subsample_edges(truncated.edges, params.s, rng)
-    b_parent = [(pi(u), pi(v)) for u, v in truncated.edges]
-    b_keep = rng.random(len(b_parent)) < params.s if b_parent else []
-    b_edges = [e for e, k in zip(b_parent, b_keep) if k]
-    return CorrelatedSample(sigma=sigma, pi=pi, parent=truncated,
-                            a=Graph.build(a_edges, n=params.n),
-                            b=Graph.build(b_edges, n=params.n))
+    return _correlated_pair(sigma, truncated, params, rng)
 
 
 def event_E_holds(g: Graph, N: int, vertex_cap: int, density: DensityParams) -> bool:

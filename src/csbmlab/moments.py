@@ -13,46 +13,23 @@ from itertools import permutations
 
 import numpy as np
 
-from .graphs import Graph, is_forest, isolated
+from .graphs import Graph, isolated
 from .models import ModelParams
 from .trees import tree_count
 
 __all__ = [
-    "LabelKernel",
     "omega",
     "centered_moment",
     "moment_closed_form",
     "first_moment_closed",
     "joint_moment_closed",
-    "kernel_uv",
     "chain_expectation",
     "chain_expectation_brute",
     "exact_phi_expectation_Q",
     "PhiExpectationP",
     "exact_phi_expectation_P",
-    "tree_product_vanishes",
-    "cycle_product_expectation",
     "predicted_f_mean",
-    "predicted_f_var_null",
 ]
-
-
-@dataclass(frozen=True)
-class LabelKernel:
-    """Centered label-comparison weights: k-1 on equal labels, -1 otherwise."""
-
-    omega_equal: float
-    omega_diff: float = -1.0
-
-    def __post_init__(self) -> None:
-        k = self.omega_equal + 1
-        mean = self.omega_equal / k + (k - 1) * self.omega_diff / k
-        if abs(mean) > 1e-12:
-            raise ValueError("kernel must be mean-zero under a uniform label")
-
-    @staticmethod
-    def for_k(k: int) -> "LabelKernel":
-        return LabelKernel(omega_equal=float(k - 1))
 
 
 def omega(same: bool, k: int) -> float:
@@ -106,16 +83,6 @@ def joint_moment_closed(same_block: bool, params: ModelParams) -> float:
     b = 1 - params.lam / params.n
     w = omega(same_block, params.k)
     return (a * w + b) * params.lam * params.s ** 2 / params.n
-
-
-def kernel_uv(r: int, t: int, params: ModelParams) -> tuple[float, float]:
-    """(u, v) with E[Ā^r B̄^t] = (ω·u + v)/n; u_11 ≈ ελs², v_11 ≈ λs²."""
-    val_same = centered_moment(r, t, True, params)
-    val_diff = centered_moment(r, t, False, params)
-    n, k = params.n, params.k
-    u = (val_same - val_diff) * n / k
-    v = ((k - 1) * val_diff + val_same) * n / k
-    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +171,8 @@ def _label_grid(k: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(grid)
 
 
-def exact_phi_expectation_P(s1: Graph, s2: Graph, params: ModelParams,
-                            chunk: int | None = None) -> PhiExpectationP:
+def exact_phi_expectation_P(s1: Graph, s2: Graph,
+                            params: ModelParams) -> PhiExpectationP:
     """Exact E over the planted pair of the centered pattern polynomial.
 
     Exhausts the uniform matching through all injective placements of the
@@ -251,8 +218,7 @@ def exact_phi_expectation_P(s1: Graph, s2: Graph, params: ModelParams,
     total_a = 0.0
     total_b = 0.0
     placements = list(permutations(range(n), v2))
-    if chunk is None:
-        chunk = max(16, (1 << 21) // max(n_labelings, 1))
+    chunk = max(16, (1 << 21) // max(n_labelings, 1))
     col = {v: i for i, v in enumerate(s2_verts)}
     for lo in range(0, len(placements), chunk):
         image = np.array(placements[lo: lo + chunk], dtype=np.int64)  # (m, v2)
@@ -293,48 +259,9 @@ def exact_phi_expectation_P(s1: Graph, s2: Graph, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# Label-product oracles
-# ---------------------------------------------------------------------------
-
-def tree_product_vanishes(tree: Graph, eps: float, k: int) -> float:
-    """Brute-force E over all k^|V| labelings of Π ε·ω(σ_u, σ_v) over the
-    edges of a forest. The result is always 0; cyclic input is rejected."""
-    if not is_forest(tree):
-        raise ValueError("identity applies to forests only")
-    if tree.n_edges == 0:
-        raise ValueError("need at least one edge")
-    verts = list(tree.vertices)
-    col = {v: i for i, v in enumerate(verts)}
-    labels = _label_grid(k, len(verts))
-    prod = np.ones(labels.shape[0])
-    for u, v in tree.edges:
-        same = labels[:, col[u]] == labels[:, col[v]]
-        prod *= eps * np.where(same, float(k - 1), -1.0)
-    return float(prod.mean())
-
-
-def cycle_product_expectation(length: int, k: int) -> float:
-    """Brute-force E of Π ω around a cycle; the nonvanishing analogue of the
-    forest identity (equals k-1 for every length)."""
-    if length < 3:
-        raise ValueError("cycle length must be >= 3")
-    labels = _label_grid(k, length)
-    prod = np.ones(labels.shape[0])
-    for i in range(length):
-        same = labels[:, i] == labels[:, (i + 1) % length]
-        prod *= np.where(same, float(k - 1), -1.0)
-    return float(prod.mean())
-
-
-# ---------------------------------------------------------------------------
 # Predicted statistic moments
 # ---------------------------------------------------------------------------
 
 def predicted_f_mean(params: ModelParams, aleph: int) -> float:
     """Planted mean of the tree statistic: s^(2·aleph) · #shapes."""
     return params.s ** (2 * aleph) * tree_count(aleph)
-
-
-def predicted_f_var_null(params: ModelParams, aleph: int) -> float:
-    """Null variance of the tree statistic; equals the planted mean."""
-    return predicted_f_mean(params, aleph)

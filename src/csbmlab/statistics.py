@@ -6,8 +6,8 @@ over injective tree embeddings come from three interchangeable evaluators:
 
 * ``w_exact`` - direct sum over all injective maps (small hosts only);
 * color coding - unbiased estimator via rainbow-embedding dynamic
-  programming over color subsets, with both a dense message form and a
-  rank-one-plus-sparse split that never materialises the n² entries;
+  programming over color subsets, whose messages split each entry into a
+  rank-one part plus a sparse part, so the n² entries are never materialised;
 * the sparse exact engine from :mod:`csbmlab.counting` (default at scale).
 
 The pair statistic is Σ_shapes a_shape · W_shape(A) · W_shape(B), thresholded
@@ -31,7 +31,6 @@ from .trees import TreeShape, a_coefficient, enumerate_trees, tree_count
 
 __all__ = [
     "CenteredMatrix",
-    "psi",
     "w_exact",
     "w_color_coding",
     "colorful_probability",
@@ -91,23 +90,12 @@ class CenteredMatrix:
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
 
-def psi(pattern: Graph, x: CenteredMatrix) -> float:
-    """Product of centered entries over the pattern's edges; 1 when empty."""
-    out = 1.0
-    for u, v in pattern.edges:
-        if u >= x.n or v >= x.n:
-            raise ValueError("pattern exceeds the host vertex range")
-        out *= x.entry(u, v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact brute-force evaluator
 # ---------------------------------------------------------------------------
 
 def w_exact(shape: TreeShape, x: CenteredMatrix,
-            max_n: int = EXACT_BUDGET_N, max_aleph: int = EXACT_BUDGET_ALEPH,
-            chunk_rows: int = 2_000_000) -> float:
+            max_n: int = EXACT_BUDGET_N, max_aleph: int = EXACT_BUDGET_ALEPH) -> float:
     """Sum of centered products over all injective maps, divided by |Aut|.
 
     Enumerates host tuples incrementally with the weight carried along;
@@ -127,7 +115,7 @@ def w_exact(shape: TreeShape, x: CenteredMatrix,
     for v in range(1, last + 1):
         attach = parents[v]
         pieces_r, pieces_w = [], []
-        step = max(1, chunk_rows // max(n, 1))
+        step = max(1, 2_000_000 // max(n, 1))  # at most ~2M candidate rows
         for lo in range(0, rows.shape[0], step):
             base = rows[lo: lo + step]
             wgt = weights[lo: lo + step]
@@ -206,16 +194,11 @@ def _disjoint_mask_pairs(n_colors: int, acc_size: int, child_size: int
     return flat_a[disjoint], flat_c[disjoint], (flat_a | flat_c)[disjoint]
 
 
-def _cc_messages(dp: np.ndarray, x: CenteredMatrix, adj: sp.csr_matrix | None,
-                 naive: np.ndarray | None) -> np.ndarray:
+def _cc_messages(dp: np.ndarray, x: CenteredMatrix, adj: sp.csr_matrix) -> np.ndarray:
     """M[r, S, i] = Σ_{j≠i} entry(i, j)·dp[r, S, j].
 
-    The naive form contracts against the dense entry matrix; the split form
-    uses entry = nonedge + slope·A, so the all-j sum is a rank-one column sum
-    plus a sparse product, with the j = i term removed explicitly. The two
-    agree exactly."""
-    if naive is not None:
-        return np.einsum("rsj,ij->rsi", dp, naive)
+    With entry = nonedge + slope·A, the all-j sum is a rank-one column sum
+    plus a sparse product, with the j = i term removed explicitly."""
     reps, n_masks, n = dp.shape
     colsum = dp.sum(axis=2, keepdims=True)
     flat = dp.reshape(reps * n_masks, n)
@@ -224,9 +207,7 @@ def _cc_messages(dp: np.ndarray, x: CenteredMatrix, adj: sp.csr_matrix | None,
 
 
 def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
-                   rng: np.random.Generator, naive_messages: bool = False,
-                   batch: int | None = None,
-                   return_samples: bool = False):
+                   rng: np.random.Generator, return_samples: bool = False):
     """Unbiased color-coding estimate of ``w_exact``.
 
     Per repetition every host vertex gets an iid uniform color among aleph+1;
@@ -241,10 +222,8 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
     sizes = _subtree_sizes(children)
     post = _postorder(children)
     q = colorful_probability(shape.aleph)
-    adj = None if naive_messages else x.sparse_adjacency()
-    dense = x.dense() if naive_messages else None
-    if batch is None:
-        batch = max(1, (1 << 22) // ((1 << c) * max(n, 1)))
+    adj = x.sparse_adjacency()
+    batch = max(1, (1 << 22) // ((1 << c) * max(n, 1)))
     samples = np.empty(reps)
     done = 0
     while done < reps:
@@ -259,7 +238,7 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
             acc[ridx, bit.ravel(), hidx] = 1.0
             acc_size = 1
             for child in children[v]:
-                msg = _cc_messages(dp_cache.pop(child), x, adj, dense)
+                msg = _cc_messages(dp_cache.pop(child), x, adj)
                 csz = sizes[child]
                 a_masks, c_masks, out_masks = _disjoint_mask_pairs(c, acc_size, csz)
                 new = np.zeros_like(acc)
@@ -304,8 +283,7 @@ class TreeStatResult:
 
 
 def _w_all(graph: Graph, params: ModelParams, aleph: int, method: str,
-           reps: int, rng: np.random.Generator | None,
-           naive_messages: bool) -> np.ndarray:
+           reps: int, rng: np.random.Generator | None) -> np.ndarray:
     x = CenteredMatrix.from_graph(graph, params)
     catalog = enumerate_trees(aleph)
     if method == "exact":
@@ -316,9 +294,7 @@ def _w_all(graph: Graph, params: ModelParams, aleph: int, method: str,
     if method == "cc":
         if rng is None:
             raise ValueError("color coding needs an explicit generator")
-        return np.array([
-            w_color_coding(shape, x, reps, rng, naive_messages=naive_messages)
-            for shape in catalog])
+        return np.array([w_color_coding(shape, x, reps, rng) for shape in catalog])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -332,16 +308,15 @@ def resolve_method(method: str, n: int, aleph: int) -> str:
 
 def f_tree_stat(a: Graph, b: Graph, params: ModelParams, aleph: int,
                 method: str = "auto", reps: int | None = None,
-                rng: np.random.Generator | None = None,
-                naive_messages: bool = False) -> TreeStatResult:
+                rng: np.random.Generator | None = None) -> TreeStatResult:
     """Tree-counting pair statistic Σ_shapes a_shape·W_shape(A)·W_shape(B)."""
     if a.n_vertices != params.n or b.n_vertices != params.n:
         raise ValueError("graphs must live on the model's vertex set")
     method = resolve_method(method, params.n, aleph)
     if reps is None:
         reps = default_reps(params, aleph) if method == "cc" else 0
-    w_a = _w_all(a, params, aleph, method, reps, rng, naive_messages)
-    w_b = _w_all(b, params, aleph, method, reps, rng, naive_messages)
+    w_a = _w_all(a, params, aleph, method, reps, rng)
+    w_b = _w_all(b, params, aleph, method, reps, rng)
     catalog = enumerate_trees(aleph)
     coeffs = np.array([a_coefficient(shape, params.n, params.s)
                        for shape in catalog])

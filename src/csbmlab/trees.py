@@ -8,11 +8,10 @@ enumerator is kept alongside as the independent oracle for small sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, _tree_centers, _tree_rooted_code
+from .graphs import Graph, _tree_centers, _tree_rooted_code, tree_code
 
 __all__ = [
     "OTTER_ALPHA",
@@ -21,8 +20,6 @@ __all__ = [
     "tree_count",
     "otter_estimate",
     "a_coefficient",
-    "log_a_coefficient",
-    "default_aleph",
     "prufer_canonical_codes",
     "tree_canonical_key",
     "tree_automorphisms",
@@ -52,17 +49,7 @@ class TreeShape:
 
 def tree_canonical_key(g: Graph) -> tuple:
     """Center-rooted canonical code of a tree (isomorphism key)."""
-    return _adjacency_tree_key(g.adjacency, list(g.vertices))
-
-
-def _adjacency_tree_key(adj, verts: list[int]) -> tuple:
-    """`tree_canonical_key` from a vertex -> neighbours mapping (dict or list)."""
-    centers = _tree_centers(adj, verts)
-    if len(centers) == 1:
-        return ("c1", _tree_rooted_code(adj, centers[0], -1))
-    a, b = centers
-    return ("c2",) + tuple(sorted([_tree_rooted_code(adj, a, b),
-                                   _tree_rooted_code(adj, b, a)]))
+    return tree_code(g.adjacency, g.vertices)
 
 
 def _rooted_aut(adj: dict[int, tuple[int, ...]], root: int, parent: int) -> tuple[tuple, int]:
@@ -151,8 +138,8 @@ def enumerate_trees(aleph: int) -> tuple[TreeShape, ...]:
     for key in sorted(shapes):
         g = shapes[key]
         canon = Graph.build(_canonical_relabel(g))
-        # Canonical labeling must be a fixed point of itself.
-        assert _canonical_relabel(canon) == canon.edges
+        if _canonical_relabel(canon) != canon.edges:
+            raise RuntimeError("canonical tree labeling is not a fixed point")
         out.append(TreeShape(canon.edges, aleph, tree_automorphisms(canon)))
     return tuple(out)
 
@@ -164,13 +151,6 @@ def tree_count(aleph: int) -> int:
 def otter_estimate(aleph: int) -> float:
     """|T_aleph|**(1/aleph); increases toward 1/alpha ≈ 2.96."""
     return tree_count(aleph) ** (1.0 / aleph)
-
-
-def default_aleph(n: int) -> int:
-    """Default statistic order for problem size n: ceil(log n / (3 log log n))."""
-    if n < 16:
-        return 1
-    return max(1, math.ceil(math.log(n) / (3 * math.log(math.log(n)))))
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +167,6 @@ def a_coefficient(shape: TreeShape, n: int, s: float) -> float:
     for i in range(shape.aleph + 1):
         value /= n - i
     return value
-
-
-def log_a_coefficient(shape: TreeShape, n: int, s: float) -> float:
-    if n <= shape.aleph + 1:
-        raise ValueError("n must exceed the shape's vertex count")
-    if not 0 < s <= 1:
-        raise ValueError("log form needs s in (0, 1]")
-    out = shape.aleph * math.log(s) + math.log(shape.aut)
-    for i in range(shape.aleph + 1):
-        out -= math.log(n - i)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,5 +210,5 @@ def prufer_canonical_codes(aleph: int) -> set[tuple]:
     from itertools import product
 
     verts = list(range(n))
-    return {_adjacency_tree_key(_tree_from_prufer(seq, n), verts)
+    return {tree_code(_tree_from_prufer(seq, n), verts)
             for seq in product(range(n), repeat=n - 2)}

@@ -150,3 +150,37 @@ class TestConfigAndErrors:
 
     def test_missing_file(self, capsys):
         assert run(["analyze", "--input", "/nonexistent/g.json"]) == 2
+
+    def test_config_keys_are_flag_names(self, tmp_path):
+        # `lambda` is the flag's name (its dest is `lam`)
+        cfg = tmp_path / "sample.cfg"
+        cfg.write_text("model=Q\nn=30\nlambda=1.0\ns=0.5\n")
+        prefix = tmp_path / "cfg"
+        assert run(["--config", str(cfg), "sample", "--out", str(prefix)]) == 0
+        assert Graph.from_json((tmp_path / "cfg_A.json").read_text()).n_vertices == 30
+
+    def test_config_values_obey_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "bad_model.cfg"
+        cfg.write_text("model=Z\nn=30\ns=0.5\n")
+        assert run(["--config", str(cfg), "sample", "--lambda", "1.0",
+                    "--out", str(tmp_path / "z")]) == 2
+        assert not (tmp_path / "z_A.json").exists()
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("alpeh=4\n")
+        assert run(["--config", str(cfg), "trees", "--aleph", "3"]) == 2
+
+    def test_command_line_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("aleph=4\nformat=csv\n")
+        assert run(["--config", str(cfg), "trees", "--aleph", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "5,6"
+
+    def test_malformed_graph_file_is_usage_error(self, tmp_path, capsys):
+        for payload in ('{"n": 3}', '{"n": "3", "edges": []}',
+                        '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[0.5, 1.7]]}'):
+            path = tmp_path / "g.json"
+            path.write_text(payload)
+            assert run(["analyze", "--input", str(path)]) == 2
+            assert "malformed graph JSON" in capsys.readouterr().err

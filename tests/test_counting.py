@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from csbmlab.counting import counting_engine, falling_factorial, shape_key
-from csbmlab.graphs import Graph
+from csbmlab.counting import counting_engine, falling_factorial
+from csbmlab.graphs import Graph, canonical_form
 from csbmlab.models import ModelParams
 from csbmlab.statistics import CenteredMatrix, w_exact
 from csbmlab.trees import enumerate_trees
@@ -35,7 +35,7 @@ class TestForestCounts:
         # the 4-vertex path contains a pair of disjoint edges as a subset
         eng = counting_engine(3)
         counts = eng.forest_counts(Graph.build([(0, 1), (1, 2), (0, 2)], n=3))
-        two_edges = tuple(sorted([shape_key(Graph.build([(0, 1)]))] * 2))
+        two_edges = tuple(sorted([canonical_form(Graph.build([(0, 1)]))] * 2))
         assert counts[two_edges] == 0  # no two disjoint edges in a triangle
 
     def test_matches_brute_force(self):
@@ -65,7 +65,7 @@ class TestForestCounts:
         # gluing a 2-path onto a disjoint edge at both ends forms a triangle,
         # first possible inside 4-edge trees
         eng = counting_engine(4)
-        tri_key = shape_key(Graph.build([(0, 1), (1, 2), (0, 2)]))
+        tri_key = canonical_form(Graph.build([(0, 1), (1, 2), (0, 2)]))
         assert tri_key in eng.cyclic_keys
         counts = eng.pattern_counts(Graph.complete(4))
         assert counts[tri_key] == 4 * 6  # four triangles, six ordered maps each

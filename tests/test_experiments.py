@@ -161,3 +161,40 @@ class TestVerificationSuite:
         report = run_verification_suite(seed=0)
         failing = {c.name for c in report.checks if not c.passed}
         assert "poisson_cycle_mean" in failing or "event_E_frequency" in failing
+
+
+class TestOutputPin:
+    """Exact outputs recorded before the engine's pattern keys were unified;
+    a refactor that keeps the arithmetic must reproduce them bit for bit."""
+
+    def test_sweep_rows(self):
+        cfg = SweepConfig(n=200, lam=2.0, k=2, eps=0.3, s_grid=(0.5, 0.9),
+                          aleph=4, trials=3, seed=7, method="sparse")
+        got = [(r.s, r.mean_P, r.sd_P, r.mean_Q, r.sd_Q, r.z_separation,
+                r.type_I, r.type_II) for r in sweep(cfg).rows]
+        assert got == [
+            (0.5, 0.01708710252981228, 0.07947546027421551,
+             0.005457944104156037, 0.02769004467837275, 0.14632388897820742,
+             0.3333333333333333, 0.6666666666666666),
+            (0.9, 1.3100795504147467, 2.2138892586225354,
+             -0.13422831784294312, 0.44305902636734085, 0.6523848754550292,
+             0.0, 0.6666666666666666),
+        ]
+
+    def test_per_shape_w_at_aleph_six(self):
+        # host with a 61-vertex 2-core, so cyclic glued patterns contribute
+        import numpy as np
+
+        from csbmlab.counting import counting_engine
+        from csbmlab.models import sample_correlated
+        from csbmlab.statistics import CenteredMatrix
+
+        params = ModelParams(n=120, lam=2.5, k=2, eps=0.3, s=0.9)
+        a = sample_correlated(params, np.random.default_rng(3)).a
+        x = CenteredMatrix.from_graph(a, params)
+        w = counting_engine(6).w_all_shapes(a, x.nonedge_value, x.slope)
+        assert [float(v) for v in w] == [
+            263147.92577278236, -6007250.157166839, -2096397.621647954,
+            951449.4971621832, -3023734.8800188503, -7183404.3884354085,
+            853315.9239383936, 73870.82574449976, 1151628.7808784842,
+            -527403.0199803114, -236639.01620811224]

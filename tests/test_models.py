@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from csbmlab.density import DensityParams
-from csbmlab.graphs import Graph, apply_permutation, count_cycles, cycles_up_to
+from csbmlab import models
+from csbmlab.graphs import Graph, count_cycles, cycles_up_to
 from csbmlab.models import (
     CorrelatedSample,
     ModelParams,
@@ -21,6 +22,12 @@ from csbmlab.models import (
 )
 
 P_DENSE = DensityParams.create(n=1e126, D=100, lam=1.0, k=2)
+
+
+def apply_permutation(g, p):
+    """Relabeled graph: vertex v becomes p(v)."""
+    return Graph.build([(p(u), p(v)) for u, v in g.edges],
+                       vertices=[p(v) for v in g.vertices])
 
 
 class TestParams:
@@ -192,6 +199,23 @@ class TestTruncation:
         tree = Graph.build([(0, 1), (1, 2), (1, 3)], n=5)
         rng = np.random.default_rng(2)
         assert truncate_graph(tree, 5, 30, rng) == tree
+
+    def test_cycle_postcondition_survives_optimize(self, monkeypatch):
+        # detection misses the triangle, so the final check must raise
+        tri = Graph.build([(0, 1), (1, 2), (0, 2)])
+        calls = iter([[], [tri]])
+        monkeypatch.setattr(models, "cycles_up_to", lambda g, n: next(calls))
+        with pytest.raises(RuntimeError):
+            truncate_graph(tri, 3, 30, np.random.default_rng(0))
+
+    def test_self_bad_postcondition_survives_optimize(self, monkeypatch):
+        # the scan reports nothing before removal and a pattern after it
+        calls = iter([[], [Graph.build([(0, 1)])]])
+        monkeypatch.setattr(models, "detect_self_bad_patterns",
+                            lambda g, density, cap: next(calls))
+        path = Graph.path(4)
+        with pytest.raises(RuntimeError):
+            truncate_graph(path, 3, 30, np.random.default_rng(0), density=P_DENSE)
 
     def test_no_short_cycles_after_truncation(self):
         params = ModelParams(n=400, lam=1.8, k=2, eps=0.4, s=0.5)

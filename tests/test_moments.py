@@ -9,37 +9,75 @@ import pytest
 
 from csbmlab.graphs import Graph
 from csbmlab.models import ModelParams, sample_correlated
+from csbmlab.graphs import connected_components, excess
 from csbmlab.moments import (
-    LabelKernel,
     centered_moment,
     chain_expectation,
     chain_expectation_brute,
-    cycle_product_expectation,
     exact_phi_expectation_P,
     exact_phi_expectation_Q,
     first_moment_closed,
     joint_moment_closed,
-    kernel_uv,
     moment_closed_form,
+    omega,
     predicted_f_mean,
-    predicted_f_var_null,
-    tree_product_vanishes,
 )
 
 GRID = [(0.8, 0.0, 0.5), (1.0, 0.3, 0.8), (1.5, 0.7, 0.6),
         (2.0, 0.5, 1.0), (0.5, 0.99, 0.3)]
 
 
+# -- oracles for paper identities ---------------------------------------------
+
+def kernel_uv(r: int, t: int, params: ModelParams) -> tuple[float, float]:
+    """(u, v) with E[Ā^r B̄^t] = (ω·u + v)/n; u_11 ≈ ελs², v_11 ≈ λs²."""
+    val_same = centered_moment(r, t, True, params)
+    val_diff = centered_moment(r, t, False, params)
+    n, k = params.n, params.k
+    u = (val_same - val_diff) * n / k
+    v = ((k - 1) * val_diff + val_same) * n / k
+    return u, v
+
+
+def label_grid(k: int, n: int) -> np.ndarray:
+    """All k^n labelings as an integer array of shape (k^n, n)."""
+    return np.indices((k,) * n).reshape(n, -1).T
+
+
+def tree_product_vanishes(tree: Graph, eps: float, k: int) -> float:
+    """Brute-force E over all k^|V| labelings of Π ε·ω(σ_u, σ_v) over the
+    edges of a forest. The result is always 0; cyclic input is rejected."""
+    if any(excess(c) != -1 for c in connected_components(tree)):
+        raise ValueError("identity applies to forests only")
+    if tree.n_edges == 0:
+        raise ValueError("need at least one edge")
+    col = {v: i for i, v in enumerate(tree.vertices)}
+    labels = label_grid(k, tree.n_vertices)
+    prod = np.ones(labels.shape[0])
+    for u, v in tree.edges:
+        same = labels[:, col[u]] == labels[:, col[v]]
+        prod *= eps * np.where(same, float(k - 1), -1.0)
+    return float(prod.mean())
+
+
+def cycle_product_expectation(length: int, k: int) -> float:
+    """Brute-force E of Π ω around a cycle; the nonvanishing analogue of the
+    forest identity (equals k-1 for every length)."""
+    labels = label_grid(k, length)
+    prod = np.ones(labels.shape[0])
+    for i in range(length):
+        same = labels[:, i] == labels[:, (i + 1) % length]
+        prod *= np.where(same, float(k - 1), -1.0)
+    return float(prod.mean())
+
+
 class TestLabelKernel:
     def test_mean_zero(self):
         for k in (2, 3, 4, 5):
-            kern = LabelKernel.for_k(k)
-            assert kern.omega_equal == k - 1
-            assert kern.omega_diff == -1
-
-    def test_rejects_biased(self):
-        with pytest.raises(ValueError):
-            LabelKernel(omega_equal=2.0, omega_diff=-0.5)
+            assert omega(True, k) == k - 1
+            assert omega(False, k) == -1
+            # mean zero under a uniform label: one equal, k-1 different
+            assert omega(True, k) + (k - 1) * omega(False, k) == 0
 
 
 class TestKernels:
@@ -224,6 +262,7 @@ class TestPredictedMoments:
         p1 = ModelParams(n=100, lam=1.0, k=2, eps=0.3, s=1.0)
         assert predicted_f_mean(p1, 3) == pytest.approx(2.0)
         p2 = ModelParams(n=100, lam=1.0, k=2, eps=0.3, s=0.8)
-        assert predicted_f_var_null(p2, 4) == pytest.approx(0.50331648, abs=1e-12)
+        # the null variance equals the planted mean
+        assert predicted_f_mean(p2, 4) == pytest.approx(0.50331648, abs=1e-12)
         p3 = ModelParams(n=100, lam=1.0, k=2, eps=0.3, s=0.01)
         assert predicted_f_mean(p3, 5) < 1e-9

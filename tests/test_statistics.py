@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from csbmlab.graphs import Graph, Permutation, apply_permutation
+from csbmlab import statistics
+from csbmlab.graphs import Graph, Permutation
 from csbmlab.models import ModelParams, sample_correlated, sample_null
 from csbmlab.statistics import (
     CenteredMatrix,
@@ -15,7 +16,6 @@ from csbmlab.statistics import (
     cycle_count_test,
     default_reps,
     f_tree_stat,
-    psi,
     resolve_method,
     threshold_test,
     w_color_coding,
@@ -30,6 +30,20 @@ def random_graph(rng, n, p):
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
              if rng.random() < p]
     return Graph.build(edges, n=n)
+
+
+def psi(pattern, x):
+    """Product of centered entries over the pattern's edges; 1 when empty."""
+    out = 1.0
+    for u, v in pattern.edges:
+        out *= x.entry(u, v)
+    return out
+
+
+def apply_permutation(g, p):
+    """Relabeled graph: vertex v becomes p(v)."""
+    return Graph.build([(p(u), p(v)) for u, v in g.edges],
+                       vertices=[p(v) for v in g.vertices])
 
 
 def brute_w(shape, x):
@@ -104,16 +118,21 @@ class TestWExact:
 
 
 class TestColorCoding:
-    def test_naive_equals_split(self):
+    def test_naive_equals_split(self, monkeypatch):
+        # reference: contract the messages against the dense entry matrix
         rng = random.Random(9)
         g = random_graph(rng, 10, 0.35)
         x = CenteredMatrix.from_graph(g, ModelParams(
             n=10, lam=1.0, k=2, eps=0.2, s=0.7))
-        for shape in enumerate_trees(3):
+        split = [w_color_coding(shape, x, 40, np.random.default_rng(3),
+                                return_samples=True)
+                 for shape in enumerate_trees(3)]
+        monkeypatch.setattr(
+            statistics, "_cc_messages",
+            lambda dp, x, adj: np.einsum("rsj,ij->rsi", dp, x.dense()))
+        for shape, b in zip(enumerate_trees(3), split):
             a = w_color_coding(shape, x, 40, np.random.default_rng(3),
-                               naive_messages=True, return_samples=True)
-            b = w_color_coding(shape, x, 40, np.random.default_rng(3),
-                               naive_messages=False, return_samples=True)
+                               return_samples=True)
             assert np.allclose(a, b, rtol=1e-11, atol=1e-11)
 
     def test_unbiased_against_exact(self):

@@ -5,11 +5,10 @@ import math
 
 import pytest
 
+from csbmlab import trees
 from csbmlab.trees import (
     a_coefficient,
-    default_aleph,
     enumerate_trees,
-    log_a_coefficient,
     otter_estimate,
     prufer_canonical_codes,
     tree_canonical_key,
@@ -41,6 +40,14 @@ class TestEnumeration:
                 for u, v in sorted(g.edges, key=max):
                     assert min(u, v) in seen
                     seen.add(max(u, v))
+
+    def test_labeling_postcondition_survives_optimize(self, monkeypatch):
+        # a relabeling that is not a fixed point of itself must raise
+        relabel = trees._canonical_relabel
+        monkeypatch.setattr(trees, "_canonical_relabel",
+                            lambda g: relabel(g)[::-1])
+        with pytest.raises(RuntimeError):
+            enumerate_trees.__wrapped__(3)  # uncached, so the check runs
 
     def test_range(self):
         with pytest.raises(ValueError):
@@ -102,21 +109,9 @@ class TestWeights:
             assert a_coefficient(shape, n, s) * copies == pytest.approx(
                 s ** aleph, abs=1e-12)
 
-    def test_log_variant(self):
-        shape = enumerate_trees(4)[1]
-        direct = a_coefficient(shape, 50, 0.7)
-        assert math.exp(log_a_coefficient(shape, 50, 0.7)) == pytest.approx(direct)
-
     def test_domain(self):
         edge = enumerate_trees(1)[0]
         with pytest.raises(ValueError):
             a_coefficient(edge, 2, 0.5)
         with pytest.raises(ValueError):
             a_coefficient(edge, 10, 1.5)
-
-
-class TestDefaultAleph:
-    def test_documented_rule(self):
-        assert default_aleph(3000) == math.ceil(
-            math.log(3000) / (3 * math.log(math.log(3000))))
-        assert default_aleph(10) >= 1
