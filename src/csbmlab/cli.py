@@ -2,8 +2,9 @@
 
 Verbs: sample, detect, sweep, verify, trees, analyze. Global flags --seed,
 --out, --format and --config (a flat key=value file whose keys are the
-verb's flag names, with dashes or underscores). Exit codes: 0 success,
-1 verification failure, 2 usage error.
+verb's full flag names, with dashes or underscores; `--config=FILE` works
+too). Flags are never abbreviated: a prefix of a flag is a usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _config_args(path: str) -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="csbmlab",
+        prog="csbmlab", allow_abbrev=False,
         description="Correlated block-model detection laboratory")
     parser.add_argument("--config", help="flat key=value config file")
     common = argparse.ArgumentParser(add_help=False)
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_sample = sub.add_parser("sample", parents=[common],
+    p_sample = sub.add_parser("sample", parents=[common], allow_abbrev=False,
                               help="draw graphs from P, Q or the truncated model")
     p_sample.add_argument("--model", choices=("P", "Q", "Pprime"), required=True)
     p_sample.add_argument("--n", type=int, required=True)
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="short-cycle cutoff for the truncated model")
     p_sample.add_argument("--vertex-cap", type=int, default=30)
 
-    p_detect = sub.add_parser("detect", parents=[common],
+    p_detect = sub.add_parser("detect", parents=[common], allow_abbrev=False,
                               help="run the tree statistic on a graph pair")
     p_detect.add_argument("--input-a", required=True)
     p_detect.add_argument("--input-b", required=True)
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--reps", type=int)
     p_detect.add_argument("--C", type=float, default=0.5)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
                              help="phase sweep over the subsampling probability")
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -112,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--C", type=float, default=0.5)
     p_sweep.add_argument("--workers", type=int, default=1)
 
-    sub.add_parser("verify", parents=[common],
+    sub.add_parser("verify", parents=[common], allow_abbrev=False,
                    help="run the cross-module verification suite")
 
-    p_trees = sub.add_parser("trees", parents=[common],
+    p_trees = sub.add_parser("trees", parents=[common], allow_abbrev=False,
                              help="list the unlabeled tree catalog")
     p_trees.add_argument("--aleph", type=int, required=True)
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
+    p_analyze = sub.add_parser("analyze", parents=[common], allow_abbrev=False,
                                help="density/admissibility report for a graph")
     p_analyze.add_argument("--input", required=True)
     p_analyze.add_argument("--D", type=int, default=100)
@@ -255,8 +256,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Config values become flags placed right after the verb, so the verb's
     # parser checks them like any flag and later command-line flags win.
-    if "--config" in argv:
-        idx = argv.index("--config")
+    idx = next((i for i, tok in enumerate(argv)
+                if tok == "--config" or tok.startswith("--config=")), None)
+    if idx is not None:
+        if argv[idx] != "--config":  # --config=FILE
+            argv[idx: idx + 1] = argv[idx].split("=", 1)
         try:
             config = _config_args(argv[idx + 1])
         except (IndexError, OSError, ValueError) as exc:

@@ -11,9 +11,11 @@ edges of the host. D is reduced to *connected* pattern counts by an exact
 inclusion-exclusion over cross-component collisions: gluing a component onto
 the others at any nonempty set of vertex identifications yields a smaller
 multiset whose expansion is known recursively. The resulting integer-
-coefficient algebra is graph-independent and cached per ℵ. Per host graph,
-tree-pattern counts come from a vectorized frontier enumeration and the rare
-cyclic glued patterns from backtracking anchored on the host's 2-core.
+coefficient algebra is graph-independent and cached per ℵ, as is the search
+order of each cyclic glued pattern. Per host graph, the engine reads the host
+through `Graph.csr`: tree-pattern counts come from a vectorized frontier
+enumeration and the rare cyclic patterns from backtracking anchored on the
+host's 2-core.
 
 Everything is exact: counts are Python integers, and only the final
 combination with the entry weights happens in floating point.
@@ -166,24 +168,6 @@ class _Algebra:
 # Host-graph counting primitives
 # ---------------------------------------------------------------------------
 
-def _csr(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    n = graph.n_vertices
-    if graph.vertices != tuple(range(n)):
-        raise ValueError("host graphs must use the dense universe 0..n-1")
-    m = graph.n_edges
-    src = np.empty(2 * m, dtype=np.int32)
-    dst = np.empty(2 * m, dtype=np.int32)
-    for i, (u, v) in enumerate(graph.edges):
-        src[2 * i], dst[2 * i] = u, v
-        src[2 * i + 1], dst[2 * i + 1] = v, u
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst
-
-
 @dataclass
 class _PlanNode:
     node_id: int
@@ -223,10 +207,11 @@ class _GrowthPlan:
             node_id = node.node_id
         self.target_node[canonical_form(tree)] = node_id
 
-    def count_embeddings(self, graph: Graph) -> dict[tuple, int]:
-        """Ordered injective-map counts for every target tree shape."""
-        indptr, neigh = _csr(graph)
-        n = graph.n_vertices
+    def count_embeddings(self, indptr: np.ndarray,
+                         indices: np.ndarray) -> dict[tuple, int]:
+        """Ordered injective-map counts for every target tree shape in the
+        host whose `Graph.csr` is ``(indptr, indices)``."""
+        n = len(indptr) - 1
         dtype = np.int16 if n < 2 ** 15 else np.int32
         frontiers: dict[int, np.ndarray] = {
             0: np.arange(n, dtype=dtype)[:, None]}
@@ -247,7 +232,7 @@ class _GrowthPlan:
                 reps = np.repeat(np.arange(parent_rows.shape[0]), deg)
                 cum = np.concatenate([[0], np.cumsum(deg)])
                 pos = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], deg)
-                new_host = neigh[indptr[hosts][reps] + pos].astype(dtype)
+                new_host = indices[indptr[hosts][reps] + pos].astype(dtype)
                 # cheap prefilter: stepping straight back to the attach vertex
                 fwd = new_host != parent_rows[reps, node.attach]
                 reps = reps[fwd]
@@ -267,53 +252,50 @@ class _GrowthPlan:
         return {key: counts[nid] for key, nid in self.target_node.items()}
 
 
-def _count_injective_cyclic(pattern: Graph, core_vertices: frozenset[int],
-                            adjacency: dict[int, frozenset[int]]) -> int:
+def _search_order(pattern: Graph) -> tuple[tuple, tuple]:
+    """Backtracking plan of a cyclic connected pattern: a BFS order from the
+    least vertex of its 2-core, core neighbours first, with, per position,
+    the earlier positions adjacent to it (nonempty after position 0: the
+    pattern is connected) and whether it is a core vertex."""
+    pat_core = set(two_core(pattern).vertices)
+    start = min(pat_core)
+    order = [start]
+    seen = {start}
+    for v in order:  # grows while it is walked: a BFS
+        for u in sorted(pattern.adjacency[v], key=lambda w: (w not in pat_core, w)):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    pos = {v: i for i, v in enumerate(order)}
+    return (tuple(tuple(pos[u] for u in pattern.adjacency[v] if pos[u] < i)
+                  for i, v in enumerate(order)),
+            tuple(v in pat_core for v in order))
+
+
+def _count_injective_cyclic(plan: tuple, core_vertices: frozenset[int],
+                            neighbours: list[frozenset[int]]) -> int:
     """Backtracking count of injective maps of a cyclic connected pattern.
 
     The pattern's own 2-core can only land inside the host's 2-core, which is
-    tiny for sparse hosts; pendant parts extend into the full host."""
-    pat_core = set(two_core(pattern).vertices)
-    order: list[int] = []
-    seen: set[int] = set()
-    start = min(pat_core)
-    stack = [start]
-    seen.add(start)
-    # BFS over the pattern, core vertices first
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            order.append(v)
-            for u in sorted(pattern.adjacency[v],
-                            key=lambda w: (w not in pat_core, w)):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    order_pos = {v: i for i, v in enumerate(order)}
-    earlier_neighbors = [
-        [order_pos[u] for u in pattern.adjacency[v] if order_pos[u] < i]
-        for i, v in enumerate(order)
-    ]
-    in_core = [v in pat_core for v in order]
-
+    tiny for sparse hosts; pendant parts extend into the full host.
+    `neighbours[v]` is host vertex v's neighbour set."""
+    earlier, in_core = plan
     count = 0
     image: list[int] = []
     used: set[int] = set()
 
     def rec(i: int) -> None:
         nonlocal count
-        if i == len(order):
+        if i == len(earlier):
             count += 1
             return
-        prev = earlier_neighbors[i]
-        if not prev:
-            candidates = core_vertices if in_core[i] else adjacency.keys()
+        if i == 0:  # the least core vertex
+            candidates = core_vertices
         else:
-            candidates = adjacency[image[prev[0]]]
+            prev = earlier[i]
+            candidates = neighbours[image[prev[0]]]
             for j in prev[1:]:
-                candidates = candidates & adjacency[image[j]]
+                candidates = candidates & neighbours[image[j]]
             if in_core[i]:
                 candidates = candidates & core_vertices
         for c in candidates:
@@ -372,6 +354,8 @@ class CountingEngine:
         # needed keys are connected with at most aleph edges, so the ones
         # that are not tree shapes up to aleph edges are exactly the cyclic ones
         self.cyclic_keys = self._needed_keys() - set(self.plan.target_node)
+        self.cyclic_orders = {key: _search_order(self.algebra.patterns[key])
+                              for key in self.cyclic_keys}
 
     def _forest_key(self, subset: list[tuple[int, int]]) -> tuple[tuple, int, int]:
         if not subset:
@@ -394,18 +378,16 @@ class CountingEngine:
     # -- per-graph evaluation ------------------------------------------------
 
     def pattern_counts(self, graph: Graph) -> dict[tuple, int]:
-        counts: dict[tuple, int] = dict(self.plan.count_embeddings(graph))
+        indptr, indices = graph.csr
+        counts = self.plan.count_embeddings(indptr, indices)
         if self.cyclic_keys:
-            core = two_core(graph)
-            core_vertices = frozenset(core.vertices)
-            adjacency = {v: frozenset(ns) for v, ns in graph.adjacency.items()}
-            for key in self.cyclic_keys:
-                pattern = self.algebra.patterns[key]
-                if not core_vertices:
-                    counts[key] = 0
-                    continue
-                counts[key] = _count_injective_cyclic(
-                    pattern, core_vertices, adjacency)
+            core_vertices = frozenset(two_core(graph).vertices)
+            neighbours: list[frozenset[int]] = []
+            if core_vertices:  # no search starts on an empty core: skip the sets
+                flat, bounds = indices.tolist(), indptr.tolist()
+                neighbours = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+            for key, plan in self.cyclic_orders.items():
+                counts[key] = _count_injective_cyclic(plan, core_vertices, neighbours)
         return counts
 
     def forest_counts(self, graph: Graph) -> dict[tuple, int]:

@@ -2,17 +2,20 @@
 
 Graphs are immutable: an explicit sorted vertex tuple plus a sorted tuple of
 undirected edges. Pattern graphs may live on a sparse subset of labels; big
-host graphs use the dense universe {0..n-1}. Equality is label-sensitive;
+host graphs use the dense universe {0..n-1}, and the evaluators read them
+through the cached CSR view `Graph.csr`. Equality is label-sensitive;
 isomorphism is a separate query (`canonical_form`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -136,6 +139,19 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Host adjacency ``(indptr, indices)`` of a graph on 0..n-1: vertex v's
+        neighbours are ``indices[indptr[v]:indptr[v + 1]]``, increasing."""
+        n = self.n_vertices
+        if self.vertices != tuple(range(n)):
+            raise ValueError("host graphs must use the dense universe 0..n-1")
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+        order = np.lexsort((dst, src))
+        indptr = np.searchsorted(src[order], np.arange(n + 1))
+        return indptr, dst[order].astype(np.int32)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -324,24 +340,22 @@ def independent_cycles(g: Graph, m: int) -> list[Graph]:
 
 
 def two_core(g: Graph) -> Graph:
-    """Iteratively strip degree-<=1 vertices until min degree >= 2 (or empty)."""
-    deg = {v: g.degree(v) for v in g.vertices}
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
-    queue = [v for v in g.vertices if deg[v] <= 1]
-    removed: set[int] = set()
-    while queue:
-        v = queue.pop()
-        if v in removed:
-            continue
-        removed.add(v)
-        for u in adj[v]:
-            if u not in removed:
-                deg[u] -= 1
-                if deg[u] <= 1:
-                    queue.append(u)
-    keep = [v for v in g.vertices if v not in removed]
-    edges = [e for e in g.edges if e[0] not in removed and e[1] not in removed]
-    return Graph.build(edges, vertices=keep)
+    """Strip degree-<=1 vertices, all at once in each round, until min
+    degree >= 2 (or empty)."""
+    labels = np.array(g.vertices, dtype=np.int64)
+    # edge endpoints as positions in the sorted label tuple
+    ends = np.searchsorted(labels, np.array(g.edges, dtype=np.int64).reshape(-1, 2))
+    kept = np.arange(len(ends))
+    alive = np.ones(len(labels), dtype=bool)
+    while True:
+        drop = alive & (np.bincount(ends.ravel(), minlength=len(labels)) <= 1)
+        if not drop.any():
+            break
+        alive &= ~drop
+        inner = alive[ends].all(axis=1)
+        ends, kept = ends[inner], kept[inner]
+    return Graph.build([g.edges[i] for i in kept.tolist()],
+                       vertices=labels[alive].tolist())
 
 
 def connected_components(g: Graph) -> list[Graph]:

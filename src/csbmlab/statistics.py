@@ -74,20 +74,15 @@ class CenteredMatrix:
         return self.edge_value - self.nonedge_value
 
     def dense(self) -> np.ndarray:
-        out = np.full((self.n, self.n), self.nonedge_value)
+        out = np.where(self.sparse_adjacency().toarray() > 0,
+                       self.edge_value, self.nonedge_value)
         np.fill_diagonal(out, 0.0)
-        for u, v in self.base_graph.edges:
-            out[u, v] = out[v, u] = self.edge_value
         return out
 
     def sparse_adjacency(self) -> sp.csr_matrix:
-        edges = self.base_graph.edges
-        if not edges:
-            return sp.csr_matrix((self.n, self.n))
-        rows = [u for u, _ in edges] + [v for _, v in edges]
-        cols = [v for _, v in edges] + [u for u, _ in edges]
-        data = np.ones(2 * len(edges))
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        indptr, indices = self.base_graph.csr
+        return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                             shape=(self.n, self.n))
 
 
 # ---------------------------------------------------------------------------

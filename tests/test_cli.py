@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from csbmlab.cli import main
 from csbmlab.graphs import Graph
 
@@ -61,6 +63,17 @@ class TestDetect:
         assert set(payload) >= {"f_value", "tau", "decision", "per_shape"}
         assert payload["decision"] in ("planted", "null")
         assert len(payload["per_shape"]) == 2  # |catalog| at aleph=3
+
+    @pytest.mark.parametrize("method", ["exact", "sparse", "cc"])
+    def test_sparse_labels_are_usage_error(self, tmp_path, capsys, method):
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices": [0, 1, 5], "edges": [[0, 1], [1, 5]]}')
+        code = run(["detect", "--input-a", str(path), "--input-b", str(path),
+                    "--aleph", "2", "--lambda", "1.0", "--s", "0.5",
+                    "--method", method, "--reps", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: host graphs must use the dense universe 0..n-1\n")
 
     def test_size_mismatch_is_usage_error(self, tmp_path):
         ga, gb = tmp_path / "a.json", tmp_path / "b.json"
@@ -176,6 +189,23 @@ class TestConfigAndErrors:
         cfg.write_text("aleph=4\nformat=csv\n")
         assert run(["--config", str(cfg), "trees", "--aleph", "5"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "5,6"
+
+    def test_config_equals_form(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("format=csv\n")
+        assert run([f"--config={cfg}", "trees", "--aleph", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["aleph,count", "1,1", "2,1"]
+
+    def test_flag_prefixes_are_usage_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("alep=4\n")
+        assert run(["--config", str(cfg), "trees"]) == 2
+        cfg.write_text("work=2\n")
+        assert run(["--config", str(cfg), "sweep", "--n", "20", "--lambda", "1.0",
+                    "--s-grid", "0.5", "--aleph", "2", "--trials", "1",
+                    "--out", str(tmp_path / "s.json")]) == 2
+        assert run(["trees", "--alep", "4"]) == 2
+        assert not (tmp_path / "s.json").exists()
 
     def test_malformed_graph_file_is_usage_error(self, tmp_path, capsys):
         for payload in ('{"n": 3}', '{"n": "3", "edges": []}',

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from csbmlab.counting import counting_engine, falling_factorial
-from csbmlab.graphs import Graph, canonical_form
+from csbmlab.graphs import Graph, canonical_form, two_core
 from csbmlab.models import ModelParams
 from csbmlab.statistics import CenteredMatrix, w_exact
 from csbmlab.trees import enumerate_trees
@@ -69,6 +69,43 @@ class TestForestCounts:
         assert tri_key in eng.cyclic_keys
         counts = eng.pattern_counts(Graph.complete(4))
         assert counts[tri_key] == 4 * 6  # four triangles, six ordered maps each
+
+    def test_cyclic_counts_match_brute_force(self):
+        # hosts with a nonempty 2-core and pendant vertices, so searches
+        # start in the core and pattern pendants extend outside it
+        rng = random.Random(31)
+        eng = counting_engine(6)
+        assert len(eng.cyclic_keys) == 9
+        embedded = []
+        for _ in range(3):
+            core = random_graph(rng, 6, 0.6)
+            edges = list(core.edges) + [(rng.randrange(6), 6), (6, 7)]
+            host = Graph.build(edges, n=8)
+            assert two_core(host).n_vertices > 0
+            counts = eng.pattern_counts(host)
+            for key in eng.cyclic_keys:
+                pattern = eng.algebra.patterns[key]
+                assert counts[key] == brute_forest_count(pattern, host), key
+            embedded.append(sum(counts[key] > 0 for key in eng.cyclic_keys))
+        assert min(embedded) == 9  # no count passes for being zero
+
+    @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
+    def test_frontier_dtype_switch(self, n):
+        # the frontier holds labels as int16 below 2**15 and int32 from
+        # there on; a small graph on the top labels must count as on its own
+        small = Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)], n=6)
+        top = n - small.n_vertices
+        host = Graph.build([(u + top, v + top) for u, v in small.edges], n=n)
+        eng = counting_engine(4)
+        assert eng.pattern_counts(host) == eng.pattern_counts(small)
+
+    def test_host_is_read_through_csr_only(self):
+        host = Graph.build([(0, 1), (1, 2), (0, 2), (2, 3)], n=5)
+        eng = counting_engine(4)
+        assert eng.cyclic_keys
+        eng.w_all_shapes(host, -0.1, 2.0)
+        assert "csr" in host.__dict__
+        assert "adjacency" not in host.__dict__
 
     def test_no_cyclic_shapes_below_aleph_four(self):
         assert not counting_engine(3).cyclic_keys

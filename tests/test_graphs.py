@@ -195,7 +195,50 @@ class TestCycles:
         assert planted_total > 100  # the random draws do plant cycles
 
 
+def two_core_by_queue(g: Graph) -> Graph:
+    """Reference 2-core: strip degree-<=1 vertices one at a time."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    adj = {v: set(ns) for v, ns in g.adjacency.items()}
+    queue = [v for v in g.vertices if deg[v] <= 1]
+    removed: set[int] = set()
+    while queue:
+        v = queue.pop()
+        if v in removed:
+            continue
+        removed.add(v)
+        for u in adj[v]:
+            if u not in removed:
+                deg[u] -= 1
+                if deg[u] <= 1:
+                    queue.append(u)
+    keep = [v for v in g.vertices if v not in removed]
+    edges = [e for e in g.edges if e[0] not in removed and e[1] not in removed]
+    return Graph.build(edges, vertices=keep)
+
+
 class TestTwoCore:
+    def test_matches_queue_oracle(self):
+        rng = random.Random(23)
+        nonempty = 0
+        for _ in range(300):
+            base = random_graph(rng, rng.randint(1, 12),
+                                rng.choice([0.0, 0.15, 0.3, 0.5]))
+            edges = list(base.edges)
+            nxt = base.n_vertices
+            for _ in range(rng.randint(0, 6)):  # pendant trees, grown edge by edge
+                edges.append((rng.randrange(nxt), nxt))
+                nxt += 1
+            # sparse labels, with some isolated ones
+            labels = rng.sample(range(3 * nxt + 5), nxt + rng.randint(0, 3))
+            g = Graph.build([(labels[u], labels[v]) for u, v in edges],
+                            vertices=labels)
+            core = two_core(g)
+            assert core == two_core_by_queue(g), g
+            nonempty += core.n_vertices > 0
+        assert 50 < nonempty < 250  # both outcomes are drawn
+        assert two_core(Graph.empty(0)) == Graph.empty(0)
+        assert two_core(Graph.build([], vertices=[4, 9])) == Graph.empty(0)
+
     def test_tree_strips_to_empty(self):
         tree = Graph.build([(0, 1), (1, 2), (1, 3)])
         assert two_core(tree).n_vertices == 0
@@ -210,6 +253,16 @@ class TestTwoCore:
         g = Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
                          (4, 5), (5, 6), (4, 6)])
         assert two_core(g) == g
+
+
+class TestCsr:
+    def test_matches_adjacency(self):
+        rng = random.Random(8)
+        for n in (0, 1, 5, 30):
+            g = random_graph(rng, n, 0.3)
+            indptr, indices = g.csr
+            assert [tuple(indices[indptr[v]:indptr[v + 1]].tolist())
+                    for v in range(n)] == [g.adjacency[v] for v in range(n)]
 
 
 class TestIsomorphism:
