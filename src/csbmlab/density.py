@@ -132,6 +132,8 @@ def _subset_profiles(h: Graph) -> Iterable[tuple[int, int, int]]:
 def _min_phi_log_subgraphs(h: Graph, p: DensityParams, proper: bool) -> float:
     """Minimum of phi_log over subgraphs of h (all, or proper only)."""
     lx, ly = p.log_vertex_factor, p.log_edge_factor
+    if ly >= 0 and h.n_edges:  # least: edgeless on 0 or |V| vertices, both proper
+        return min(0.0, h.n_vertices * lx)
     full = (h.n_edges, h.n_vertices)
     best = math.inf
     for e, v_min, v_max in _subset_profiles(h):

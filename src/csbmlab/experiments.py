@@ -89,6 +89,8 @@ class SweepConfig:
             raise ValueError("s_grid must be strictly increasing")
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         object.__setattr__(self, "s_grid", grid)
 
     def params_at(self, s: float) -> ModelParams:
@@ -170,27 +172,13 @@ def _row_from_samples(s: float, f_p: np.ndarray, f_q: np.ndarray,
 
 def run_detection(params: ModelParams, aleph: int, trials: int, seed: int,
                   method: str = "auto", reps: int | None = None, C: float = 0.5,
-                  workers: int = 1, s_index: int = 0) -> DetectionRow:
-    """Empirical moments, z-separation and both error rates for one grid point."""
-    method = resolve_method(method, params.n, aleph)
-    if method == "sparse":
-        counting_engine(aleph)  # build before any fork so workers share it
-    tasks = [(seed, s_index, t, params, aleph, method, reps)
-             for t in range(trials)]
-    results = _map_trials(tasks, workers)
-    f_p = np.array([r[2] for r in results])
-    f_q = np.array([r[3] for r in results])
-    return _row_from_samples(params.s, f_p, f_q, params, aleph, C)
-
-
-def _map_trials(tasks: list, workers: int) -> list:
-    if workers <= 1:
-        results = [_one_trial(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            results = list(pool.imap_unordered(_one_trial, tasks, chunksize=4))
-    results.sort(key=lambda r: (r[0], r[1]))
-    return results
+                  workers: int = 1) -> DetectionRow:
+    """Empirical moments, z-separation and both error rates for one grid
+    point: the one row of a sweep over ``s_grid=(params.s,)``."""
+    cfg = SweepConfig(n=params.n, lam=params.lam, k=params.k, eps=params.eps,
+                      s_grid=(params.s,), aleph=aleph, trials=trials, seed=seed,
+                      method=method, reps=reps, C=C, workers=workers)
+    return sweep(cfg).rows[0]
 
 
 def sweep(cfg: SweepConfig) -> ExperimentResult:
@@ -199,13 +187,18 @@ def sweep(cfg: SweepConfig) -> ExperimentResult:
     The reference lines are reported, never consulted by any decision."""
     method = resolve_method(cfg.method, cfg.n, cfg.aleph)
     if method == "sparse":
-        counting_engine(cfg.aleph)
+        counting_engine(cfg.aleph)  # build before any fork so workers share it
     tasks = []
     for s_index, s in enumerate(cfg.s_grid):
         params = cfg.params_at(s)
         tasks.extend((cfg.seed, s_index, t, params, cfg.aleph, method, cfg.reps)
                      for t in range(cfg.trials))
-    results = _map_trials(tasks, cfg.workers)
+    if cfg.workers == 1:
+        results = [_one_trial(t) for t in tasks]
+    else:
+        with multiprocessing.Pool(cfg.workers) as pool:
+            results = list(pool.imap_unordered(_one_trial, tasks, chunksize=4))
+    results.sort(key=lambda r: (r[0], r[1]))
     rows = []
     for s_index, s in enumerate(cfg.s_grid):
         chunk = [r for r in results if r[0] == s_index]

@@ -176,18 +176,19 @@ class Graph:
 
     @staticmethod
     def from_text(line: str) -> "Graph":
+        """Inverse of `to_text`; other fields or a wrong ``n`` are errors."""
         fields = [f.strip() for f in line.strip().split(";")]
-        if not fields or not fields[0].startswith("n="):
+        if not fields[0].startswith("n="):
             raise ValueError(f"malformed graph line: {line!r}")
         n = int(fields[0][2:])
-        vertices: Iterable[int] | None = None
-        edge_field = fields[1] if len(fields) > 1 else ""
+        vertices: list[int] | None = None
         if len(fields) > 1 and fields[1].startswith("v="):
-            vertices = [int(x) for x in fields[1][2:].split(",") if x]
-            edge_field = fields[2] if len(fields) > 2 else ""
+            vertices = [int(x) for x in fields.pop(1)[2:].split(",") if x]
+        if len(fields) > 2 or (vertices is not None and len(set(vertices)) != n):
+            raise ValueError(f"malformed graph line: {line!r}")
         edges = []
-        if edge_field:
-            for tok in edge_field.split(","):
+        if len(fields) > 1 and fields[1]:
+            for tok in fields[1].split(","):
                 u, v = tok.split("-")
                 edges.append((int(u), int(v)))
         if vertices is None:
@@ -202,13 +203,18 @@ class Graph:
 
     @staticmethod
     def from_json(payload: str) -> "Graph":
+        """Inverse of `to_json`; other keys or a wrong ``n`` are errors."""
         obj = json.loads(payload)
         try:
-            labels = [w for e in obj["edges"] for w in e]
-            labels += obj["vertices"] if "vertices" in obj else [obj["n"]]
+            if set(obj) - {"n", "vertices", "edges"}:
+                raise TypeError(f"unknown keys among {sorted(obj)}")
+            labels = [w for e in obj["edges"] for w in e] + obj.get("vertices", [])
+            labels += [obj["n"]] if "n" in obj or "vertices" not in obj else []
             if not all(type(w) is int for w in labels):  # no bools, no floats
                 raise TypeError("labels and n must be integers")
             if "vertices" in obj:
+                if "n" in obj and obj["n"] != len(set(obj["vertices"])):
+                    raise TypeError("n is not the number of vertices")
                 return Graph.build(obj["edges"], vertices=obj["vertices"])
             return Graph.build(obj["edges"], n=obj["n"])
         except (KeyError, TypeError) as exc:

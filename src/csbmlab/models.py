@@ -4,13 +4,14 @@ short-cycle/density-truncated variant.
 All samplers take an explicit numpy Generator and are bit-reproducible for a
 fixed stream: edge sets are drawn per block pair as a Binomial count followed
 by a uniform distinct-pair sample, which reproduces independent Bernoulli
-edges in O(expected edges) time.
+edges in O(expected edges) time. Edges stay ``(m, 2)`` arrays, masked and
+relabelled by numpy, until `Graph.build` makes each host; the generator calls
+and their order are those of the former per-edge Python samplers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -126,60 +127,54 @@ def _decode_triangular(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _binomial_pairs_within(rng: np.random.Generator, members: np.ndarray,
-                           p: float) -> list[tuple[int, int]]:
+                           p: float) -> np.ndarray:
     na = len(members)
     total = na * (na - 1) // 2
     if total == 0 or p <= 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     m = rng.binomial(total, p)
     idx = _sample_distinct(rng, total, int(m))
     i, j = _decode_triangular(idx)
-    return list(zip(members[i].tolist(), members[j].tolist()))
+    return np.stack([members[i], members[j]], axis=1)
 
 
 def _binomial_pairs_between(rng: np.random.Generator, left: np.ndarray,
-                            right: np.ndarray, p: float) -> list[tuple[int, int]]:
+                            right: np.ndarray, p: float) -> np.ndarray:
     total = len(left) * len(right)
     if total == 0 or p <= 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     m = rng.binomial(total, p)
     idx = _sample_distinct(rng, total, int(m))
     i, j = idx // len(right), idx % len(right)
-    return list(zip(left[i].tolist(), right[j].tolist()))
+    return np.stack([left[i], right[j]], axis=1)
 
 
 def sample_sbm(params: ModelParams, rng: np.random.Generator) -> tuple[tuple[int, ...], Graph]:
     """Uniform labeling plus conditionally independent intra/inter edges."""
     sigma = rng.integers(0, params.k, size=params.n)
     blocks = [np.flatnonzero(sigma == c) for c in range(params.k)]
-    edges: list[tuple[int, int]] = []
+    edges = []
     for a in range(params.k):
-        edges.extend(_binomial_pairs_within(rng, blocks[a], params.p_intra))
+        edges.append(_binomial_pairs_within(rng, blocks[a], params.p_intra))
         for b in range(a + 1, params.k):
-            edges.extend(_binomial_pairs_between(rng, blocks[a], blocks[b],
+            edges.append(_binomial_pairs_between(rng, blocks[a], blocks[b],
                                                  params.p_inter))
-    return tuple(int(x) for x in sigma), Graph.build(edges, n=params.n)
-
-
-def _subsample_edges(edges: Sequence[tuple[int, int]], s: float,
-                     rng: np.random.Generator) -> list[tuple[int, int]]:
-    if not edges:
-        return []
-    keep = rng.random(len(edges)) < s
-    return [e for e, k in zip(edges, keep) if k]
+    return (tuple(sigma.tolist()),
+            Graph.build(np.concatenate(edges).tolist(), n=params.n))
 
 
 def _correlated_pair(sigma: tuple[int, ...], parent: Graph, params: ModelParams,
                      rng: np.random.Generator) -> CorrelatedSample:
     """Uniform matching, then A and the relabeled B as independent masks of
-    the parent (draws in that order)."""
-    pi = Permutation(tuple(int(x) for x in rng.permutation(params.n)))
-    a_edges = _subsample_edges(parent.edges, params.s, rng)
-    b_edges = _subsample_edges([(pi(u), pi(v)) for u, v in parent.edges],
-                               params.s, rng)
-    return CorrelatedSample(sigma=sigma, pi=pi, parent=parent,
-                            a=Graph.build(a_edges, n=params.n),
-                            b=Graph.build(b_edges, n=params.n))
+    the parent's sorted edges (draws in that order)."""
+    image = rng.permutation(params.n)
+    edges = np.array(parent.edges, dtype=np.int64).reshape(-1, 2)
+    a_edges = edges[rng.random(len(edges)) < params.s]
+    b_edges = image[edges][rng.random(len(edges)) < params.s]
+    return CorrelatedSample(sigma=sigma, pi=Permutation(tuple(image.tolist())),
+                            parent=parent,
+                            a=Graph.build(a_edges.tolist(), n=params.n),
+                            b=Graph.build(b_edges.tolist(), n=params.n))
 
 
 def sample_correlated(params: ModelParams, rng: np.random.Generator) -> CorrelatedSample:
@@ -194,7 +189,7 @@ def sample_null(params: ModelParams, rng: np.random.Generator) -> tuple[Graph, G
     all_vertices = np.arange(params.n)
     for _ in range(2):
         edges = _binomial_pairs_within(rng, all_vertices, params.null_density)
-        out.append(Graph.build(edges, n=params.n))
+        out.append(Graph.build(edges.tolist(), n=params.n))
     return out[0], out[1]
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: verbs, formats, exit codes, config files."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,16 @@ class TestTrees:
 
 
 class TestAnalyze:
+    def test_sampled_host(self, tmp_path, capsys):
+        # 2^|E| subsets of a 200-vertex host are never enumerated
+        prefix = str(tmp_path / "h")
+        assert run(["sample", "--model", "P", "--n", "200", "--lambda", "1.2",
+                    "--eps", "0.3", "--s", "0.8", "--out", prefix]) == 0
+        capsys.readouterr()
+        assert run(["analyze", "--input", f"{prefix}_A.json", "--N", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["is_self_bad"] is False
+
     def test_triangle_report(self, tmp_path, capsys):
         path = tmp_path / "tri.json"
         path.write_text(Graph.build([(0, 1), (1, 2), (0, 2)], n=3).to_json())
@@ -141,6 +153,24 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["is_bad"] is True
         assert payload["is_self_bad"] is True
+
+
+class TestQuickstart:
+    def test_readme_commands(self, tmp_path, monkeypatch, capsys):
+        """`sample`, `detect`, `analyze` and `trees` exactly as README's
+        command-line block writes them (`sweep` and `verify` are tested
+        apart at smaller sizes)."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```bash")[1].split("```")[0]
+        commands = [shlex.split(cmd.split("#")[0])
+                    for cmd in block.replace("\\\n", " ").splitlines()]
+        verbs = {"sample", "detect", "analyze", "trees"}
+        commands = [c[1:] for c in commands if c and c[1] in verbs]
+        assert [c[0] for c in commands] == ["sample", "detect", "trees", "analyze"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert run(argv) == 0, argv
+        assert "\n7,23\n8,47\n" in capsys.readouterr().out  # trees --aleph 8
 
 
 class TestConfigAndErrors:
@@ -214,3 +244,24 @@ class TestConfigAndErrors:
             path.write_text(payload)
             assert run(["analyze", "--input", str(path)]) == 2
             assert "malformed graph JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,payload", [
+        ("g.txt", "n=3; 0-1; 1-2"),  # two edge lists
+        ("g.txt", "n=5; v=0,1,2; 0-1"),  # n is not the vertex count
+        ("g.json", '{"n": 5, "vertices": [0, 1, 2], "edges": [[0, 1]]}'),
+        ("g.json", '{"n": 3, "edges": [[0, 1]], "weights": [1]}'),
+        ("g.json", '{"n": 3.0, "vertices": [0, 1, 2], "edges": []}'),
+    ])
+    def test_extra_fields_and_wrong_n(self, tmp_path, capsys, name, payload):
+        path = tmp_path / name
+        path.write_text(payload)
+        assert run(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one(self, tmp_path, workers):
+        out = tmp_path / "s.json"
+        assert run(["sweep", "--n", "20", "--lambda", "1.0", "--s-grid", "0.5",
+                    "--aleph", "2", "--trials", "2", "--workers", workers,
+                    "--out", str(out)]) == 2
+        assert not out.exists()

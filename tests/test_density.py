@@ -105,7 +105,33 @@ def all_graphs(n):
         yield Graph.build([e for i, e in enumerate(pairs) if bits >> i & 1], n=n)
 
 
+def min_subgraph_score(h, p, proper):
+    """Oracle: least phi_log over all subgraphs (E', V') of h, where V' holds
+    the endpoints of E' and lies inside V(h); proper leaves out h itself."""
+    best = math.inf
+    for bits in range(1 << h.n_edges):
+        sub = [e for i, e in enumerate(h.edges) if bits >> i & 1]
+        for v in range(len({w for e in sub for w in e}), h.n_vertices + 1):
+            if not (proper and len(sub) == h.n_edges and v == h.n_vertices):
+                best = min(best, v * p.log_vertex_factor
+                           + len(sub) * p.log_edge_factor)
+    return best
+
+
 class TestBadness:
+    @pytest.mark.parametrize("p", [P_DESK, DensityParams.create(n=1e100), P_DENSE],
+                             ids=["lx<0,ly>0", "lx>0,ly>0", "ly<0"])
+    def test_subgraph_queries_match_enumeration(self, p):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            pairs = itertools.combinations(range(n), 2)
+            h = Graph.build([e for e in pairs if rng.random() < 0.45], n=n)
+            assert has_bad_subgraph(h, p) == (
+                min_subgraph_score(h, p, proper=False) < p.log_bad_threshold)
+            assert is_self_bad(h, p) == (
+                is_bad(h, p) and phi_log(h, p) < min_subgraph_score(h, p, proper=True))
+
     def test_k5_is_self_bad_in_dense_regime(self):
         k5 = Graph.complete(5)
         assert is_bad(k5, P_DENSE)

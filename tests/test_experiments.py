@@ -59,6 +59,13 @@ class TestRunDetection:
         row = run_detection(params, aleph=2, trials=2, seed=1)
         assert isinstance(row.degenerate, bool)
 
+    @pytest.mark.parametrize("trials,workers", [(1, 1), (4, 0), (4, -4)])
+    def test_rejects_one_trial_and_no_workers(self, trials, workers):
+        # a single trial has no spread; no worker count below 1 runs serially
+        params = ModelParams(n=80, lam=1.0, k=2, eps=0.0, s=0.5)
+        with pytest.raises(ValueError):
+            run_detection(params, aleph=2, trials=trials, seed=1, workers=workers)
+
     def test_detection_quality_at_maximal_signal(self):
         # s=1 gives the strongest signal; both error rates stay small and the
         # planted mean dominates (band from the Monte Carlo oracle itself)

@@ -1,5 +1,6 @@
 """Samplers: block model, correlated pair, null pair, truncation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from csbmlab.models import (
     sample_null,
     sample_sbm,
     sample_truncated,
+    sample_truncated_pair,
     truncate_graph,
 )
 
@@ -274,3 +276,101 @@ class TestExchangeability:
         assert sorted(smp.a.degree(v) for v in smp.a.vertices) \
             == sorted(ra.degree(v) for v in ra.vertices)
         assert count_cycles(ra, 3) == count_cycles(smp.a, 3)
+
+
+def _fingerprint(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+class TestSamplerPin:
+    """Exact sampler outputs and the generator state each call leaves,
+    recorded before the samplers moved from edge lists to edge arrays. The
+    harness reuses the planted generator after sampling, so the state is
+    part of the output. Configs: k=2 and k=4 (between-block draws), s=1 and
+    s<1, k=4 on n=3 (empty blocks, usually an edgeless parent) and the
+    criterion-12 size. The truncated parent of `test_truncated_pair` lost
+    11 of its 78 edges."""
+
+    CONFIGS = [
+        ModelParams(n=60, lam=2.0, k=2, eps=0.3, s=1.0),
+        ModelParams(n=80, lam=3.0, k=4, eps=0.5, s=0.6),
+        ModelParams(n=3, lam=0.5, k=4, eps=0.2, s=0.5),
+        ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.8),
+    ]
+
+    @staticmethod
+    def _record(params, seed):
+        out = {}
+        rng = np.random.default_rng(seed)
+        sigma, g = sample_sbm(params, rng)
+        out["sbm"] = ((g.n_edges,), _fingerprint(
+            sigma, g.vertices, g.edges, rng.bit_generator.state))
+        rng = np.random.default_rng(seed)
+        smp = sample_correlated(params, rng)
+        out["correlated"] = (
+            (smp.parent.n_edges, smp.a.n_edges, smp.b.n_edges),
+            _fingerprint(smp.sigma, smp.pi.image, smp.parent.edges, smp.a.edges,
+                         smp.b.edges, smp.a.vertices, smp.b.vertices,
+                         rng.bit_generator.state))
+        rng = np.random.default_rng(seed)
+        qa, qb = sample_null(params, rng)
+        out["null"] = ((qa.n_edges, qb.n_edges), _fingerprint(
+            qa.vertices, qa.edges, qb.vertices, qb.edges, rng.bit_generator.state))
+        return out
+
+    PINNED = {
+        (0, 0): {
+            'sbm': ((63,), '079e274724affadb'),
+            'correlated': ((63, 63, 63), '0a99c137cfcded91'),
+            'null': ((57, 61), '926aa93451b1503e'),
+        },
+        (0, 5): {
+            'sbm': ((65,), '29cdd2644cd8dfdc'),
+            'correlated': ((65, 65, 65), 'f3dc58d303810c96'),
+            'null': ((49, 68), 'f11830b05b280dc8'),
+        },
+        (1, 0): {
+            'sbm': ((120,), '6efeb71ad7644125'),
+            'correlated': ((120, 72, 68), 'a77170d05b30bf14'),
+            'null': ((68, 81), '31f1ed5ae422e342'),
+        },
+        (1, 5): {
+            'sbm': ((112,), '546c46b35fc1a2c1'),
+            'correlated': ((112, 73, 72), '82906f3dcb6f663b'),
+            'null': ((59, 74), '4de4f0b0e520ae11'),
+        },
+        (2, 0): {
+            'sbm': ((0,), 'd58b5d2b312cc621'),
+            'correlated': ((0, 0, 0), '2adb066bdbfe3835'),
+            'null': ((0, 0), '2b3f10607ca38cd1'),
+        },
+        (2, 5): {
+            'sbm': ((0,), 'af755baf6eed0e25'),
+            'correlated': ((0, 0, 0), '5e09bc21c7e22f86'),
+            'null': ((1, 0), '9e1c3e1a24c7d468'),
+        },
+        (3, 0): {
+            'sbm': ((1762,), '2a005fd792916fa0'),
+            'correlated': ((1762, 1422, 1404), 'bec500632d484d56'),
+            'null': ((1486, 1467), '233d6cf7459e40c7'),
+        },
+        (3, 5): {
+            'sbm': ((1782,), 'f96e637c6882bb55'),
+            'correlated': ((1782, 1409, 1442), 'c56969dd87bc4028'),
+            'null': ((1413, 1484), 'c4a4bf665794510b'),
+        },
+    }
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_samplers(self, index, seed):
+        assert self._record(self.CONFIGS[index], seed) == self.PINNED[index, seed]
+
+    def test_truncated_pair(self):
+        params = ModelParams(n=60, lam=2.5, k=2, eps=0.3, s=0.7)
+        rng = np.random.default_rng(8)
+        smp = sample_truncated_pair(params, 4, 10, rng)
+        got = ((smp.parent.n_edges, smp.a.n_edges, smp.b.n_edges),
+               _fingerprint(smp.sigma, smp.pi.image, smp.parent.edges,
+                            smp.a.edges, smp.b.edges, rng.bit_generator.state))
+        assert got == ((67, 40, 50), 'eafd9b0e3161d7c8')
