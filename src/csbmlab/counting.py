@@ -11,30 +11,45 @@ edges of the host. D is reduced to *connected* pattern counts by an exact
 inclusion-exclusion over cross-component collisions: gluing a component onto
 the others at any nonempty set of vertex identifications yields a smaller
 multiset whose expansion is known recursively. The resulting integer-
-coefficient algebra is graph-independent and cached per ℵ, as is the search
-order of each cyclic glued pattern. Per host graph, the engine reads the host
-through `Graph.csr`: tree-pattern counts come from a vectorized frontier
-enumeration and the rare cyclic patterns from backtracking anchored on the
-host's 2-core.
+coefficient algebra is graph-independent and cached per ℵ.
 
-Everything is exact: counts are Python integers, and only the final
-combination with the entry weights happens in floating point.
+Connected pattern counts come from the homomorphism basis (Curticapean,
+Dell & Marx, STOC 2017) taken relative to each pattern's 2-core. For a
+connected pattern Q with 2-core K, the maps V(Q) -> host that are
+homomorphisms and injective on K number P(Q) = Σ_ρ inj(Q/ρ), over the
+partitions ρ of V(Q) into independent sets with at most one K-vertex per
+block. The system is unitriangular with graph-independent integer
+coefficients (`quotient_table`; built at run time up to ℵ = 6 and loaded
+from the package's `tables/` for ℵ = 7, 8, 9). Per host graph, read
+through `Graph.csr`: P of a tree is a homomorphism count, summed from
+rooted-subtree vectors h = Π_children A·h_child; P of a cyclic pattern sums
+products of its pendant trees' vectors over the injective maps of K into
+the host's 2-core, found by a pruned search along orders built once per ℵ.
+Solving the system in order of vertex count gives every injective count.
+
+Everything is exact: counts are Python integers, vectors are int64 only
+while no entry can reach 2^62, and only the final combination with the entry
+weights happens in floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graphs import Graph, canonical_form, connected_components, two_core
+from .graphs import (Graph, _tree_centers, _tree_rooted_code, canonical_form,
+                     connected_components, two_core)
 from .trees import enumerate_trees
 
-__all__ = ["CountingEngine", "counting_engine", "falling_factorial"]
+__all__ = ["CountingEngine", "counting_engine", "falling_factorial",
+           "quotient_table", "load_quotient_table", "write_quotient_table"]
 
-MAX_FRONTIER_ROWS = 4_000_000
+MAX_CORE_ROWS = 4_000_000
 
 
 def falling_factorial(base: int, length: int) -> int:
@@ -60,13 +75,17 @@ class _Algebra:
 
     def __init__(self) -> None:
         self.patterns: dict[tuple, Graph] = {}
+        self._keys: dict[tuple, tuple] = {}  # labelled edges -> canonical key
         self._expansions: dict[tuple, dict[tuple, int]] = {}
         self._glue_cache: dict[tuple, dict[tuple, int]] = {}
 
     def register(self, g: Graph) -> tuple:
-        key = canonical_form(g)
-        if key not in self.patterns:
-            self.patterns[key] = _compact(g)
+        """Key of a pattern without isolated vertices, stored when new."""
+        key = self._keys.get(g.edges)
+        if key is None:
+            key = self._keys[g.edges] = canonical_form(g)
+            if key not in self.patterns:
+                self.patterns[key] = _compact(g)
         return key
 
     def expansion(self, multiset: tuple) -> dict[tuple, int]:
@@ -165,150 +184,366 @@ class _Algebra:
 
 
 # ---------------------------------------------------------------------------
-# Host-graph counting primitives
+# Quotient table, graph-independent: one per aleph, committed for aleph >= 7
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PlanNode:
-    node_id: int
-    depth: int
-    parent: int
-    attach: int
+def _quotient_counts(g: Graph, key_of) -> dict[tuple, int]:
+    """{key of g/ρ: number of ρ} over the nontrivial partitions ρ of V(g)
+    into independent sets holding at most one vertex of g's 2-core each.
 
-
-class _GrowthPlan:
-    """Prefix-shared growth orders for all tree shapes up to `aleph` edges."""
-
-    def __init__(self, aleph: int) -> None:
-        self.nodes: list[_PlanNode] = [_PlanNode(0, 0, -1, -1)]
-        self.by_depth: dict[int, list[_PlanNode]] = {0: [self.nodes[0]]}
-        self._by_prefix: dict[tuple, int] = {(): 0}
-        self.target_node: dict[tuple, int] = {}
-        for e in range(1, aleph + 1):
-            for shape in enumerate_trees(e):
-                self._add_target(shape.graph())
-
-    def _add_target(self, tree: Graph) -> None:
-        # canonical edges are in growth order: vertex i attaches to a smaller one
-        parents = {}
-        for u, v in tree.edges:
-            parents[max(u, v)] = min(u, v)
-        prefix: tuple = ()
-        node_id = 0
-        for v in range(1, tree.n_vertices):
-            prefix = prefix + (parents[v],)
-            if prefix in self._by_prefix:
-                node_id = self._by_prefix[prefix]
-                continue
-            node = _PlanNode(len(self.nodes), len(prefix), node_id, parents[v])
-            self.nodes.append(node)
-            self.by_depth.setdefault(node.depth, []).append(node)
-            self._by_prefix[prefix] = node.node_id
-            node_id = node.node_id
-        self.target_node[canonical_form(tree)] = node_id
-
-    def count_embeddings(self, indptr: np.ndarray,
-                         indices: np.ndarray) -> dict[tuple, int]:
-        """Ordered injective-map counts for every target tree shape in the
-        host whose `Graph.csr` is ``(indptr, indices)``."""
-        n = len(indptr) - 1
-        dtype = np.int16 if n < 2 ** 15 else np.int32
-        frontiers: dict[int, np.ndarray] = {
-            0: np.arange(n, dtype=dtype)[:, None]}
-        counts: dict[int, int] = {0: n}
-        max_depth = max(self.by_depth)
-        for depth in range(1, max_depth + 1):
-            for node in self.by_depth.get(depth, []):
-                parent_rows = frontiers[node.parent]
-                if parent_rows.shape[0] == 0:
-                    frontiers[node.node_id] = parent_rows[:, :0].reshape(0, depth + 1)
-                    counts[node.node_id] = 0
-                    continue
-                hosts = parent_rows[:, node.attach].astype(np.int64)
-                deg = indptr[hosts + 1] - indptr[hosts]
-                total = int(deg.sum())
-                if total > MAX_FRONTIER_ROWS:
-                    raise MemoryError("frontier enumeration exceeded the row budget")
-                reps = np.repeat(np.arange(parent_rows.shape[0]), deg)
-                cum = np.concatenate([[0], np.cumsum(deg)])
-                pos = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], deg)
-                new_host = indices[indptr[hosts][reps] + pos].astype(dtype)
-                # cheap prefilter: stepping straight back to the attach vertex
-                fwd = new_host != parent_rows[reps, node.attach]
-                reps = reps[fwd]
-                new_host = new_host[fwd]
-                ok = np.ones(len(reps), dtype=bool)
-                for col in range(depth):
-                    if col == node.attach:
-                        continue
-                    ok &= parent_rows[reps, col] != new_host
-                frontier = np.concatenate(
-                    [parent_rows[reps[ok]], new_host[ok][:, None]], axis=1)
-                frontiers[node.node_id] = frontier
-                counts[node.node_id] = int(frontier.shape[0])
-            # parents live exactly one depth up; free them
-            for node in self.by_depth.get(depth - 1, []):
-                frontiers.pop(node.node_id, None)
-        return {key: counts[nid] for key, nid in self.target_node.items()}
-
-
-def _search_order(pattern: Graph) -> tuple[tuple, tuple]:
-    """Backtracking plan of a cyclic connected pattern: a BFS order from the
-    least vertex of its 2-core, core neighbours first, with, per position,
-    the earlier positions adjacent to it (nonempty after position 0: the
-    pattern is connected) and whether it is a core vertex."""
-    pat_core = set(two_core(pattern).vertices)
-    start = min(pat_core)
-    order = [start]
-    seen = {start}
-    for v in order:  # grows while it is walked: a BFS
-        for u in sorted(pattern.adjacency[v], key=lambda w: (w not in pat_core, w)):
-            if u not in seen:
-                seen.add(u)
+    `g` is connected on 0..v-1; `key_of` keys a quotient's sorted edge tuple,
+    whose labels are the blocks in order of first vertex."""
+    core = set(two_core(g).vertices)
+    order = [0]
+    for x in order:  # BFS: most vertices meet a placed neighbour, which prunes
+        for u in g.adjacency[x]:
+            if u not in order:
                 order.append(u)
-    pos = {v: i for i, v in enumerate(order)}
-    return (tuple(tuple(pos[u] for u in pattern.adjacency[v] if pos[u] < i)
-                  for i, v in enumerate(order)),
-            tuple(v in pat_core for v in order))
+    pos = {x: i for i, x in enumerate(order)}
+    earlier = [[pos[u] for u in g.adjacency[x] if pos[u] < i]
+               for i, x in enumerate(order)]
+    in_core = [x in core for x in order]
+    edges = [(pos[a], pos[b]) for a, b in g.edges]
+    block = [0] * len(order)
+    core_block: list[bool] = []
+    out: dict[tuple, int] = {}
 
-
-def _count_injective_cyclic(plan: tuple, core_vertices: frozenset[int],
-                            neighbours: list[frozenset[int]]) -> int:
-    """Backtracking count of injective maps of a cyclic connected pattern.
-
-    The pattern's own 2-core can only land inside the host's 2-core, which is
-    tiny for sparse hosts; pendant parts extend into the full host.
-    `neighbours[v]` is host vertex v's neighbour set."""
-    earlier, in_core = plan
-    count = 0
-    image: list[int] = []
-    used: set[int] = set()
-
-    def rec(i: int) -> None:
-        nonlocal count
-        if i == len(earlier):
-            count += 1
+    def assign(i: int, blocks: int) -> None:
+        if i == len(order):
+            if blocks < len(order):
+                key = key_of(tuple(sorted({(min(block[a], block[b]), max(block[a], block[b]))
+                                           for a, b in edges})))
+                out[key] = out.get(key, 0) + 1
             return
-        if i == 0:  # the least core vertex
-            candidates = core_vertices
-        else:
-            prev = earlier[i]
-            candidates = neighbours[image[prev[0]]]
-            for j in prev[1:]:
-                candidates = candidates & neighbours[image[j]]
-            if in_core[i]:
-                candidates = candidates & core_vertices
-        for c in candidates:
-            if c in used:
-                continue
-            used.add(c)
-            image.append(c)
-            rec(i + 1)
-            image.pop()
-            used.discard(c)
+        taken = {block[j] for j in earlier[i]}
+        for b in range(blocks):
+            if b not in taken and not (in_core[i] and core_block[b]):
+                block[i] = b
+                had = core_block[b]
+                core_block[b] = had or in_core[i]
+                assign(i + 1, blocks)
+                core_block[b] = had
+        block[i] = blocks
+        core_block.append(in_core[i])
+        assign(i + 1, blocks + 1)
+        core_block.pop()
 
-    rec(0)
-    return count
+    assign(0, 0)
+    return out
+
+
+def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]]:
+    """Every connected graph with 1..aleph edges, by increasing vertex count,
+    each with its row of nontrivial quotients ``[(pattern index, count)]``.
+
+    For a pattern Q with 2-core K and a host G, let P(Q) count the maps
+    V(Q) -> V(G) that are homomorphisms and are injective on K. Grouping them
+    by fibres gives P(Q) = inj(Q) + Σ_row count·inj(Q/ρ): every other
+    partition ρ into independent sets with at most one K-vertex per block
+    lists a pattern with fewer vertices. The closure of the trees under these
+    quotients is every connected graph with at most aleph edges."""
+    keys: dict[tuple, tuple] = {}  # labelled quotient edges -> canonical key
+    reps: dict[tuple, Graph] = {}
+    todo: list[tuple] = []
+
+    def key_of(edges: tuple) -> tuple:
+        key = keys.get(edges)
+        if key is None:
+            g = Graph.build(edges)
+            key = keys[edges] = canonical_form(g)
+            if key not in reps:
+                reps[key] = g
+                todo.append(key)
+        return key
+
+    for e in range(1, aleph + 1):
+        for shape in enumerate_trees(e):
+            key_of(shape.canonical_edges)
+    rows: dict[tuple, dict[tuple, int]] = {}
+    while todo:
+        key = todo.pop()
+        rows[key] = _quotient_counts(reps[key], key_of)
+    order = sorted(reps, key=lambda k: (reps[k].n_vertices, reps[k].n_edges, repr(k)))
+    index = {k: i for i, k in enumerate(order)}
+    return ([reps[k] for k in order],
+            [sorted((index[q], c) for q, c in rows[k].items()) for k in order])
+
+
+def _table_path(aleph: int) -> Path:
+    return Path(__file__).with_name("tables") / f"quotients{aleph}.json"
+
+
+def write_quotient_table(aleph: int) -> Path:
+    """Generate the aleph table and write it where the engine loads it from:
+    one line per pattern, ``[edges, row]``."""
+    graphs, rows = quotient_table(aleph)
+    lines = [json.dumps([[list(e) for e in g.edges], [list(r) for r in row]],
+                        separators=(",", ":")) for g, row in zip(graphs, rows)]
+    path = _table_path(aleph)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(f'{{"aleph": {aleph}, "patterns": [\n' + ",\n".join(lines) + "\n]}\n")
+    return path
+
+
+def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]]:
+    """The committed table where there is one, else `quotient_table(aleph)`."""
+    path = _table_path(aleph)
+    if not path.exists():
+        return quotient_table(aleph)
+    data = json.loads(path.read_text())
+    if data["aleph"] != aleph:
+        raise RuntimeError(f"{path} holds the table of aleph={data['aleph']}")
+    return ([Graph.build(edges) for edges, _ in data["patterns"]],
+            [[tuple(r) for r in row] for _, row in data["patterns"]])
+
+
+# ---------------------------------------------------------------------------
+# Per-host counting: rooted homomorphism vectors and 2-core embeddings
+# ---------------------------------------------------------------------------
+
+def _bfs(adj, source: int, allowed) -> dict[int, int]:
+    dist = {source: 0}
+    layer = [source]
+    while layer:
+        nxt = []
+        for x in layer:
+            for u in adj[x]:
+                if u in allowed and u not in dist:
+                    dist[u] = dist[x] + 1
+                    nxt.append(u)
+        layer = nxt
+    return dist
+
+
+def _search_plan(core: Graph) -> tuple[list[int], list[tuple]]:
+    """Placement order of a 2-core pattern's vertices (most placed neighbours
+    first) and, per position: the earlier positions adjacent to it, those
+    that are not, the (position, pattern distance) pairs whose host distance
+    bounds prune (the placed part alone does not imply them), and the degree
+    its image needs."""
+    adj = core.adjacency
+    order = [max(core.vertices, key=lambda v: (len(adj[v]), -v))]
+    while len(order) < core.n_vertices:
+        placed = set(order)
+        order.append(max((v for v in core.vertices if v not in placed
+                          and any(u in placed for u in adj[v])),
+                         key=lambda v: (sum(u in placed for u in adj[v]), len(adj[v]), -v)))
+    steps = []
+    for i, v in enumerate(order):
+        full = _bfs(adj, v, core.vertex_set)
+        part = _bfs(adj, v, set(order[: i + 1]))
+        near = [p for p in range(i) if order[p] in adj[v]]
+        apart = [p for p in range(i) if order[p] not in adj[v]]
+        far = [(p, full[order[p]]) for p in apart if full[order[p]] < part[order[p]]]
+        steps.append((near, apart, far, len(adj[v])))
+    return order, steps
+
+
+def _isomorphism(g: Graph, h: Graph) -> dict[int, int]:
+    """One isomorphism g -> h of two isomorphic small graphs."""
+    gv = list(g.vertices)
+    image: dict[int, int] = {}
+
+    def extend(i: int) -> bool:
+        if i == len(gv):
+            return True
+        x = gv[i]
+        for y in h.vertices:
+            if (y not in image.values() and h.degree(y) == g.degree(x)
+                    and all((w in g.adjacency[x]) == (image[w] in h.adjacency[y])
+                            for w in gv[:i])):
+                image[x] = y
+                if extend(i + 1):
+                    return True
+                del image[x]
+        return False
+
+    if not extend(0):
+        raise RuntimeError("graphs with one canonical form are not isomorphic")
+    return image
+
+
+def _has(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Membership of each query in the sorted nonempty array `keys`."""
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return keys[at] == query
+
+
+def _code_size(code: tuple) -> int:
+    return 1 + sum(_code_size(c) for c in code)
+
+
+class _HomPlan:
+    """Per-ℵ plan that counts every connected pattern with at most ℵ edges.
+
+    Per host: P(tree) = hom is Σ_v h_root(v), with rooted-subtree vectors
+    h = Π_children A·h_child, each message A·h computed once per rooted code;
+    P(cyclic Q) = Σ over injective maps φ of Q's 2-core into the host's 2-core
+    of Π_c h_pendant(c)[φ(c)]. Then inj follows from the quotient table in
+    order of vertex count, in Python integers."""
+
+    def __init__(self, aleph: int, cyclic_keys: set[tuple]) -> None:
+        self.aleph = aleph
+        graphs, self.rows = load_quotient_table(aleph)
+        index = {canonical_form(g): i for i, g in enumerate(graphs)}
+        if not cyclic_keys <= set(index):
+            raise RuntimeError(f"the aleph={aleph} quotient table misses needed patterns")
+        self.cyclic_out = [(key, index[key]) for key in cyclic_keys]
+        self.tree_out: list[tuple[tuple, int]] = []
+        roots: dict[tuple, list[int]] = {}  # center-rooted code -> tree patterns
+        core_index: dict[tuple, int] = {}
+        self.cores: list[tuple[Graph, list[int], list[tuple]]] = []
+        self.cyclic: list[tuple[int, int, list[tuple[int, tuple]]]] = []
+        for key, i in index.items():
+            g = graphs[i]
+            adj = g.adjacency
+            if g.n_edges == g.n_vertices - 1:
+                self.tree_out.append((key, i))
+                center = _tree_centers(adj, g.vertices)[0]
+                roots.setdefault(_tree_rooted_code(adj, center, -1), []).append(i)
+                continue
+            core = two_core(g)
+            ckey = canonical_form(core)
+            if ckey not in core_index:
+                core_index[ckey] = len(self.cores)
+                self.cores.append((core, *_search_plan(core)))
+            rep, order, _ = self.cores[core_index[ckey]]
+            iso = _isomorphism(core, rep)
+            pendants = []
+            for c in core.vertices:
+                code = tuple(sorted(_tree_rooted_code(adj, u, c) for u in adj[c]
+                                    if u not in core.vertex_set))
+                if code:
+                    pendants.append((order.index(iso[c]), code))
+            self.cyclic.append((i, core_index[ckey], pendants))
+
+        # every rooted code a root or a pendant needs, children before parents
+        codes: set[tuple] = set()
+        stack = list(roots) + [code for *_, ps in self.cyclic for _, code in ps]
+        while stack:
+            code = stack.pop()
+            if code not in codes:
+                codes.add(code)
+                stack.extend(code)
+        order = sorted(codes, key=lambda c: (_code_size(c), c))
+        job = {code: j for j, code in enumerate(order)}
+        last_use = {job[c]: j for j, code in enumerate(order) for c in code}
+        pendant_codes = {code for *_, ps in self.cyclic for _, code in ps}
+        self.cyclic = [(i, r, [(col, job[code]) for col, code in ps])
+                       for i, r, ps in self.cyclic]
+        # per job: children, whether its message A·h is used, the trees it
+        # roots, whether it is a pendant, and the messages it uses last
+        self.jobs = [([job[c] for c in code], j in last_use, roots.get(code, []),
+                      code in pendant_codes,
+                      [c for c, last in last_use.items() if last == j])
+                     for j, code in enumerate(order)]
+
+    def core_embeddings(self, core: Graph) -> tuple[np.ndarray, list]:
+        """The host 2-core's labels and, per pattern core, its injective maps
+        into the host 2-core as rows of positions in those labels (None when
+        the search ran dry). Partial maps are pruned by degree and by host
+        distance; a search whose next level would exceed MAX_CORE_ROWS
+        candidates raises MemoryError."""
+        labels = np.array(core.vertices, dtype=np.int64)
+        k = len(labels)
+        if k == 0:
+            return labels, [None] * len(self.cores)
+        ends = np.searchsorted(labels, np.array(core.edges, dtype=np.int64).reshape(-1, 2))
+        keys = np.sort(np.concatenate([ends[:, 0] * k + ends[:, 1],
+                                       ends[:, 1] * k + ends[:, 0]]))
+        src, dst = np.divmod(keys, k)
+        indptr = np.searchsorted(src, np.arange(k + 1))
+        deg = np.diff(indptr)
+        step = sp.csr_matrix((np.ones(len(keys), dtype=bool), (src, dst)), shape=(k, k))
+        step = step + sp.identity(k, dtype=bool, format="csr")
+        balls = [None, keys]  # balls[r]: sorted keys of the pairs at distance <= r
+        reach = step
+
+        def within(r: int) -> np.ndarray:
+            nonlocal reach
+            while len(balls) <= r:
+                reach = reach @ step
+                pairs = reach.tocoo()
+                balls.append(np.sort(pairs.row.astype(np.int64) * k + pairs.col))
+            return balls[r]
+
+        out = []
+        for _, _, steps in self.cores:
+            rows = np.flatnonzero(deg >= steps[0][3])[:, None]
+            for near, apart, far, need in steps[1:]:
+                anchor = rows[:, near[0]]
+                d = deg[anchor]
+                total = int(d.sum())
+                if total > MAX_CORE_ROWS:
+                    raise MemoryError(
+                        f"core search needs {total} candidate rows (> {MAX_CORE_ROWS}): "
+                        f"the host 2-core ({k} vertices, max degree {deg.max()}) is "
+                        f"too dense for exact counting at aleph={self.aleph}")
+                parent = np.repeat(np.arange(len(rows)), d)
+                new = dst[np.repeat(indptr[anchor] - np.cumsum(d) + d, d) + np.arange(total)]
+                ok = deg[new] >= need
+                parent, new = parent[ok], new[ok]
+                for p in near[1:]:
+                    ok = _has(keys, rows[parent, p] * k + new)
+                    parent, new = parent[ok], new[ok]
+                for p in apart:
+                    ok = rows[parent, p] != new
+                    parent, new = parent[ok], new[ok]
+                for p, r in far:
+                    ok = _has(within(r), rows[parent, p] * k + new)
+                    parent, new = parent[ok], new[ok]
+                rows = np.column_stack([rows[parent], new])
+                if not len(rows):
+                    break
+            out.append(rows if len(rows) else None)
+        return labels, out
+
+    def count_embeddings(self, indptr: np.ndarray, indices: np.ndarray,
+                         core: tuple[np.ndarray, list],
+                         cyclic: dict[tuple, int]) -> dict[tuple, int]:
+        """Ordered injective-map counts of every tree with 1..ℵ edges in the
+        host whose `Graph.csr` is ``(indptr, indices)``; the needed cyclic
+        patterns' counts go into `cyclic`. `core` is `core_embeddings` of the
+        host's 2-core. Vectors are int64 while every hom count they hold is
+        below n·Δ^ℵ < 2^62, and Python integers otherwise."""
+        labels, embeddings = core
+        n = len(indptr) - 1
+        deg = np.diff(indptr)
+        exact = n * int(deg.max(initial=0)) ** self.aleph < 2 ** 62
+        dtype = np.int64 if exact else object
+        spread_at = np.flatnonzero(deg)
+        starts = indptr[spread_at]
+        hom = [0] * len(self.rows)
+        msg: dict[int, np.ndarray] = {}
+        at_core: dict[int, np.ndarray] = {}
+        for j, (children, spread, trees, pendant, done) in enumerate(self.jobs):
+            h = msg[children[0]] if children else np.ones(n, dtype)
+            for c in children[1:]:
+                h = h * msg[c]
+            for i in trees:
+                hom[i] = int(h.sum())
+            if pendant and len(labels):
+                at_core[j] = h[labels]
+            if spread:
+                m = np.zeros(n, dtype)
+                if len(spread_at):
+                    m[spread_at] = np.add.reduceat(h[indices], starts)
+                msg[j] = m
+            for c in done:
+                del msg[c]
+        for i, r, pendants in self.cyclic:
+            rows = embeddings[r]
+            if rows is None:
+                continue
+            weight = np.ones(len(rows), dtype)
+            for col, j in pendants:
+                weight = weight * at_core[j][rows[:, col]]
+            hom[i] = int(weight.sum())
+        inj: list[int] = []
+        for p, row in zip(hom, self.rows):
+            inj.append(p - sum(c * inj[j] for j, c in row))
+        cyclic.update((key, inj[i]) for key, i in self.cyclic_out)
+        return {key: inj[i] for key, i in self.tree_out}
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +552,15 @@ def _count_injective_cyclic(plan: tuple, core_vertices: frozenset[int],
 
 class CountingEngine:
     """Per-ℵ tables: subset expansions of every catalog shape, the gluing
-    algebra, and the growth plan. Construction is graph-independent."""
+    algebra, and the counting plan. Construction is graph-independent."""
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph
         self.catalog = enumerate_trees(aleph)
         self.algebra = _Algebra()
-        self.plan = _GrowthPlan(aleph)
         # register every tree shape up to aleph edges as a known pattern
-        for e in range(1, aleph + 1):
-            for shape in enumerate_trees(e):
-                self.algebra.register(shape.graph())
+        tree_keys = {self.algebra.register(shape.graph())
+                     for e in range(1, aleph + 1) for shape in enumerate_trees(e)}
 
         # decompose every catalog shape's edge subsets into forest multisets
         self.forest_defs: dict[tuple, tuple] = {}  # forest key -> component keys
@@ -353,9 +586,8 @@ class CountingEngine:
 
         # needed keys are connected with at most aleph edges, so the ones
         # that are not tree shapes up to aleph edges are exactly the cyclic ones
-        self.cyclic_keys = self._needed_keys() - set(self.plan.target_node)
-        self.cyclic_orders = {key: _search_order(self.algebra.patterns[key])
-                              for key in self.cyclic_keys}
+        self.cyclic_keys = self._needed_keys() - tree_keys
+        self.plan = _HomPlan(aleph, self.cyclic_keys)
 
     def _forest_key(self, subset: list[tuple[int, int]]) -> tuple[tuple, int, int]:
         if not subset:
@@ -379,15 +611,10 @@ class CountingEngine:
 
     def pattern_counts(self, graph: Graph) -> dict[tuple, int]:
         indptr, indices = graph.csr
-        counts = self.plan.count_embeddings(indptr, indices)
-        if self.cyclic_keys:
-            core_vertices = frozenset(two_core(graph).vertices)
-            neighbours: list[frozenset[int]] = []
-            if core_vertices:  # no search starts on an empty core: skip the sets
-                flat, bounds = indices.tolist(), indptr.tolist()
-                neighbours = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-            for key, plan in self.cyclic_orders.items():
-                counts[key] = _count_injective_cyclic(plan, core_vertices, neighbours)
+        core = self.plan.core_embeddings(two_core(graph))
+        cyclic: dict[tuple, int] = {}
+        counts = self.plan.count_embeddings(indptr, indices, core, cyclic)
+        counts.update(cyclic)
         return counts
 
     def forest_counts(self, graph: Graph) -> dict[tuple, int]:

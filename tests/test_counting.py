@@ -1,16 +1,238 @@
 """Exact sparse counting engine: forest counts, gluing algebra, W values."""
 
 import itertools
+import math
 import random
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from csbmlab.counting import counting_engine, falling_factorial
+from csbmlab.counting import (counting_engine, falling_factorial,
+                              load_quotient_table, quotient_table)
+from csbmlab.experiments import trial_generator
 from csbmlab.graphs import Graph, canonical_form, two_core
-from csbmlab.models import ModelParams
+from csbmlab.models import ModelParams, sample_correlated
 from csbmlab.statistics import CenteredMatrix, w_exact
 from csbmlab.trees import enumerate_trees
+
+# ---------------------------------------------------------------------------
+# Oracle: the engine's former pattern counter, kept verbatim. Tree shapes
+# came from a frontier holding one row per injective embedding, cyclic
+# patterns from backtracking that starts in the host's 2-core and extends
+# pendant vertices into the whole host.
+# ---------------------------------------------------------------------------
+
+MAX_FRONTIER_ROWS = 4_000_000
+
+
+@dataclass
+class _PlanNode:
+    node_id: int
+    depth: int
+    parent: int
+    attach: int
+
+
+class _GrowthPlan:
+    """Prefix-shared growth orders for all tree shapes up to `aleph` edges."""
+
+    def __init__(self, aleph: int) -> None:
+        self.nodes: list[_PlanNode] = [_PlanNode(0, 0, -1, -1)]
+        self.by_depth: dict[int, list[_PlanNode]] = {0: [self.nodes[0]]}
+        self._by_prefix: dict[tuple, int] = {(): 0}
+        self.target_node: dict[tuple, int] = {}
+        for e in range(1, aleph + 1):
+            for shape in enumerate_trees(e):
+                self._add_target(shape.graph())
+
+    def _add_target(self, tree: Graph) -> None:
+        # canonical edges are in growth order: vertex i attaches to a smaller one
+        parents = {}
+        for u, v in tree.edges:
+            parents[max(u, v)] = min(u, v)
+        prefix: tuple = ()
+        node_id = 0
+        for v in range(1, tree.n_vertices):
+            prefix = prefix + (parents[v],)
+            if prefix in self._by_prefix:
+                node_id = self._by_prefix[prefix]
+                continue
+            node = _PlanNode(len(self.nodes), len(prefix), node_id, parents[v])
+            self.nodes.append(node)
+            self.by_depth.setdefault(node.depth, []).append(node)
+            self._by_prefix[prefix] = node.node_id
+            node_id = node.node_id
+        self.target_node[canonical_form(tree)] = node_id
+
+    def count_embeddings(self, indptr: np.ndarray,
+                         indices: np.ndarray) -> dict[tuple, int]:
+        """Ordered injective-map counts for every target tree shape in the
+        host whose `Graph.csr` is ``(indptr, indices)``."""
+        n = len(indptr) - 1
+        dtype = np.int16 if n < 2 ** 15 else np.int32
+        frontiers: dict[int, np.ndarray] = {
+            0: np.arange(n, dtype=dtype)[:, None]}
+        counts: dict[int, int] = {0: n}
+        max_depth = max(self.by_depth)
+        for depth in range(1, max_depth + 1):
+            for node in self.by_depth.get(depth, []):
+                parent_rows = frontiers[node.parent]
+                if parent_rows.shape[0] == 0:
+                    frontiers[node.node_id] = parent_rows[:, :0].reshape(0, depth + 1)
+                    counts[node.node_id] = 0
+                    continue
+                hosts = parent_rows[:, node.attach].astype(np.int64)
+                deg = indptr[hosts + 1] - indptr[hosts]
+                total = int(deg.sum())
+                if total > MAX_FRONTIER_ROWS:
+                    raise MemoryError("frontier enumeration exceeded the row budget")
+                reps = np.repeat(np.arange(parent_rows.shape[0]), deg)
+                cum = np.concatenate([[0], np.cumsum(deg)])
+                pos = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], deg)
+                new_host = indices[indptr[hosts][reps] + pos].astype(dtype)
+                # cheap prefilter: stepping straight back to the attach vertex
+                fwd = new_host != parent_rows[reps, node.attach]
+                reps = reps[fwd]
+                new_host = new_host[fwd]
+                ok = np.ones(len(reps), dtype=bool)
+                for col in range(depth):
+                    if col == node.attach:
+                        continue
+                    ok &= parent_rows[reps, col] != new_host
+                frontier = np.concatenate(
+                    [parent_rows[reps[ok]], new_host[ok][:, None]], axis=1)
+                frontiers[node.node_id] = frontier
+                counts[node.node_id] = int(frontier.shape[0])
+            # parents live exactly one depth up; free them
+            for node in self.by_depth.get(depth - 1, []):
+                frontiers.pop(node.node_id, None)
+        return {key: counts[nid] for key, nid in self.target_node.items()}
+
+
+def _search_order(pattern: Graph) -> tuple[tuple, tuple]:
+    """Backtracking plan of a cyclic connected pattern: a BFS order from the
+    least vertex of its 2-core, core neighbours first, with, per position,
+    the earlier positions adjacent to it (nonempty after position 0: the
+    pattern is connected) and whether it is a core vertex."""
+    pat_core = set(two_core(pattern).vertices)
+    start = min(pat_core)
+    order = [start]
+    seen = {start}
+    for v in order:  # grows while it is walked: a BFS
+        for u in sorted(pattern.adjacency[v], key=lambda w: (w not in pat_core, w)):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    pos = {v: i for i, v in enumerate(order)}
+    return (tuple(tuple(pos[u] for u in pattern.adjacency[v] if pos[u] < i)
+                  for i, v in enumerate(order)),
+            tuple(v in pat_core for v in order))
+
+
+def _count_injective_cyclic(plan: tuple, core_vertices: frozenset[int],
+                            neighbours: list[frozenset[int]]) -> int:
+    """Backtracking count of injective maps of a cyclic connected pattern.
+
+    The pattern's own 2-core can only land inside the host's 2-core, which is
+    tiny for sparse hosts; pendant parts extend into the full host.
+    `neighbours[v]` is host vertex v's neighbour set."""
+    earlier, in_core = plan
+    count = 0
+    image: list[int] = []
+    used: set[int] = set()
+
+    def rec(i: int) -> None:
+        nonlocal count
+        if i == len(earlier):
+            count += 1
+            return
+        if i == 0:  # the least core vertex
+            candidates = core_vertices
+        else:
+            prev = earlier[i]
+            candidates = neighbours[image[prev[0]]]
+            for j in prev[1:]:
+                candidates = candidates & neighbours[image[j]]
+            if in_core[i]:
+                candidates = candidates & core_vertices
+        for c in candidates:
+            if c in used:
+                continue
+            used.add(c)
+            image.append(c)
+            rec(i + 1)
+            image.pop()
+            used.discard(c)
+
+    rec(0)
+    return count
+
+
+@lru_cache(maxsize=None)
+def _growth_plan(aleph: int) -> _GrowthPlan:
+    return _GrowthPlan(aleph)
+
+
+def frontier_pattern_counts(aleph: int, graph: Graph) -> dict[tuple, int]:
+    """What `CountingEngine(aleph).pattern_counts(graph)` returned before."""
+    eng = counting_engine(aleph)
+    indptr, indices = graph.csr
+    counts = _growth_plan(aleph).count_embeddings(indptr, indices)
+    core_vertices = frozenset(two_core(graph).vertices)
+    flat, bounds = indices.tolist(), indptr.tolist()
+    neighbours = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    for key in eng.cyclic_keys:
+        counts[key] = _count_injective_cyclic(
+            _search_order(eng.algebra.patterns[key]), core_vertices, neighbours)
+    return counts
+
+
+def backtrack_count(pattern: Graph, host: Graph) -> int:
+    """Injective edge-preserving maps of a connected pattern into the host,
+    by plain backtracking over the pattern's vertices in BFS order."""
+    order = [pattern.vertices[0]]
+    for v in order:  # grows while it is walked: a BFS
+        for u in pattern.adjacency[v]:
+            if u not in order:
+                order.append(u)
+    image: dict[int, int] = {}
+
+    def rec(i: int) -> int:
+        if i == len(order):
+            return 1
+        v = order[i]
+        placed = [image[u] for u in pattern.adjacency[v] if u in image]
+        cands = host.adjacency[placed[0]] if placed else host.vertices
+        total = 0
+        for c in cands:
+            if c not in image.values() and all(host.has_edge(c, w) for w in placed[1:]):
+                image[v] = c
+                total += rec(i + 1)
+                del image[v]
+        return total
+
+    return rec(0)
+
+
+def mixed_host(rng: random.Random, core_n: int, p: float, pendants: int,
+               isolated: int) -> Graph:
+    """A random graph on `core_n` vertices with a planted cycle, so that its
+    2-core is nonempty, random pendant trees grown onto it, isolated
+    vertices, and all labels shuffled."""
+    edges = [(u, v) for u, v in itertools.combinations(range(core_n), 2)
+             if rng.random() < p]
+    cycle = rng.sample(range(core_n), rng.randint(3, min(core_n, 6)))
+    edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    n = core_n
+    for _ in range(pendants):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    n += isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.build([(label[u], label[v]) for u, v in edges], n=n)
 
 
 def brute_forest_count(forest: Graph, host: Graph) -> int:
@@ -91,8 +313,9 @@ class TestForestCounts:
 
     @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
     def test_frontier_dtype_switch(self, n):
-        # the frontier holds labels as int16 below 2**15 and int32 from
-        # there on; a small graph on the top labels must count as on its own
+        # relabelling check around 2**15, where the former row frontier
+        # switched its labels from int16 to int32: a small graph on the top
+        # labels must count as on its own
         small = Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)], n=6)
         top = n - small.n_vertices
         host = Graph.build([(u + top, v + top) for u, v in small.edges], n=n)
@@ -202,3 +425,87 @@ class TestDeepAlgebra:
             g, _ = sample_null(params, gen)
             counts = eng.forest_counts(g)
             assert all(v >= 0 for v in counts.values())
+
+
+class TestHomBasis:
+    """Counts from rooted homomorphism vectors, 2-core embeddings and the
+    quotient table, against independent counters."""
+
+    @pytest.mark.parametrize("aleph", [3, 4, 5, 6])
+    def test_every_key_matches_backtracking(self, aleph):
+        rng = random.Random(600 + aleph)
+        eng = counting_engine(aleph)
+        cyclic_hit = set()
+        for _ in range(3):
+            host = mixed_host(rng, rng.randint(5, 7), 0.5, rng.randint(2, 4), 2)
+            counts = eng.pattern_counts(host)
+            for key, value in counts.items():
+                assert value == backtrack_count(eng.algebra.patterns[key], host), key
+            cyclic_hit |= {key for key in eng.cyclic_keys if counts[key]}
+        # at aleph 6 every cyclic key is hit, so no count passes for being zero
+        assert aleph < 6 or cyclic_hit == eng.cyclic_keys
+
+    def test_aleph_eight_matches_the_frontier_oracle(self):
+        rng = random.Random(808)
+        eng = counting_engine(8)
+        cyclic_hit = set()
+        for core_n, p in ((10, 0.35), (12, 0.3), (16, 0.2), (20, 0.12)):
+            host = mixed_host(rng, core_n, p, core_n, 5)
+            counts = eng.pattern_counts(host)
+            assert counts == frontier_pattern_counts(8, host)
+            cyclic_hit |= {key for key in eng.cyclic_keys if counts[key]}
+        assert cyclic_hit == eng.cyclic_keys
+
+    def test_counts_a_host_the_frontier_could_not(self):
+        # n=3000, λ=3, s=0.8: the former row frontier ran out of rows on this
+        # host (a 2-core of 1923 vertices); the engine counts it, and its
+        # counts of patterns with at most 6 edges agree with the oracle at 6
+        params = ModelParams(n=3000, lam=3.0, k=2, eps=0.3, s=0.8)
+        host = sample_correlated(params, trial_generator(3000, 0, 0, 0)).a
+        with pytest.raises(MemoryError):
+            frontier_pattern_counts(8, host)
+        counts = counting_engine(8).pattern_counts(host)
+        small = frontier_pattern_counts(6, host)
+        assert all(counts[key] == value for key, value in small.items())
+        assert all(v >= 0 for v in counting_engine(8).forest_counts(host).values())
+
+    def test_exact_past_the_int64_bound(self):
+        # K_{1,300} at aleph 8: n·Δ^8 is past 2^62 and hom(K_{1,8}) = Σ deg^8
+        # is past 2^63, so int64 vectors would wrap around
+        d = 300
+        eng = counting_engine(8)
+        counts = eng.pattern_counts(Graph.build([(0, i) for i in range(1, d + 1)],
+                                                n=d + 1))
+        stars = {canonical_form(Graph.build([(0, i) for i in range(1, j + 1)])): j
+                 for j in range(1, 9)}
+        for key, value in counts.items():
+            j = stars.get(key)
+            expected = 0 if j is None else 2 * d if j == 1 else math.perm(d, j)
+            assert value == expected, key
+
+    def test_committed_tables_regenerate(self):
+        for aleph in (7, 8):
+            assert load_quotient_table(aleph) == quotient_table(aleph)
+
+    def test_aleph_nine_table(self):
+        graphs, rows = load_quotient_table(9)
+        assert len(graphs) == 1068  # connected graphs with at most 9 edges
+        for g, row in zip(graphs, rows):
+            assert all(graphs[j].n_vertices < g.n_vertices for j, _ in row)
+            if g.n_edges == g.n_vertices - 1:
+                # a tree on v vertices has Bell(v-1) independent partitions
+                assert sum(c for _, c in row) == bell(g.n_vertices - 1) - 1
+
+    def test_closure_sizes(self):
+        # connected graphs with at most 1, 2, ..., 6 edges
+        assert [len(quotient_table(a)[0]) for a in range(1, 7)] == [1, 2, 5, 10, 22, 52]
+
+
+def bell(m: int) -> int:
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
