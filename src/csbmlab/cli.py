@@ -214,6 +214,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trees(args) -> int:
+    shapes = enumerate_trees(args.aleph)  # ValueError outside 1..MAX_ALEPH, either format
     if args.format == "csv":
         lines = ["aleph,count"]
         lines += [f"{a},{tree_count(a)}" for a in range(1, args.aleph + 1)]
@@ -226,7 +227,7 @@ def _cmd_trees(args) -> int:
     payload = {
         "aleph": args.aleph,
         "shapes": [{"edges": [list(e) for e in sh.canonical_edges], "aut": sh.aut}
-                   for sh in enumerate_trees(args.aleph)],
+                   for sh in shapes],
     }
     _emit(payload, args.out)
     return 0

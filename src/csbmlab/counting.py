@@ -7,11 +7,12 @@ entry = c0 + c1·[edge present] expands over edge subsets F ⊆ E(H):
 
 where F̂ is the forest spanned by F, ff a falling factorial placing the free
 vertices, and D(F̂) the number of injective maps of the forest onto actual
-edges of the host. D is reduced to *connected* pattern counts by an exact
-inclusion-exclusion over cross-component collisions: gluing a component onto
-the others at any nonempty set of vertex identifications yields a smaller
-multiset whose expansion is known recursively. The resulting integer-
-coefficient algebra is graph-independent and cached per ℵ.
+edges of the host. D is reduced to *connected* pattern counts: for a forest
+F with components C_1..C_r, Π inj(C_i) = Σ_σ inj(F/σ) over the partitions σ
+of V(F) whose blocks hold at most one vertex of each component. The discrete
+σ gives inj(F), and every other quotient has fewer vertices, so its own
+expansion is known recursively. The integer coefficients are
+graph-independent and cached per ℵ.
 
 Connected pattern counts come from the homomorphism basis (Curticapean,
 Dell & Marx, STOC 2017) taken relative to each pattern's 2-core. For a
@@ -36,14 +37,13 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (Graph, _tree_centers, _tree_rooted_code, canonical_form,
-                     connected_components, two_core)
+                     two_core)
 from .trees import enumerate_trees
 
 __all__ = ["CountingEngine", "counting_engine", "falling_factorial",
@@ -71,115 +71,58 @@ def _compact(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 class _Algebra:
-    """Expands disjoint-forest counts into products of connected counts."""
+    """Expands disjoint-forest counts into products of connected counts,
+    enumerating vertex identifications with `_quotient_counts`; every
+    labelled edge set is split into keyed components once."""
 
     def __init__(self) -> None:
         self.patterns: dict[tuple, Graph] = {}
-        self._keys: dict[tuple, tuple] = {}  # labelled edges -> canonical key
+        self._keys: dict[tuple, tuple] = {}  # labelled connected edges -> key
+        self._splits: dict[tuple, tuple] = {}  # labelled edges -> component keys
         self._expansions: dict[tuple, dict[tuple, int]] = {}
-        self._glue_cache: dict[tuple, dict[tuple, int]] = {}
 
-    def register(self, g: Graph) -> tuple:
-        """Key of a pattern without isolated vertices, stored when new."""
-        key = self._keys.get(g.edges)
+    def register(self, edges: tuple) -> tuple:
+        """Key of the connected pattern with these sorted edges, stored when new."""
+        key = self._keys.get(edges)
         if key is None:
-            key = self._keys[g.edges] = canonical_form(g)
+            g = Graph.build(edges)
+            key = self._keys[edges] = canonical_form(g)
             if key not in self.patterns:
                 self.patterns[key] = _compact(g)
         return key
 
+    def _split(self, edges: tuple) -> tuple:
+        """Sorted keys of the components of the graph with these sorted edges."""
+        keys = self._splits.get(edges)
+        if keys is None:
+            parts: list[list] = []  # edges of each component met so far
+            for e in edges:
+                meet = [p for p in parts if any(w in f for f in p for w in e)]
+                parts = [p for p in parts if p not in meet] + [sum(meet, [e])]
+            keys = self._splits[edges] = tuple(sorted(
+                self.register(tuple(sorted(p))) for p in parts))
+        return keys
+
     def expansion(self, multiset: tuple) -> dict[tuple, int]:
-        """D(multiset) as {product-of-keys: integer coefficient}."""
-        if multiset in self._expansions:
-            return self._expansions[multiset]
-        if len(multiset) == 0:
-            out = {(): 1}
-        elif len(multiset) == 1:
+        """D(multiset) as {product-of-keys: integer coefficient}.
+
+        With the components laid out disjointly as F, Π inj(C_i) = inj(F) +
+        Σ_σ inj(F/σ) over the nontrivial partitions σ of V(F) whose blocks
+        hold at most one vertex per component; each F/σ has fewer vertices."""
+        out = self._expansions.get(multiset)
+        if out is None:
+            edges: list[tuple[int, int]] = []
+            group: list[int] = []
+            for c, key in enumerate(multiset):
+                pattern, offset = self.patterns[key], len(group)
+                edges.extend((u + offset, v + offset) for u, v in pattern.edges)
+                group.extend([c] * pattern.n_vertices)
             out = {multiset: 1}
-        else:
-            gamma, rest = multiset[0], multiset[1:]
-            out = {}
-            base = self.expansion(tuple(sorted(rest)))
-            for prod, coeff in base.items():
-                key = tuple(sorted(prod + (gamma,)))
-                out[key] = out.get(key, 0) + coeff
-            # subtract every collision pattern of gamma against the rest
-            for u_idx in self._nonempty_subsets(len(rest)):
-                u_keys = tuple(sorted(rest[i] for i in u_idx))
-                remaining = tuple(sorted(rest[i] for i in range(len(rest))
-                                         if i not in u_idx))
-                for glued_key, count in self._glue_patterns(gamma, u_keys).items():
-                    sub = self.expansion(tuple(sorted(remaining + (glued_key,))))
-                    for prod, coeff in sub.items():
-                        out[prod] = out.get(prod, 0) - count * coeff
-            out = {k: v for k, v in out.items() if v != 0}
-        self._expansions[multiset] = out
-        return out
-
-    @staticmethod
-    def _nonempty_subsets(r: int):
-        for size in range(1, r + 1):
-            yield from combinations(range(r), size)
-
-    def _glue_patterns(self, gamma_key: tuple, u_keys: tuple) -> dict[tuple, int]:
-        """All collision patterns of one gamma copy against the u-copies:
-        {glued shape key: number of patterns}. Each pattern is a partial
-        injection from V(gamma) into the disjoint u-vertices touching every
-        u-copy at least once."""
-        cache_key = (gamma_key, u_keys)
-        if cache_key in self._glue_cache:
-            return self._glue_cache[cache_key]
-        gamma = self.patterns[gamma_key]
-        others = [self.patterns[k] for k in u_keys]
-        # lay the u-copies out on fresh labels after gamma's
-        offset = gamma.n_vertices
-        target_vertex: list[tuple[int, int]] = []  # (copy index, shifted label)
-        shifted_edges: list[tuple[int, int]] = list(gamma.edges)
-        copy_ranges: list[tuple[int, int]] = []
-        for ci, g in enumerate(others):
-            copy_ranges.append((offset, offset + g.n_vertices))
-            for u, v in g.edges:
-                shifted_edges.append((u + offset, v + offset))
-            for v in range(g.n_vertices):
-                target_vertex.append((ci, v + offset))
-            offset += g.n_vertices
-
-        gamma_verts = list(range(gamma.n_vertices))
-        copy_of = {label: ci for ci, label in target_vertex}
-        out: dict[tuple, int] = {}
-
-        def emit(pairs: list[tuple[int, int]]) -> None:
-            touched = {copy_of[t] for _, t in pairs}
-            if len(touched) != len(others):
-                return
-            merge = {t: x for x, t in pairs}
-            edges = []
-            for u, v in shifted_edges:
-                uu, vv = merge.get(u, u), merge.get(v, v)
-                edges.append((uu, vv))
-            glued = Graph.build(edges)
-            key = self.register(glued)
-            out[key] = out.get(key, 0) + 1
-
-        targets = [lab for _, lab in target_vertex]
-
-        def search(i: int, used: set[int], pairs: list[tuple[int, int]]) -> None:
-            if i == len(gamma_verts):
-                if pairs:
-                    emit(pairs)
-                return
-            x = gamma_verts[i]
-            search(i + 1, used, pairs)  # leave x unmatched
-            for t in targets:
-                if t not in used:
-                    used.add(t)
-                    pairs.append((x, t))
-                    search(i + 1, used, pairs)
-                    pairs.pop()
-                    used.discard(t)
-
-        search(0, set(), [])
-        self._glue_cache[cache_key] = out
+            quotients = _quotient_counts(Graph.build(edges), self._split, group)
+            for sub, count in quotients.items():
+                for prod, coeff in self.expansion(sub).items():
+                    out[prod] = out.get(prod, 0) - count * coeff
+            out = self._expansions[multiset] = {k: v for k, v in out.items() if v}
         return out
 
 
@@ -187,25 +130,28 @@ class _Algebra:
 # Quotient table, graph-independent: one per aleph, committed for aleph >= 7
 # ---------------------------------------------------------------------------
 
-def _quotient_counts(g: Graph, key_of) -> dict[tuple, int]:
+def _quotient_counts(g: Graph, key_of, group: list[int]) -> dict[tuple, int]:
     """{key of g/ρ: number of ρ} over the nontrivial partitions ρ of V(g)
-    into independent sets holding at most one vertex of g's 2-core each.
+    into independent sets holding at most one vertex of each group.
 
-    `g` is connected on 0..v-1; `key_of` keys a quotient's sorted edge tuple,
-    whose labels are the blocks in order of first vertex."""
-    core = set(two_core(g).vertices)
-    order = [0]
-    for x in order:  # BFS: most vertices meet a placed neighbour, which prunes
-        for u in g.adjacency[x]:
-            if u not in order:
-                order.append(u)
+    `g` is on 0..v-1 and `group[x]` is vertex x's group; `key_of` keys a
+    quotient's sorted edge tuple, whose labels are the blocks in order of
+    first vertex."""
+    order: list[int] = []
+    for start in g.vertices:  # BFS of each component: most vertices meet a
+        if start not in order:  # placed neighbour, which prunes
+            order.append(start)
+            for x in order:
+                for u in g.adjacency[x]:
+                    if u not in order:
+                        order.append(u)
     pos = {x: i for i, x in enumerate(order)}
     earlier = [[pos[u] for u in g.adjacency[x] if pos[u] < i]
                for i, x in enumerate(order)]
-    in_core = [x in core for x in order]
+    groups = [group[x] for x in order]
     edges = [(pos[a], pos[b]) for a, b in g.edges]
     block = [0] * len(order)
-    core_block: list[bool] = []
+    held: list[set[int]] = []  # per block: the groups of its vertices
     out: dict[tuple, int] = {}
 
     def assign(i: int, blocks: int) -> None:
@@ -217,16 +163,15 @@ def _quotient_counts(g: Graph, key_of) -> dict[tuple, int]:
             return
         taken = {block[j] for j in earlier[i]}
         for b in range(blocks):
-            if b not in taken and not (in_core[i] and core_block[b]):
+            if b not in taken and groups[i] not in held[b]:
                 block[i] = b
-                had = core_block[b]
-                core_block[b] = had or in_core[i]
+                held[b].add(groups[i])
                 assign(i + 1, blocks)
-                core_block[b] = had
+                held[b].discard(groups[i])
         block[i] = blocks
-        core_block.append(in_core[i])
+        held.append({groups[i]})
         assign(i + 1, blocks + 1)
-        core_block.pop()
+        held.pop()
 
     assign(0, 0)
     return out
@@ -262,7 +207,9 @@ def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]
     rows: dict[tuple, dict[tuple, int]] = {}
     while todo:
         key = todo.pop()
-        rows[key] = _quotient_counts(reps[key], key_of)
+        core = two_core(reps[key]).vertex_set
+        rows[key] = _quotient_counts(reps[key], key_of,
+                                     [-1 if x in core else x for x in reps[key].vertices])
     order = sorted(reps, key=lambda k: (reps[k].n_vertices, reps[k].n_edges, repr(k)))
     index = {k: i for i, k in enumerate(order)}
     return ([reps[k] for k in order],
@@ -551,33 +498,34 @@ class _HomPlan:
 # ---------------------------------------------------------------------------
 
 class CountingEngine:
-    """Per-ℵ tables: subset expansions of every catalog shape, the gluing
-    algebra, and the counting plan. Construction is graph-independent."""
+    """Per-ℵ tables: the forests spanned by edge subsets of every catalog
+    shape, their expansions into connected pattern counts, and the counting
+    plan. Construction is graph-independent."""
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph
         self.catalog = enumerate_trees(aleph)
         self.algebra = _Algebra()
         # register every tree shape up to aleph edges as a known pattern
-        tree_keys = {self.algebra.register(shape.graph())
+        tree_keys = {self.algebra.register(shape.canonical_edges)
                      for e in range(1, aleph + 1) for shape in enumerate_trees(e)}
 
         # decompose every catalog shape's edge subsets into forest multisets
         self.forest_defs: dict[tuple, tuple] = {}  # forest key -> component keys
-        self.forest_meta: dict[tuple, tuple[int, int]] = {}  # -> (v, e)
         self.shape_terms: list[list[tuple[tuple, int, int, int]]] = []
+        meta: dict[tuple, tuple[int, int]] = {}  # forest key -> (v, e)
         for shape in self.catalog:
-            edges = list(shape.canonical_edges)
+            edges = shape.canonical_edges
             acc: dict[tuple, int] = {}
             for bits in range(1 << len(edges)):
-                subset = [e for i, e in enumerate(edges) if bits >> i & 1]
-                fkey, v_f, e_f = self._forest_key(subset)
+                subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
+                fkey = self.algebra._split(subset)
+                self.forest_defs.setdefault(fkey, fkey)
                 acc[fkey] = acc.get(fkey, 0) + 1
-                self.forest_meta[fkey] = (v_f, e_f)
-            self.shape_terms.append(
-                [(fkey, mult, *self.forest_meta[fkey]) for fkey, mult in acc.items()])
+                meta[fkey] = (len({w for e in subset for w in e}), len(subset))
+            self.shape_terms.append([(fkey, mult, *meta[fkey]) for fkey, mult in acc.items()])
 
-        # expand every forest through the collision algebra
+        # expand every forest into products of connected pattern counts
         self.forest_expansion: dict[tuple, list[tuple[int, tuple]]] = {}
         for fkey, comp_keys in self.forest_defs.items():
             expansion = self.algebra.expansion(comp_keys)
@@ -588,17 +536,6 @@ class CountingEngine:
         # that are not tree shapes up to aleph edges are exactly the cyclic ones
         self.cyclic_keys = self._needed_keys() - tree_keys
         self.plan = _HomPlan(aleph, self.cyclic_keys)
-
-    def _forest_key(self, subset: list[tuple[int, int]]) -> tuple[tuple, int, int]:
-        if not subset:
-            key = ()
-            self.forest_defs.setdefault(key, ())
-            return key, 0, 0
-        forest = Graph.build(subset)
-        comps = connected_components(forest)
-        comp_keys = tuple(sorted(self.algebra.register(c) for c in comps))
-        self.forest_defs.setdefault(comp_keys, comp_keys)
-        return comp_keys, forest.n_vertices, forest.n_edges
 
     def _needed_keys(self) -> set[tuple]:
         needed: set[tuple] = set()

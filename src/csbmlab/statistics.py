@@ -383,8 +383,9 @@ class TreeCountingDetector:
                              "reps", "C", "seed")}
 
     def set_params(self, **params) -> "TreeCountingDetector":
+        known = self.get_params()
         for name, value in params.items():
-            if not hasattr(self, name):
+            if name not in known:
                 raise ValueError(f"unknown parameter {name!r}")
             setattr(self, name, value)
         return self

@@ -123,6 +123,14 @@ class TestTrees:
         assert out[0] == "aleph,count"
         assert out[1:] == ["1,1", "2,1", "3,2", "4,3", "5,6"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("aleph", ["0", "-1", "15"])
+    def test_aleph_out_of_range(self, capsys, fmt, aleph):
+        assert run(["trees", "--aleph", aleph, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "aleph must be in 1..14" in captured.err
+
 
 class TestAnalyze:
     def test_sampled_host(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Exact sparse counting engine: forest counts, gluing algebra, W values."""
+"""Exact sparse counting engine: forest counts, their expansion into
+connected counts over vertex identifications, pattern counts, W values."""
 
 import itertools
 import math
@@ -190,13 +191,17 @@ def frontier_pattern_counts(aleph: int, graph: Graph) -> dict[tuple, int]:
 
 
 def backtrack_count(pattern: Graph, host: Graph) -> int:
-    """Injective edge-preserving maps of a connected pattern into the host,
-    by plain backtracking over the pattern's vertices in BFS order."""
-    order = [pattern.vertices[0]]
-    for v in order:  # grows while it is walked: a BFS
-        for u in pattern.adjacency[v]:
-            if u not in order:
-                order.append(u)
+    """Injective edge-preserving maps of a pattern into the host, by plain
+    backtracking over the pattern's vertices in BFS order, one component
+    after another."""
+    order: list[int] = []
+    for start in pattern.vertices:
+        if start not in order:
+            order.append(start)
+            for v in order:  # grows while it is walked: a BFS
+                for u in pattern.adjacency[v]:
+                    if u not in order:
+                        order.append(u)
     image: dict[int, int] = {}
 
     def rec(i: int) -> int:
@@ -235,6 +240,16 @@ def mixed_host(rng: random.Random, core_n: int, p: float, pendants: int,
     return Graph.build([(label[u], label[v]) for u, v in edges], n=n)
 
 
+def forest_of(eng, comp_keys: tuple) -> Graph:
+    """A forest with the given component patterns, laid out disjointly."""
+    edges, offset = [], 0
+    for key in comp_keys:
+        pat = eng.algebra.patterns[key]
+        edges.extend((u + offset, v + offset) for u, v in pat.edges)
+        offset += pat.n_vertices
+    return Graph.build(edges)
+
+
 def brute_forest_count(forest: Graph, host: Graph) -> int:
     """Injective maps of the forest into the host with all edges preserved."""
     verts = sorted(forest.vertex_set)
@@ -271,21 +286,30 @@ class TestForestCounts:
                 if not fkey:
                     assert counts[fkey] == 1
                     continue
-                # rebuild a representative forest from the component patterns
-                edges, offset = [], 0
-                for key in comp_keys:
-                    pat = eng.algebra.patterns[key]
-                    edges.extend((u + offset, v + offset) for u, v in pat.edges)
-                    offset += pat.n_vertices
-                forest = Graph.build(edges)
+                forest = forest_of(eng, comp_keys)
                 if forest.n_vertices > n:
                     assert counts[fkey] == 0
                     continue
                 assert counts[fkey] == brute_forest_count(forest, host), fkey
 
+    @pytest.mark.parametrize("aleph", [5, 6])
+    def test_forests_at_depth_match_backtracking(self, aleph):
+        # forests of up to aleph+1 vertices, several components each, on
+        # hosts with a 2-core, pendant trees and isolated vertices
+        rng = random.Random(500 + aleph)
+        eng = counting_engine(aleph)
+        hit = set()
+        for _ in range(3):
+            host = mixed_host(rng, rng.randint(6, 8), 0.5, rng.randint(3, 5), 2)
+            counts = eng.forest_counts(host)
+            for fkey, comp_keys in eng.forest_defs.items():
+                assert counts[fkey] == backtrack_count(forest_of(eng, comp_keys), host), fkey
+            hit |= {fkey for fkey, value in counts.items() if value}
+        assert hit == set(eng.forest_defs)  # no count passes for being zero
+
     def test_cyclic_pattern_count(self):
-        # gluing a 2-path onto a disjoint edge at both ends forms a triangle,
-        # first possible inside 4-edge trees
+        # identifying both ends of a 2-path with those of a disjoint edge
+        # forms a triangle, first possible inside 4-edge trees
         eng = counting_engine(4)
         tri_key = canonical_form(Graph.build([(0, 1), (1, 2), (0, 2)]))
         assert tri_key in eng.cyclic_keys
@@ -381,7 +405,8 @@ class TestWAssembly:
 
 
 class TestDeepAlgebra:
-    """The gluing algebra at the depths the sweep actually uses."""
+    """Forest expansions over vertex identifications at the depths the
+    sweep actually uses."""
 
     def host(self):
         rng = random.Random(77)

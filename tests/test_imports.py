@@ -1,4 +1,5 @@
-"""Static check: no module of the package imports a name it never uses.
+"""Static checks: no module of the package imports a name it never uses,
+and no module-level private helper is left without a caller.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module or listed in
@@ -6,6 +7,7 @@ its ``__all__`` (the package's ``__init__`` imports to re-export).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,36 @@ def test_no_unused_imports(path):
 def test_check_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == [
         "line 2: b", "line 1: os"]
+
+
+def _names(node: ast.AST) -> Counter:
+    """Every identifier read in `node`: plain names and attribute names."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no code of any of the
+    modules names outside the helper's own body (so self-recursion does not
+    count), as ``"module: name"``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    names = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted(f"{module}: {node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_")
+                  and names[node.name] == _names(node)[node.name])
+
+
+def test_every_private_helper_is_referenced():
+    assert orphaned_helpers({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_check_finds_an_orphaned_helper():
+    sources = {
+        "a.py": ("def _used():\n    pass\n\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                 "class _Lone:\n    def _lone(self):\n        return self._lone()\n"),
+        "b.py": "from a import _used\n\n_used()\n",
+    }
+    assert orphaned_helpers(sources) == ["a.py: _Lone", "a.py: _recursive"]

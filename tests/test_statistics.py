@@ -339,6 +339,17 @@ class TestDetector:
         with pytest.raises(ValueError):
             det.set_params(bogus=1)
 
+    def test_set_params_takes_only_parameters(self):
+        # methods and fitted state are attributes too, but not parameters
+        det = TreeCountingDetector(n=20, aleph=2)
+        with pytest.raises(ValueError, match="'fit'"):
+            det.set_params(fit=3)
+        det.fit()
+        tau = det.tau_
+        with pytest.raises(ValueError, match="'tau_'"):
+            det.set_params(tau_=0.0)
+        assert det.tau_ == tau
+
     def test_requires_fit(self):
         det = TreeCountingDetector(n=20, aleph=2)
         with pytest.raises(RuntimeError):
