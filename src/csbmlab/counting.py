@@ -42,8 +42,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (Graph, _tree_centers, _tree_rooted_code, canonical_form,
-                     two_core)
+from .graphs import (Graph, _has, _tree_centers, _tree_rooted_code,
+                     canonical_form, two_core)
 from .trees import enumerate_trees
 
 __all__ = ["CountingEngine", "counting_engine", "falling_factorial",
@@ -310,12 +310,6 @@ def _isomorphism(g: Graph, h: Graph) -> dict[int, int]:
     return image
 
 
-def _has(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Membership of each query in the sorted nonempty array `keys`."""
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return keys[at] == query
-
-
 def _code_size(code: tuple) -> int:
     return 1 + sum(_code_size(c) for c in code)
 
@@ -395,7 +389,7 @@ class _HomPlan:
         k = len(labels)
         if k == 0:
             return labels, [None] * len(self.cores)
-        ends = np.searchsorted(labels, np.array(core.edges, dtype=np.int64).reshape(-1, 2))
+        ends = np.searchsorted(labels, core.edge_array)
         keys = np.sort(np.concatenate([ends[:, 0] * k + ends[:, 1],
                                        ends[:, 1] * k + ends[:, 0]]))
         src, dst = np.divmod(keys, k)

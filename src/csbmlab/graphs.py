@@ -2,9 +2,11 @@
 
 Graphs are immutable: an explicit sorted vertex tuple plus a sorted tuple of
 undirected edges. Pattern graphs may live on a sparse subset of labels; big
-host graphs use the dense universe {0..n-1}, and the evaluators read them
-through the cached CSR view `Graph.csr`. Equality is label-sensitive;
-isomorphism is a separate query (`canonical_form`).
+host graphs use the dense universe {0..n-1}. A host is built once from an
+``(m, 2)`` edge array, keeps it as the cached `Graph.edge_array`, and the
+evaluators read it through that array and the CSR view `Graph.csr` built
+from it. Equality is label-sensitive; isomorphism is a separate query
+(`canonical_form`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ __all__ = [
 ]
 
 MAX_CANONICAL_VERTICES = 16
+# largest label base whose edge keys u·base + v fit in int64
+_MAX_KEY_BASE = 3_037_000_499
+
+
+def _has(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Membership of each query in the sorted nonempty array `keys`."""
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return keys[at] == query
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -78,13 +88,18 @@ class Graph:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def build(edges: Iterable[Sequence[int]], vertices: Iterable[int] | None = None,
+    def build(edges: Iterable[Sequence[int]] | np.ndarray,
+              vertices: Iterable[int] | None = None,
               n: int | None = None) -> "Graph":
         """Build from any edge iterable; vertices default to the endpoints.
 
         Pass `n` for the dense universe {0..n-1}, or `vertices` for an
-        explicit label subset (isolated vertices allowed in both).
+        explicit label subset (isolated vertices allowed in both). An
+        ``(m, 2)`` integer array takes a numpy path to the same graph, with
+        the same errors, and seeds `edge_array`.
         """
+        if isinstance(edges, np.ndarray):
+            return Graph._from_array(edges, vertices, n)
         norm = sorted({_normalize_edge(u, v) for u, v in edges})
         if n is not None:
             vts = tuple(range(n))
@@ -93,6 +108,48 @@ class Graph:
         else:
             vts = tuple(sorted({w for e in norm for w in e}))
         return Graph(vts, tuple(norm))
+
+    @staticmethod
+    def _from_array(ends: np.ndarray, vertices: Iterable[int] | None,
+                    n: int | None) -> "Graph":
+        """`build` for an edge array: the checks of `_normalize_edge` and
+        `__post_init__` run over whole columns, so the per-edge ones are
+        skipped."""
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"edge array must have shape (m, 2), got {ends.shape}")
+        ends = np.sort(ends.astype(np.int64, copy=False), axis=1)
+        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        if len(loops):
+            raise ValueError(f"self-loop at vertex {int(ends[loops[0], 0])}")
+        if n is not None:
+            vts = tuple(range(n))
+            inside = (ends[:, 0] >= 0) & (ends[:, 1] < n)
+        elif vertices is not None:
+            vts = tuple(sorted(set(vertices)))
+            inside = np.isin(ends, np.array(vts, dtype=np.int64)).all(axis=1)
+        else:
+            vts = tuple(np.unique(ends).tolist())
+            inside = np.ones(len(ends), dtype=bool)
+        if vts and vts[0] < 0:
+            raise ValueError("vertex labels must be nonnegative")
+        if not inside.all():
+            # the first offending edge in sorted order, as __post_init__ reports
+            u, v = min(map(tuple, ends[~inside].tolist()))
+            raise ValueError(f"edge ({u},{v}) endpoint outside vertex set")
+        base = vts[-1] + 1 if vts else 1
+        if base > _MAX_KEY_BASE:  # keys would overflow: take the tuple path
+            return Graph.build(ends.tolist(), vertices=vts)
+        keys = np.sort(ends[:, 0] * base + ends[:, 1])
+        u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], base)
+        g = object.__new__(Graph)
+        object.__setattr__(g, "vertices", vts)
+        object.__setattr__(g, "edges", tuple(zip(u.tolist(), v.tolist())))
+        edge_array = np.column_stack([u, v])
+        edge_array.flags.writeable = False
+        g.__dict__["edge_array"] = edge_array
+        return g
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -141,17 +198,22 @@ class Graph:
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """`edges` as a read-only ``(m, 2)`` int64 array, in the same order."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Host adjacency ``(indptr, indices)`` of a graph on 0..n-1: vertex v's
         neighbours are ``indices[indptr[v]:indptr[v + 1]]``, increasing."""
         n = self.n_vertices
         if self.vertices != tuple(range(n)):
             raise ValueError("host graphs must use the dense universe 0..n-1")
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        src, dst = np.concatenate([ends, ends[:, ::-1]]).T
-        order = np.lexsort((dst, src))
-        indptr = np.searchsorted(src[order], np.arange(n + 1))
-        return indptr, dst[order].astype(np.int32)
+        u, v = self.edge_array.T
+        src, dst = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
+        return np.searchsorted(src, np.arange(n + 1)), dst.astype(np.int32)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -229,8 +291,10 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
+        image = np.asarray(self.image)
+        n = len(image)
+        if n and not (image.dtype.kind in "iu" and image.min() >= 0 and image.max() < n
+                      and np.bincount(image, minlength=n).min() == 1):
             raise ValueError("image is not a permutation of 0..n-1")
 
     @staticmethod
@@ -348,20 +412,23 @@ def independent_cycles(g: Graph, m: int) -> list[Graph]:
 def two_core(g: Graph) -> Graph:
     """Strip degree-<=1 vertices, all at once in each round, until min
     degree >= 2 (or empty)."""
-    labels = np.array(g.vertices, dtype=np.int64)
-    # edge endpoints as positions in the sorted label tuple
-    ends = np.searchsorted(labels, np.array(g.edges, dtype=np.int64).reshape(-1, 2))
+    n = g.n_vertices
+    if g.vertices == tuple(range(n)):  # labels are positions
+        labels, ends = None, g.edge_array
+    else:  # edge endpoints as positions in the sorted label tuple
+        labels = np.array(g.vertices, dtype=np.int64)
+        ends = np.searchsorted(labels, g.edge_array)
     kept = np.arange(len(ends))
-    alive = np.ones(len(labels), dtype=bool)
+    alive = np.ones(n, dtype=bool)
     while True:
-        drop = alive & (np.bincount(ends.ravel(), minlength=len(labels)) <= 1)
+        drop = alive & (np.bincount(ends.ravel(), minlength=n) <= 1)
         if not drop.any():
             break
         alive &= ~drop
         inner = alive[ends].all(axis=1)
         ends, kept = ends[inner], kept[inner]
-    return Graph.build([g.edges[i] for i in kept.tolist()],
-                       vertices=labels[alive].tolist())
+    core = np.flatnonzero(alive) if labels is None else labels[alive]
+    return Graph.build(g.edge_array[kept], vertices=core.tolist())
 
 
 def connected_components(g: Graph) -> list[Graph]:

@@ -5,8 +5,9 @@ All samplers take an explicit numpy Generator and are bit-reproducible for a
 fixed stream: edge sets are drawn per block pair as a Binomial count followed
 by a uniform distinct-pair sample, which reproduces independent Bernoulli
 edges in O(expected edges) time. Edges stay ``(m, 2)`` arrays, masked and
-relabelled by numpy, until `Graph.build` makes each host; the generator calls
-and their order are those of the former per-edge Python samplers.
+relabelled by numpy, until `Graph.build` makes each host straight from its
+array, which the host keeps as `Graph.edge_array`; the generator calls and
+their order are those of the former per-edge Python samplers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .density import MAX_SUBGRAPH_EDGES, DensityParams, is_self_bad
 from .graphs import (
     Graph,
     Permutation,
+    _has,
     canonical_form,
     connected_components,
     cycles_up_to,
@@ -97,8 +99,19 @@ class CorrelatedSample:
     b: Graph
 
     def __post_init__(self) -> None:
-        if not self.a.edge_set <= self.parent.edge_set:
+        if not _edge_subset(self.a, self.parent):
             raise ValueError("A must be an edge subset of the parent")
+
+
+def _edge_subset(h: Graph, g: Graph) -> bool:
+    """E(h) ⊆ E(g), by searching h's edge keys among g's sorted ones."""
+    if not h.n_edges:
+        return True
+    if not g.n_edges:
+        return False
+    base = max(h.vertices[-1], g.vertices[-1]) + 1
+    keys = g.edge_array[:, 0] * base + g.edge_array[:, 1]
+    return bool(_has(keys, h.edge_array[:, 0] * base + h.edge_array[:, 1]).all())
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, m: int) -> np.ndarray:
@@ -160,7 +173,7 @@ def sample_sbm(params: ModelParams, rng: np.random.Generator) -> tuple[tuple[int
             edges.append(_binomial_pairs_between(rng, blocks[a], blocks[b],
                                                  params.p_inter))
     return (tuple(sigma.tolist()),
-            Graph.build(np.concatenate(edges).tolist(), n=params.n))
+            Graph.build(np.concatenate(edges), n=params.n))
 
 
 def _correlated_pair(sigma: tuple[int, ...], parent: Graph, params: ModelParams,
@@ -168,13 +181,13 @@ def _correlated_pair(sigma: tuple[int, ...], parent: Graph, params: ModelParams,
     """Uniform matching, then A and the relabeled B as independent masks of
     the parent's sorted edges (draws in that order)."""
     image = rng.permutation(params.n)
-    edges = np.array(parent.edges, dtype=np.int64).reshape(-1, 2)
+    edges = parent.edge_array
     a_edges = edges[rng.random(len(edges)) < params.s]
     b_edges = image[edges][rng.random(len(edges)) < params.s]
     return CorrelatedSample(sigma=sigma, pi=Permutation(tuple(image.tolist())),
                             parent=parent,
-                            a=Graph.build(a_edges.tolist(), n=params.n),
-                            b=Graph.build(b_edges.tolist(), n=params.n))
+                            a=Graph.build(a_edges, n=params.n),
+                            b=Graph.build(b_edges, n=params.n))
 
 
 def sample_correlated(params: ModelParams, rng: np.random.Generator) -> CorrelatedSample:
@@ -189,7 +202,7 @@ def sample_null(params: ModelParams, rng: np.random.Generator) -> tuple[Graph, G
     all_vertices = np.arange(params.n)
     for _ in range(2):
         edges = _binomial_pairs_within(rng, all_vertices, params.null_density)
-        out.append(Graph.build(edges.tolist(), n=params.n))
+        out.append(Graph.build(edges, n=params.n))
     return out[0], out[1]
 
 

@@ -353,6 +353,16 @@ class TestForestCounts:
         eng.w_all_shapes(host, -0.1, 2.0)
         assert "csr" in host.__dict__
         assert "adjacency" not in host.__dict__
+        # sampled hosts: built from arrays, checked and scored without the
+        # per-edge set or adjacency views
+        params = ModelParams(n=400, lam=2.0, k=2, eps=0.3, s=0.8)
+        sample = sample_correlated(params, np.random.default_rng(3))
+        for g in (sample.a, sample.b):
+            eng.w_all_shapes(g, -0.1, 2.0)
+            assert "csr" in g.__dict__
+        for g in (sample.a, sample.b, sample.parent):
+            assert "edge_set" not in g.__dict__
+            assert "adjacency" not in g.__dict__
 
     def test_no_cyclic_shapes_below_aleph_four(self):
         assert not counting_engine(3).cyclic_keys

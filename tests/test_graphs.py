@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from csbmlab import graphs
@@ -74,6 +75,12 @@ class TestBasics:
             Graph((0, 1), ((1, 0),))
         with pytest.raises(ValueError):
             Graph((0,), ((0, 1),))
+
+    def test_edge_array_is_the_edge_tuple(self):
+        for g in (TRIANGLE, K4, Graph.empty(3), Graph.build([(2, 7)], vertices=[2, 5, 7])):
+            assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (g.n_edges, 2)
+            assert g.edge_array.tolist() == [list(e) for e in g.edges]
+            assert not g.edge_array.flags.writeable
 
     def test_equality_is_label_sensitive(self):
         assert Graph.build([(0, 1)]) != Graph.build([(1, 2)])
@@ -239,6 +246,12 @@ class TestTwoCore:
         assert two_core(Graph.empty(0)) == Graph.empty(0)
         assert two_core(Graph.build([], vertices=[4, 9])) == Graph.empty(0)
 
+    def test_dense_universe_matches_queue_oracle(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(0, 15), rng.choice([0.1, 0.2, 0.4]))
+            assert two_core(g) == two_core_by_queue(g), g
+
     def test_tree_strips_to_empty(self):
         tree = Graph.build([(0, 1), (1, 2), (1, 3)])
         assert two_core(tree).n_vertices == 0
@@ -253,6 +266,59 @@ class TestTwoCore:
         g = Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
                          (4, 5), (5, 6), (4, 6)])
         assert two_core(g) == g
+
+
+class TestArrayBuild:
+    """`Graph.build` on an (m, 2) array against the tuple path."""
+
+    @staticmethod
+    def random_edges(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+        """Pairs with duplicates and reversed copies; most labels of 0..n-1
+        stay isolated."""
+        ends = rng.integers(0, max(n // 2, 2), size=(m, 2))
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        dup = ends[rng.random(len(ends)) < 0.3]
+        return np.concatenate([ends, dup[:, ::-1], dup])
+
+    def test_same_graph_as_tuple_path(self):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n = int(rng.integers(2, 40))
+            ends = self.random_edges(rng, n, int(rng.integers(0, 3 * n)))
+            labels = np.sort(rng.choice(10 * n, size=n, replace=False))
+            sparse = labels[ends]
+            for arr, kw in ((ends, {"n": n}), (sparse, {"vertices": labels.tolist()}),
+                            (sparse, {})):
+                g = Graph.build(arr, **kw)
+                ref = Graph.build(arr.tolist(), **kw)
+                assert g == ref, (trial, kw)
+                assert all(type(w) is int for w in g.vertices + sum(g.edges, ()))
+                assert np.array_equal(g.edge_array, np.array(g.edges, dtype=np.int64).reshape(-1, 2))
+                assert np.array_equal(ref.edge_array, g.edge_array)
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert Graph.build(empty, n=4) == Graph.build([], n=4) == Graph.empty(4)
+        assert Graph.build(empty, vertices=[3, 8]) == Graph.build([], vertices=[3, 8])
+        assert Graph.build(empty) == Graph.empty(0)
+        assert Graph.build(empty, n=4).edge_array.shape == (0, 2)
+
+    @pytest.mark.parametrize("edges, kw", [
+        ([(0, 1), (2, 2), (3, 3)], {"n": 4}),        # self-loop
+        ([(0, 1), (5, 2), (1, 4)], {"n": 4}),        # endpoint >= n
+        ([(0, 1), (-1, 2)], {"n": 4}),               # negative endpoint
+        ([(0, 1), (-1, 2)], {}),                     # negative label
+        ([(2, 7), (7, 9), (3, 2)], {"vertices": [2, 5, 7]}),  # outside `vertices`
+        ([(2, 7)], {"vertices": [-2, 2, 7]}),        # negative vertex
+    ])
+    def test_same_error_as_tuple_path(self, edges, kw):
+        with pytest.raises(ValueError) as by_tuples:
+            Graph.build(edges, **kw)
+        with pytest.raises(ValueError) as by_array:
+            Graph.build(np.array(edges), **kw)
+        assert str(by_array.value) == str(by_tuples.value)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            Graph.build(np.array([[0, 1, 2], [2, 3, 4]]), n=5)
 
 
 class TestCsr:
@@ -340,6 +406,11 @@ class TestPermutation:
         p = Permutation((1, 0, 2))
         g = Graph.build([(0, 2)], n=3)
         assert apply_permutation(g, p) == Graph.build([(1, 2)], n=3)
+
+    @pytest.mark.parametrize("image", [(0, 1, 1), (0, 3, 1), (0, -1, 2), (2, 0, 1.5)])
+    def test_rejects_non_permutations(self, image):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(image)
 
 
 class TestSerialization:
