@@ -139,8 +139,8 @@ class Graph:
             u, v = min(map(tuple, ends[~inside].tolist()))
             raise ValueError(f"edge ({u},{v}) endpoint outside vertex set")
         base = vts[-1] + 1 if vts else 1
-        if base > _MAX_KEY_BASE:  # keys would overflow: take the tuple path
-            return Graph.build(ends.tolist(), vertices=vts)
+        if base > _MAX_KEY_BASE:
+            raise ValueError(f"vertex label {vts[-1]} too large for an edge array")
         keys = np.sort(ends[:, 0] * base + ends[:, 1])
         u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], base)
         g = object.__new__(Graph)
@@ -347,6 +347,17 @@ def edge_difference(s: Graph, h: Graph) -> Graph:
 
 def is_subgraph(h: Graph, g: Graph) -> bool:
     return h.vertex_set <= g.vertex_set and h.edge_set <= g.edge_set
+
+
+def _edge_subset(h: Graph, g: Graph) -> bool:
+    """E(h) ⊆ E(g), by searching h's edge keys among g's sorted ones."""
+    if not h.n_edges:
+        return True
+    if not g.n_edges:
+        return False
+    base = max(h.vertices[-1], g.vertices[-1]) + 1
+    keys = g.edge_array[:, 0] * base + g.edge_array[:, 1]
+    return bool(_has(keys, h.edge_array[:, 0] * base + h.edge_array[:, 1]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .density import MAX_SUBGRAPH_EDGES, DensityParams, is_self_bad
 from .graphs import (
     Graph,
     Permutation,
-    _has,
+    _edge_subset,
     canonical_form,
     connected_components,
     cycles_up_to,
@@ -101,17 +101,6 @@ class CorrelatedSample:
     def __post_init__(self) -> None:
         if not _edge_subset(self.a, self.parent):
             raise ValueError("A must be an edge subset of the parent")
-
-
-def _edge_subset(h: Graph, g: Graph) -> bool:
-    """E(h) ⊆ E(g), by searching h's edge keys among g's sorted ones."""
-    if not h.n_edges:
-        return True
-    if not g.n_edges:
-        return False
-    base = max(h.vertices[-1], g.vertices[-1]) + 1
-    keys = g.edge_array[:, 0] * base + g.edge_array[:, 1]
-    return bool(_has(keys, h.edge_array[:, 0] * base + h.edge_array[:, 1]).all())
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, m: int) -> np.ndarray:

@@ -320,6 +320,23 @@ class TestArrayBuild:
         with pytest.raises(ValueError):
             Graph.build(np.array([[0, 1, 2], [2, 3, 4]]), n=5)
 
+    def test_rejects_labels_past_key_range(self):
+        big = 3_037_000_499  # base big + 1 would overflow the int64 keys u·base + v
+        assert Graph.build(np.array([[0, big - 1]])).edges == ((0, big - 1),)
+        with pytest.raises(ValueError, match="too large"):
+            Graph.build(np.array([[0, big]]))
+
+    def test_edge_subset(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(2, 30))
+            g = Graph.build(self.random_edges(rng, n, int(rng.integers(0, 3 * n))), n=n)
+            keep = rng.random(g.n_edges) < 0.5
+            h = Graph.build(g.edge_array[keep], n=n)
+            other = Graph.build(self.random_edges(rng, n, int(rng.integers(0, 3 * n))), n=n)
+            assert graphs._edge_subset(h, g)
+            assert graphs._edge_subset(other, g) == (other.edge_set <= g.edge_set), trial
+
 
 class TestCsr:
     def test_matches_adjacency(self):

@@ -8,13 +8,15 @@ first, odd pairs the change. Run from anywhere:
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload sparse_large --pairs 10 --out BENCH_8.json
 
-The output file holds one entry per workload (and per `--trace` setting),
-so runs of several workloads can go into one file; an entry already there
-for the same workload and setting is replaced. Each entry lists every run,
-each side's median and quartiles per metric, and, for the metrics whose
-direction `BENCHMARK.json` gives, how many pairs the change won (ties count
-for neither side) and whether the medians differ by more than the parent's
-interquartile range.
+The output file holds one list of series per workload (and per `--trace`
+setting), so runs of several workloads, and several series of one workload,
+go into one file; a new series is appended, never written over an earlier
+one. Each run lasts the `run_seconds` of the change's `BENCHMARK.json`.
+Each series lists every run, each side's median and quartiles per metric,
+and, for the metrics whose direction `BENCHMARK.json` gives, how many pairs
+the change won (ties count for neither side) and whether a gain is shown:
+the change wins at least 9 in 10 of at least 10 pairs and the medians
+differ by more than the parent's interquartile range (null below 10 pairs).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+MIN_PAIRS = 10  # fewest pairs from which a gain can be shown
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
@@ -43,12 +47,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def directions(checkout: str) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+def benchmark(checkout: str) -> tuple[float, dict[str, str]]:
+    """The checkout's BENCHMARK.json: run length in seconds, and metric
+    name -> "higher" or "lower"."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    return {m["name"]: m["better"]
-            for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+    return bench["run_seconds"], {
+        m["name"]: m["better"]
+        for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
 
 
 def spread(xs: list[float]) -> dict:
@@ -68,9 +74,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             gap = row["change"]["median"] - row["parent"]["median"]
             iqr = row["parent"]["q3"] - row["parent"]["q1"]
+            shown = (wins >= 0.9 * len(pairs) and sign * gap > iqr
+                     if len(pairs) >= MIN_PAIRS else None)
             row.update(better=better[name], change_wins=wins, pairs=len(pairs),
-                       median_gap=gap, parent_iqr=iqr,
-                       gain_shown=wins >= 0.9 * len(pairs) and sign * gap > iqr)
+                       median_gap=gap, parent_iqr=iqr, gain_shown=shown)
         out[name] = row
     return out
 
@@ -81,8 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--out", required=True, help="JSON file to write or update")
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", required=True, help="JSON file to write or append to")
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
@@ -90,6 +96,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    seconds, better = benchmark(sides["change"])
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -97,7 +104,7 @@ def main(argv=None) -> int:
         pair = {"seed": seed, "first": first}
         for side in (first, second):
             t = time.perf_counter()
-            pair[side] = run_once(sides[side], args.workload, seed, args.seconds, args.trace)
+            pair[side] = run_once(sides[side], args.workload, seed, seconds, args.trace)
             print(f"pair {i} {side:<6} {time.perf_counter() - t:6.1f} s "
                   f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
         pairs.append(pair)
@@ -107,13 +114,13 @@ def main(argv=None) -> int:
     if os.path.isfile(args.out):
         with open(args.out) as fh:
             report = json.load(fh)
-    report["workloads"][key] = {
-        "seconds": args.seconds, "trace": args.trace, "pairs": args.pairs,
+    report["workloads"].setdefault(key, []).append({
+        "run_seconds": seconds, "trace": args.trace, "pairs": args.pairs,
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("parent", "change")),
-        "summary": summarize(pairs, directions(sides["change"])),
+        "summary": summarize(pairs, better),
         "runs": pairs,
-    }
+    })
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
