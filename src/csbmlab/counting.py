@@ -29,9 +29,11 @@ the host's 2-core, found by a pruned search along orders built once per ℵ.
 Solving the system in order of vertex count gives every injective count.
 
 Everything is exact: counts are Python integers, vectors are int64 only
-while no entry can reach 2^62, and only the final combination with the entry
-weights happens in floating point.
-"""
+while no entry can reach 2^62, and W is the correctly rounded float of the
+exact rational sum, combined in integers from the weights' exact binary
+values. The graph-independent algebra (the quotient solve, the forest
+products, the W terms) is compiled into index arrays once per ℵ, so a host
+costs a few array passes over it."""
 
 from __future__ import annotations
 
@@ -320,12 +322,14 @@ class _HomPlan:
     Per host: P(tree) = hom is Σ_v h_root(v), with rooted-subtree vectors
     h = Π_children A·h_child, each message A·h computed once per rooted code;
     P(cyclic Q) = Σ over injective maps φ of Q's 2-core into the host's 2-core
-    of Π_c h_pendant(c)[φ(c)]. Then inj follows from the quotient table in
-    order of vertex count, in Python integers."""
+    of Π_c h_pendant(c)[φ(c)]. Then inj follows from the quotient table, one
+    array pass per vertex count."""
 
     def __init__(self, aleph: int, cyclic_keys: set[tuple]) -> None:
         self.aleph = aleph
-        graphs, self.rows = load_quotient_table(aleph)
+        graphs, rows = load_quotient_table(aleph)
+        self.size = len(graphs)
+        self.levels = _quotient_levels(graphs, rows)
         index = {canonical_form(g): i for i, g in enumerate(graphs)}
         if not cyclic_keys <= set(index):
             raise RuntimeError(f"the aleph={aleph} quotient table misses needed patterns")
@@ -439,14 +443,12 @@ class _HomPlan:
             out.append(rows if len(rows) else None)
         return labels, out
 
-    def count_embeddings(self, indptr: np.ndarray, indices: np.ndarray,
-                         core: tuple[np.ndarray, list],
-                         cyclic: dict[tuple, int]) -> dict[tuple, int]:
-        """Ordered injective-map counts of every tree with 1..ℵ edges in the
-        host whose `Graph.csr` is ``(indptr, indices)``; the needed cyclic
-        patterns' counts go into `cyclic`. `core` is `core_embeddings` of the
-        host's 2-core. Vectors are int64 while every hom count they hold is
-        below n·Δ^ℵ < 2^62, and Python integers otherwise."""
+    def hom_counts(self, indptr: np.ndarray, indices: np.ndarray,
+                   core: tuple[np.ndarray, list]) -> np.ndarray:
+        """P of every table pattern in the host whose `Graph.csr` is
+        ``(indptr, indices)``; `core` is `core_embeddings` of the host's
+        2-core. Vectors, and the result, are int64 while every hom count they
+        hold is below n·Δ^ℵ < 2^62, and Python integers otherwise."""
         labels, embeddings = core
         n = len(indptr) - 1
         deg = np.diff(indptr)
@@ -454,15 +456,15 @@ class _HomPlan:
         dtype = np.int64 if exact else object
         spread_at = np.flatnonzero(deg)
         starts = indptr[spread_at]
-        hom = [0] * len(self.rows)
+        hom = np.zeros(self.size, dtype)
         msg: dict[int, np.ndarray] = {}
         at_core: dict[int, np.ndarray] = {}
         for j, (children, spread, trees, pendant, done) in enumerate(self.jobs):
             h = msg[children[0]] if children else np.ones(n, dtype)
             for c in children[1:]:
                 h = h * msg[c]
-            for i in trees:
-                hom[i] = int(h.sum())
+            if trees:
+                hom[trees] = h.sum()
             if pendant and len(labels):
                 at_core[j] = h[labels]
             if spread:
@@ -479,12 +481,51 @@ class _HomPlan:
             weight = np.ones(len(rows), dtype)
             for col, j in pendants:
                 weight = weight * at_core[j][rows[:, col]]
-            hom[i] = int(weight.sum())
-        inj: list[int] = []
-        for p, row in zip(hom, self.rows):
-            inj.append(p - sum(c * inj[j] for j, c in row))
+            hom[i] = weight.sum()
+        return hom
+
+    def solve(self, hom: np.ndarray) -> list[int]:
+        """inj of every table pattern from its P, as Python integers: one
+        array pass per vertex count, inj = P − Σ coeff·inj(quotient), in the
+        dtype of `hom`. int64 cannot wrap: every term is >= 0 and the terms
+        sum to P − inj <= P."""
+        inj = hom.copy()
+        for at, starts, cols, coeffs in self.levels:
+            inj[at] -= np.add.reduceat(coeffs * inj[cols], starts)
+        return inj.tolist()
+
+    def count_embeddings(self, indptr: np.ndarray, indices: np.ndarray,
+                         core: tuple[np.ndarray, list],
+                         cyclic: dict[tuple, int]) -> dict[tuple, int]:
+        """Ordered injective-map counts, as Python integers, of every tree
+        with 1..ℵ edges in the host whose `Graph.csr` is ``(indptr,
+        indices)``; the needed cyclic patterns' counts go into `cyclic`.
+        `core` is `core_embeddings` of the host's 2-core. `hom_counts` gives
+        P, and `solve` turns it into inj."""
+        inj = self.solve(self.hom_counts(indptr, indices, core))
         cyclic.update((key, inj[i]) for key, i in self.cyclic_out)
         return {key: inj[i] for key, i in self.tree_out}
+
+
+def _quotient_levels(graphs: list[Graph], rows: list[list[tuple[int, int]]]) -> list[tuple]:
+    """The quotient table's rows as index arrays, one ``(patterns, starts,
+    columns, coefficients)`` tuple per vertex count that has nonempty rows:
+    the patterns of that count, where each one's entries start, and the
+    entries. A row may only refer to patterns with fewer vertices, so a level
+    is solved once the levels below it are."""
+    verts = np.array([g.n_vertices for g in graphs])
+    levels = []
+    for v in np.unique(verts):
+        at = [i for i in np.flatnonzero(verts == v).tolist() if rows[i]]
+        if not at:
+            continue
+        cols = np.array([j for i in at for j, _ in rows[i]], dtype=np.int64)
+        if (verts[cols] >= v).any():
+            raise RuntimeError("a quotient row refers to a pattern that is not smaller")
+        starts = np.cumsum([0] + [len(rows[i]) for i in at[:-1]])
+        levels.append((np.array(at), starts, cols,
+                       np.array([c for i in at for _, c in rows[i]], dtype=np.int64)))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +569,37 @@ class CountingEngine:
 
         # needed keys are connected with at most aleph edges, so the ones
         # that are not tree shapes up to aleph edges are exactly the cyclic ones
-        self.cyclic_keys = self._needed_keys() - tree_keys
+        needed = self._needed_keys()
+        self.cyclic_keys = needed - tree_keys
         self.plan = _HomPlan(aleph, self.cyclic_keys)
+
+        # the expansions as index arrays: per term, its factors' slots among
+        # the needed keys (the last slot holds the empty product's 1) and its
+        # coefficient; per forest, its first term
+        self._factor_keys = sorted(needed, key=repr)
+        slot = {key: i for i, key in enumerate(self._factor_keys)}
+        factors: list[int] = []
+        term_starts: list[int] = []
+        coeffs: list[int] = []
+        forest_starts: list[int] = []
+        for terms in self.forest_expansion.values():
+            forest_starts.append(len(coeffs))
+            for coeff, prod in terms:
+                term_starts.append(len(factors))
+                factors.extend([slot[key] for key in prod] or [len(slot)])
+                coeffs.append(coeff)
+        self._products = (np.array(factors), np.array(term_starts),
+                          np.array(coeffs, dtype=object), np.array(forest_starts))
+
+        # the W terms sorted by their cell (shape, |F|) of K: per term its
+        # forest, vertex count and multiplicity; per cell its first term
+        forest_slot = {fkey: i for i, fkey in enumerate(self.forest_expansion)}
+        cell, forest, verts, mult = map(np.array, zip(*sorted(
+            (idx * (aleph + 1) + e_f, forest_slot[fkey], v_f, mult)
+            for idx, terms in enumerate(self.shape_terms)
+            for fkey, mult, v_f, e_f in terms)))
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        self._w_terms = (forest, verts, mult.astype(object), starts, cell[starts])
 
     def _needed_keys(self) -> set[tuple]:
         needed: set[tuple] = set()
@@ -549,39 +619,46 @@ class CountingEngine:
         return counts
 
     def forest_counts(self, graph: Graph) -> dict[tuple, int]:
-        """Exact injective disjoint-placement counts for every needed forest."""
+        """Exact injective disjoint-placement counts, as Python integers, of
+        every needed forest: the products of connected counts in one
+        `multiply.reduceat` over an object array, times the coefficients,
+        summed per forest in one `add.reduceat`."""
         counts = self.pattern_counts(graph)
-        out: dict[tuple, int] = {}
-        for fkey, terms in self.forest_expansion.items():
-            total = 0
-            for coeff, prod in terms:
-                term = coeff
-                for key in prod:
-                    term *= counts[key]
-                    if term == 0:
-                        break
-                total += term
-            out[fkey] = total
-        return out
+        factors, term_starts, coeffs, forest_starts = self._products
+        values = np.array([counts[key] for key in self._factor_keys] + [1], dtype=object)
+        terms = coeffs * np.multiply.reduceat(values[factors], term_starts)
+        return dict(zip(self.forest_expansion,
+                        np.add.reduceat(terms, forest_starts).tolist()))
 
     def w_all_shapes(self, graph: Graph, c0: float, c1: float) -> np.ndarray:
-        """W_H for every catalog shape, exactly."""
-        n = graph.n_vertices
+        """W_H for every catalog shape: the exact rational sum, correctly
+        rounded to a float.
+
+        K[H, e] = Σ mult·ff·D over the terms with e edges is summed in
+        integers. With c0 = a0/b0 and c1 = a1/b1 exactly (their
+        `as_integer_ratio`), W_H·Aut·(b0·b1)^ℵ = Σ_e K[H, e]·a0^(ℵ-e)·b0^e·
+        a1^e·b1^(ℵ-e), and one integer division per shape rounds it."""
         aleph = self.aleph
         forests = self.forest_counts(graph)
-        w = np.empty(len(self.catalog))
-        c0_pow = [c0 ** i for i in range(aleph + 1)]
-        c1_pow = [c1 ** i for i in range(aleph + 1)]
-        for idx, shape in enumerate(self.catalog):
-            total = 0.0
-            for fkey, mult, v_f, e_f in self.shape_terms[idx]:
-                d = forests[fkey]
-                if d == 0:
-                    continue
-                placements = d * falling_factorial(n - v_f, aleph + 1 - v_f)
-                total += (mult * c0_pow[aleph - e_f] * c1_pow[e_f]) * float(placements)
-            w[idx] = total / shape.aut
-        return w
+        forest, verts, mult, starts, cells = self._w_terms
+        d = np.array([forests[fkey] for fkey in self.forest_expansion], dtype=object)
+        placed = mult * _placements(graph.n_vertices, aleph)[verts] * d[forest]
+        k = np.zeros(len(self.catalog) * (aleph + 1), dtype=object)
+        k[cells] = np.add.reduceat(placed, starts)
+        (a0, b0), (a1, b1) = c0.as_integer_ratio(), c1.as_integer_ratio()
+        weight = np.array([a0 ** (aleph - e) * b0 ** e * a1 ** e * b1 ** (aleph - e)
+                           for e in range(aleph + 1)], dtype=object)
+        scale = (b0 * b1) ** aleph
+        return np.array([num / (scale * shape.aut) for num, shape in
+                         zip(k.reshape(-1, aleph + 1).dot(weight).tolist(), self.catalog)])
+
+
+@lru_cache(maxsize=8)
+def _placements(n: int, aleph: int) -> np.ndarray:
+    """ff(n - v, ℵ+1 - v) for v = 0..ℵ+1, as Python integers: the ways to
+    place the free vertices of a shape whose forest spans v of them."""
+    return np.array([falling_factorial(n - v, aleph + 1 - v) for v in range(aleph + 2)],
+                    dtype=object)
 
 
 @lru_cache(maxsize=8)

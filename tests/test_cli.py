@@ -1,7 +1,10 @@
 """Command-line interface: verbs, formats, exit codes, config files."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,6 +135,19 @@ class TestTrees:
         assert "aleph must be in 1..14" in captured.err
 
 
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        # a checkout has no installed `csbmlab` script; README runs the
+        # package as a module instead
+        src = Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "csbmlab", "trees", "--aleph", "3"],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["shapes"]) == 2
+
+
 class TestAnalyze:
     def test_sampled_host(self, tmp_path, capsys):
         # 2^|E| subsets of a 200-vertex host are never enumerated
@@ -172,8 +188,10 @@ class TestQuickstart:
         block = readme.split("## Command line")[1].split("```bash")[1].split("```")[0]
         commands = [shlex.split(cmd.split("#")[0])
                     for cmd in block.replace("\\\n", " ").splitlines()]
+        assert all(c[:4] == ["PYTHONPATH=src", "python", "-m", "csbmlab"]
+                   for c in commands if c)
         verbs = {"sample", "detect", "analyze", "trees"}
-        commands = [c[1:] for c in commands if c and c[1] in verbs]
+        commands = [c[4:] for c in commands if c and c[4] in verbs]
         assert [c[0] for c in commands] == ["sample", "detect", "trees", "analyze"]
         monkeypatch.chdir(tmp_path)
         for argv in commands:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +15,7 @@ from csbmlab.counting import (counting_engine, falling_factorial,
                               load_quotient_table, quotient_table)
 from csbmlab.experiments import trial_generator
 from csbmlab.graphs import Graph, canonical_form, two_core
-from csbmlab.models import ModelParams, sample_correlated
+from csbmlab.models import ModelParams, sample_correlated, sample_null
 from csbmlab.statistics import CenteredMatrix, w_exact
 from csbmlab.trees import enumerate_trees
 
@@ -188,6 +189,50 @@ def frontier_pattern_counts(aleph: int, graph: Graph) -> dict[tuple, int]:
         counts[key] = _count_injective_cyclic(
             _search_order(eng.algebra.patterns[key]), core_vertices, neighbours)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the engine's former per-term loops, kept verbatim. The quotient
+# table was solved row by row in Python integers, and each forest count was
+# a sum of coefficient-weighted products of connected counts.
+# ---------------------------------------------------------------------------
+
+def solve_by_rows(rows: list, hom: list[int]) -> list[int]:
+    """inj of every table pattern from its P, one row at a time."""
+    inj: list[int] = []
+    for p, row in zip(hom, rows):
+        inj.append(p - sum(c * inj[j] for j, c in row))
+    return inj
+
+
+def forest_products(eng, counts: dict[tuple, int]) -> dict[tuple, int]:
+    """What `eng.forest_counts` returned given these pattern counts."""
+    out: dict[tuple, int] = {}
+    for fkey, terms in eng.forest_expansion.items():
+        total = 0
+        for coeff, prod in terms:
+            term = coeff
+            for key in prod:
+                term *= counts[key]
+                if term == 0:
+                    break
+            total += term
+        out[fkey] = total
+    return out
+
+
+def exact_w(eng, graph: Graph, c0: float, c1: float) -> list[float]:
+    """Each shape's W as the float nearest the exact rational sum, rebuilt
+    from `forest_counts` and `shape_terms`."""
+    n, aleph = graph.n_vertices, eng.aleph
+    forests = eng.forest_counts(graph)
+    out = []
+    for shape, terms in zip(eng.catalog, eng.shape_terms):
+        total = sum(mult * Fraction(c0) ** (aleph - e) * Fraction(c1) ** e
+                    * forests[fkey] * falling_factorial(n - v, aleph + 1 - v)
+                    for fkey, mult, v, e in terms)
+        out.append(float(total / shape.aut))
+    return out
 
 
 def backtrack_count(pattern: Graph, host: Graph) -> int:
@@ -414,6 +459,55 @@ class TestWAssembly:
             eng.w_all_shapes(Graph.complete(60), -0.1, 2.0)
 
 
+class TestArrayPasses:
+    """The per-ℵ array passes (quotient solve, forest products) against the
+    per-term loops they replaced, and W against exact rational arithmetic."""
+
+    def hosts(self):
+        yield TestDeepAlgebra().host()
+        gen = np.random.default_rng(5)
+        params = ModelParams(n=80, lam=1.5, k=2, eps=0.0, s=0.8)
+        for _ in range(3):
+            yield sample_null(params, gen)[0]
+        yield Graph.empty(10)
+        # n·Δ^8 past 2^62: the object-dtype vectors and solve
+        yield Graph.build([(0, i) for i in range(1, 301)], n=301)
+
+    def test_solve_matches_row_by_row(self):
+        eng = counting_engine(8)
+        plan = eng.plan
+        rows = load_quotient_table(8)[1]
+        dtypes = []
+        for host in self.hosts():
+            core = plan.core_embeddings(two_core(host))
+            hom = plan.hom_counts(*host.csr, core)
+            dtypes.append(hom.dtype)
+            inj = plan.solve(hom)
+            assert inj == solve_by_rows(rows, hom.tolist())
+            assert all(type(v) is int for v in inj)
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+    def test_forest_counts_match_the_product_loop(self):
+        eng = counting_engine(8)
+        for host in self.hosts():
+            counts = eng.forest_counts(host)
+            assert counts == forest_products(eng, eng.pattern_counts(host))
+            assert all(type(v) is int for v in counts.values())
+            if host.n_edges == 0:
+                assert counts[()] == 1  # the empty forest's empty product
+                assert all(v == 0 for k, v in counts.items() if k)
+
+    @pytest.mark.parametrize("n, lam, s", [(100_000, 1.2, 0.8), (3000, 1.2, 0.9)])
+    def test_w_is_the_rounded_exact_sum(self, n, lam, s):
+        # at these n the former float combination was off by 1e-10 relative
+        params = ModelParams(n=n, lam=lam, k=2, eps=0.3, s=s)
+        host = sample_correlated(params, trial_generator(n, 1, 0, 0)).a
+        x = CenteredMatrix.from_graph(host, params)
+        eng = counting_engine(8)
+        w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
+        assert list(w) == exact_w(eng, host, x.nonedge_value, x.slope)
+
+
 class TestDeepAlgebra:
     """Forest expansions over vertex identifications at the depths the
     sweep actually uses."""
@@ -453,8 +547,6 @@ class TestDeepAlgebra:
         # in the algebra would surface as a negative value
         eng = counting_engine(8)
         gen = np.random.default_rng(5)
-        from csbmlab.models import sample_null
-
         params = ModelParams(n=80, lam=1.5, k=2, eps=0.0, s=0.8)
         for _ in range(3):
             g, _ = sample_null(params, gen)

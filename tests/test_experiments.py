@@ -171,8 +171,9 @@ class TestVerificationSuite:
 
 
 class TestOutputPin:
-    """Exact outputs recorded before the engine's pattern keys were unified;
-    a refactor that keeps the arithmetic must reproduce them bit for bit."""
+    """Exact outputs of the engine, whose `W` is the correctly rounded exact
+    sum; a refactor that keeps the arithmetic must reproduce them bit for
+    bit."""
 
     def test_sweep_rows(self):
         cfg = SweepConfig(n=200, lam=2.0, k=2, eps=0.3, s_grid=(0.5, 0.9),
@@ -180,28 +181,40 @@ class TestOutputPin:
         got = [(r.s, r.mean_P, r.sd_P, r.mean_Q, r.sd_Q, r.z_separation,
                 r.type_I, r.type_II) for r in sweep(cfg).rows]
         assert got == [
-            (0.5, 0.01708710252981228, 0.07947546027421551,
-             0.005457944104156037, 0.02769004467837275, 0.14632388897820742,
+            (0.5, 0.017087102529813446, 0.07947546027421734,
+             0.005457944104156322, 0.027690044678372744, 0.14632388897821513,
              0.3333333333333333, 0.6666666666666666),
-            (0.9, 1.3100795504147467, 2.2138892586225354,
-             -0.13422831784294312, 0.44305902636734085, 0.6523848754550292,
+            (0.9, 1.3100795504147675, 2.2138892586225816,
+             -0.13422831784293285, 0.4430590263673397, 0.6523848754550204,
              0.0, 0.6666666666666666),
         ]
 
     def test_per_shape_w_at_aleph_six(self):
         # host with a 61-vertex 2-core, so cyclic glued patterns contribute
+        from fractions import Fraction
+
         import numpy as np
 
-        from csbmlab.counting import counting_engine
+        from csbmlab.counting import counting_engine, falling_factorial
         from csbmlab.models import sample_correlated
         from csbmlab.statistics import CenteredMatrix
 
         params = ModelParams(n=120, lam=2.5, k=2, eps=0.3, s=0.9)
         a = sample_correlated(params, np.random.default_rng(3)).a
         x = CenteredMatrix.from_graph(a, params)
-        w = counting_engine(6).w_all_shapes(a, x.nonedge_value, x.slope)
-        assert [float(v) for v in w] == [
-            263147.92577278236, -6007250.157166839, -2096397.621647954,
-            951449.4971621832, -3023734.8800188503, -7183404.3884354085,
-            853315.9239383936, 73870.82574449976, 1151628.7808784842,
-            -527403.0199803114, -236639.01620811224]
+        eng = counting_engine(6)
+        w = [float(v) for v in eng.w_all_shapes(a, x.nonedge_value, x.slope)]
+        pinned = [
+            263147.9257727777, -6007250.157168185, -2096397.6216511512,
+            951449.4971614251, -3023734.8800197933, -7183404.388436003,
+            853315.9239363023, 73870.82574423924, 1151628.7808780544,
+            -527403.0199877932, -236639.0162093765]
+        assert w == pinned
+        # each pin is the float nearest the exact rational sum
+        forests = eng.forest_counts(a)
+        c0, c1 = Fraction(x.nonedge_value), Fraction(x.slope)
+        for value, shape, terms in zip(pinned, eng.catalog, eng.shape_terms):
+            exact = sum(mult * c0 ** (6 - e) * c1 ** e * forests[fkey]
+                        * falling_factorial(120 - v, 7 - v)
+                        for fkey, mult, v, e in terms)
+            assert value == float(exact / shape.aut)
