@@ -448,30 +448,37 @@ class _HomPlan:
         """P of every table pattern in the host whose `Graph.csr` is
         ``(indptr, indices)``; `core` is `core_embeddings` of the host's
         2-core. Vectors, and the result, are int64 while every hom count they
-        hold is below n·Δ^ℵ < 2^62, and Python integers otherwise."""
+        hold is below n·Δ^ℵ < 2^62, and Python integers otherwise.
+
+        The vectors run over the support, the non-isolated vertices relabelled
+        0..|S|-1 in order. That is exact: every table pattern has an edge, so
+        no map of one sends a vertex to an isolated host vertex, and an
+        isolated vertex sends no message. No support vertex has an empty
+        neighbour segment, so a message is one `add.reduceat`; the host
+        2-core's vertices have degree >= 2, so all lie in the support."""
         labels, embeddings = core
         n = len(indptr) - 1
         deg = np.diff(indptr)
         exact = n * int(deg.max(initial=0)) ** self.aleph < 2 ** 62
         dtype = np.int64 if exact else object
-        spread_at = np.flatnonzero(deg)
-        starts = indptr[spread_at]
+        pos = np.cumsum(deg > 0) - 1
+        nbr = pos[indices]
+        starts = indptr[:-1][deg > 0]
+        support = len(starts)
+        at_labels = pos[labels]
         hom = np.zeros(self.size, dtype)
         msg: dict[int, np.ndarray] = {}
         at_core: dict[int, np.ndarray] = {}
         for j, (children, spread, trees, pendant, done) in enumerate(self.jobs):
-            h = msg[children[0]] if children else np.ones(n, dtype)
+            h = msg[children[0]] if children else np.ones(support, dtype)
             for c in children[1:]:
                 h = h * msg[c]
             if trees:
                 hom[trees] = h.sum()
             if pendant and len(labels):
-                at_core[j] = h[labels]
+                at_core[j] = h[at_labels]
             if spread:
-                m = np.zeros(n, dtype)
-                if len(spread_at):
-                    m[spread_at] = np.add.reduceat(h[indices], starts)
-                msg[j] = m
+                msg[j] = np.add.reduceat(h[nbr], starts)
             for c in done:
                 del msg[c]
         for i, r, pendants in self.cyclic:

@@ -3,15 +3,18 @@
 Graphs are immutable: an explicit sorted vertex tuple plus a sorted tuple of
 undirected edges. Pattern graphs may live on a sparse subset of labels; big
 host graphs use the dense universe {0..n-1}. A host is built once from an
-``(m, 2)`` edge array, keeps it as the cached `Graph.edge_array`, and the
-evaluators read it through that array and the CSR view `Graph.csr` built
-from it. Equality is label-sensitive; isomorphism is a separate query
+``(m, 2)`` edge array and keeps it as `Graph.edge_array`; the evaluators read
+it through that array and the CSR view `Graph.csr` built from it. An
+array-built graph derives its `edges` tuple, and its `vertices` tuple when
+built with ``n=``, on first read, so scoring a host builds neither.
+Equality is label-sensitive; isomorphism is a separate query
 (`canonical_form`).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -64,7 +67,10 @@ class Graph:
 
     `vertices` is a sorted tuple of distinct integer labels; `edges` is a
     sorted tuple of (u, v) pairs with u < v and both endpoints in the vertex
-    set. Two graphs are equal iff both tuples match exactly.
+    set. Two graphs are equal iff both tuples match exactly. A graph built
+    from an edge array stores the array, and its ``n`` when built with
+    ``n=``, and derives `edges` (and `vertices`, if built with ``n=``) on
+    first read; `n_vertices`, `n_edges` and `csr` need neither tuple.
     """
 
     vertices: tuple[int, ...]
@@ -84,6 +90,19 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) not normalized")
             if u not in vset or v not in vset:
                 raise ValueError(f"edge ({u},{v}) endpoint outside vertex set")
+
+    def __getattr__(self, name: str):
+        """Derive an array-built graph's `edges`, or the `vertices` of one
+        built with ``n=``, on first read; they are cached like the fields."""
+        state = self.__dict__
+        if name == "edges" and "edge_array" in state:
+            value = tuple(zip(*state["edge_array"].T.tolist()))
+        elif name == "vertices" and "_n" in state:
+            value = tuple(range(state["_n"]))
+        else:
+            raise AttributeError(name)
+        state[name] = value
+        return value
 
     # -- constructors -------------------------------------------------------
 
@@ -114,7 +133,7 @@ class Graph:
                     n: int | None) -> "Graph":
         """`build` for an edge array: the checks of `_normalize_edge` and
         `__post_init__` run over whole columns, so the per-edge ones are
-        skipped."""
+        skipped, and the tuples are left to `__getattr__`."""
         if ends.size == 0:
             ends = ends.reshape(0, 2)
         if ends.ndim != 2 or ends.shape[1] != 2:
@@ -124,31 +143,34 @@ class Graph:
         if len(loops):
             raise ValueError(f"self-loop at vertex {int(ends[loops[0], 0])}")
         if n is not None:
-            vts = tuple(range(n))
+            n = max(operator.index(n), 0)  # as tuple(range(n)) would have it
+            vts = None
+            stop = n
             inside = (ends[:, 0] >= 0) & (ends[:, 1] < n)
-        elif vertices is not None:
-            vts = tuple(sorted(set(vertices)))
-            inside = np.isin(ends, np.array(vts, dtype=np.int64)).all(axis=1)
         else:
-            vts = tuple(np.unique(ends).tolist())
-            inside = np.ones(len(ends), dtype=bool)
-        if vts and vts[0] < 0:
-            raise ValueError("vertex labels must be nonnegative")
+            if vertices is not None:
+                vts = tuple(sorted(set(vertices)))
+                inside = np.isin(ends, np.array(vts, dtype=np.int64)).all(axis=1)
+            else:
+                vts = tuple(np.unique(ends).tolist())
+                inside = np.ones(len(ends), dtype=bool)
+            if vts and vts[0] < 0:
+                raise ValueError("vertex labels must be nonnegative")
+            stop = vts[-1] + 1 if vts else 0
         if not inside.all():
             # the first offending edge in sorted order, as __post_init__ reports
             u, v = min(map(tuple, ends[~inside].tolist()))
             raise ValueError(f"edge ({u},{v}) endpoint outside vertex set")
-        base = vts[-1] + 1 if vts else 1
+        base = max(stop, 1)
         if base > _MAX_KEY_BASE:
-            raise ValueError(f"vertex label {vts[-1]} too large for an edge array")
+            raise ValueError(f"vertex label {stop - 1} too large for an edge array")
         keys = np.sort(ends[:, 0] * base + ends[:, 1])
         u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], base)
-        g = object.__new__(Graph)
-        object.__setattr__(g, "vertices", vts)
-        object.__setattr__(g, "edges", tuple(zip(u.tolist(), v.tolist())))
         edge_array = np.column_stack([u, v])
         edge_array.flags.writeable = False
-        g.__dict__["edge_array"] = edge_array
+        g = object.__new__(Graph)
+        g.__dict__.update({"_n": n} if vts is None else {"vertices": vts},
+                          edge_array=edge_array)
         return g
 
     @staticmethod
@@ -175,11 +197,28 @@ class Graph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        n = self.__dict__.get("_n")
+        return len(self.vertices) if n is None else n
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        edges = self.__dict__.get("edges")
+        return len(self.edge_array) if edges is None else len(edges)
+
+    @property
+    def _label_stop(self) -> int:
+        """One more than the largest label, 0 without vertices: O(1)."""
+        n = self.__dict__.get("_n")
+        if n is not None:
+            return n
+        vts = self.vertices
+        return vts[-1] + 1 if vts else 0
+
+    @property
+    def _dense(self) -> bool:
+        """Whether the labels are 0..n-1. They are sorted, distinct and
+        nonnegative, so that holds iff the last one is n-1 (or there are none)."""
+        return self._label_stop == self.n_vertices
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
@@ -209,7 +248,7 @@ class Graph:
         """Host adjacency ``(indptr, indices)`` of a graph on 0..n-1: vertex v's
         neighbours are ``indices[indptr[v]:indptr[v + 1]]``, increasing."""
         n = self.n_vertices
-        if self.vertices != tuple(range(n)):
+        if not self._dense:
             raise ValueError("host graphs must use the dense universe 0..n-1")
         u, v = self.edge_array.T
         src, dst = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
@@ -229,9 +268,8 @@ class Graph:
         Dense-universe graphs round-trip exactly; an explicit non-dense
         vertex subset is carried in an extra ``v=`` field.
         """
-        dense = self.vertices == tuple(range(self.n_vertices))
         parts = [f"n={self.n_vertices}"]
-        if not dense:
+        if not self._dense:
             parts.append("v=" + ",".join(str(v) for v in self.vertices))
         parts.append(",".join(f"{u}-{v}" for u, v in self.edges))
         return "; ".join(parts)
@@ -259,7 +297,7 @@ class Graph:
 
     def to_json(self) -> str:
         obj: dict = {"n": self.n_vertices, "edges": [list(e) for e in self.edges]}
-        if self.vertices != tuple(range(self.n_vertices)):
+        if not self._dense:
             obj["vertices"] = list(self.vertices)
         return json.dumps(obj, separators=(",", ":"))
 
@@ -355,7 +393,7 @@ def _edge_subset(h: Graph, g: Graph) -> bool:
         return True
     if not g.n_edges:
         return False
-    base = max(h.vertices[-1], g.vertices[-1]) + 1
+    base = max(h._label_stop, g._label_stop)
     keys = g.edge_array[:, 0] * base + g.edge_array[:, 1]
     return bool(_has(keys, h.edge_array[:, 0] * base + h.edge_array[:, 1]).all())
 
@@ -424,7 +462,7 @@ def two_core(g: Graph) -> Graph:
     """Strip degree-<=1 vertices, all at once in each round, until min
     degree >= 2 (or empty)."""
     n = g.n_vertices
-    if g.vertices == tuple(range(n)):  # labels are positions
+    if g._dense:  # labels are positions
         labels, ends = None, g.edge_array
     else:  # edge endpoints as positions in the sorted label tuple
         labels = np.array(g.vertices, dtype=np.int64)

@@ -193,8 +193,9 @@ def frontier_pattern_counts(aleph: int, graph: Graph) -> dict[tuple, int]:
 
 # ---------------------------------------------------------------------------
 # Oracles: the engine's former per-term loops, kept verbatim. The quotient
-# table was solved row by row in Python integers, and each forest count was
-# a sum of coefficient-weighted products of connected counts.
+# table was solved row by row in Python integers, each forest count was a
+# sum of coefficient-weighted products of connected counts, and the hom
+# vectors ran over every host vertex, isolated ones included.
 # ---------------------------------------------------------------------------
 
 def solve_by_rows(rows: list, hom: list[int]) -> list[int]:
@@ -219,6 +220,47 @@ def forest_products(eng, counts: dict[tuple, int]) -> dict[tuple, int]:
             total += term
         out[fkey] = total
     return out
+
+
+def full_n_hom_counts(plan, indptr: np.ndarray, indices: np.ndarray,
+                      core: tuple[np.ndarray, list]) -> np.ndarray:
+    """What `plan.hom_counts` returned when its vectors ran over all n host
+    vertices: each message a zero vector plus a scatter onto the vertices
+    of nonzero degree."""
+    labels, embeddings = core
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    exact = n * int(deg.max(initial=0)) ** plan.aleph < 2 ** 62
+    dtype = np.int64 if exact else object
+    spread_at = np.flatnonzero(deg)
+    starts = indptr[spread_at]
+    hom = np.zeros(plan.size, dtype)
+    msg: dict[int, np.ndarray] = {}
+    at_core: dict[int, np.ndarray] = {}
+    for j, (children, spread, trees, pendant, done) in enumerate(plan.jobs):
+        h = msg[children[0]] if children else np.ones(n, dtype)
+        for c in children[1:]:
+            h = h * msg[c]
+        if trees:
+            hom[trees] = h.sum()
+        if pendant and len(labels):
+            at_core[j] = h[labels]
+        if spread:
+            m = np.zeros(n, dtype)
+            if len(spread_at):
+                m[spread_at] = np.add.reduceat(h[indices], starts)
+            msg[j] = m
+        for c in done:
+            del msg[c]
+    for i, r, pendants in plan.cyclic:
+        rows = embeddings[r]
+        if rows is None:
+            continue
+        weight = np.ones(len(rows), dtype)
+        for col, j in pendants:
+            weight = weight * at_core[j][rows[:, col]]
+        hom[i] = weight.sum()
+    return hom
 
 
 def exact_w(eng, graph: Graph, c0: float, c1: float) -> list[float]:
@@ -405,9 +447,14 @@ class TestForestCounts:
         for g in (sample.a, sample.b):
             eng.w_all_shapes(g, -0.1, 2.0)
             assert "csr" in g.__dict__
-        for g in (sample.a, sample.b, sample.parent):
-            assert "edge_set" not in g.__dict__
-            assert "adjacency" not in g.__dict__
+        a, b = sample_null(params, np.random.default_rng(4))
+        for g in (a, b):
+            eng.w_all_shapes(g, -0.1, 2.0)
+        # nor the edge and vertex tuples, which array-built hosts derive on
+        # first read
+        for g in (sample.a, sample.b, sample.parent, a, b):
+            for view in ("edge_set", "adjacency", "edges", "vertices"):
+                assert view not in g.__dict__, view
 
     def test_no_cyclic_shapes_below_aleph_four(self):
         assert not counting_engine(3).cyclic_keys
@@ -506,6 +553,50 @@ class TestArrayPasses:
         eng = counting_engine(8)
         w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
         assert list(w) == exact_w(eng, host, x.nonedge_value, x.slope)
+
+
+class TestSupportCounting:
+    """Hom vectors over the non-isolated vertices against the full-n oracle."""
+
+    def hosts(self):
+        params = ModelParams(n=100_000, lam=1.2, k=2, eps=0.3, s=0.8)
+        yield sample_correlated(params, trial_generator(100_000, 1, 0, 0)).a
+        # criterion-12 config at s=0.3: about 70% of the vertices isolated
+        params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.3)
+        yield sample_correlated(params, trial_generator(12, 0, 0, 0)).b
+        # a triangle with a pendant path, among isolated vertices on both
+        # sides, so that the core labels 5, 9, 12 sit at support positions 0..2
+        yield Graph.build([(5, 9), (9, 12), (5, 12), (12, 20), (20, 31), (31, 40)],
+                          n=50)
+        yield Graph.empty(10)
+        yield Graph.build([(0, i) for i in range(1, 301)], n=301)  # object dtype
+
+    def test_equals_the_full_n_vectors(self):
+        plan = counting_engine(8).plan
+        dtypes = []
+        for host in self.hosts():
+            core = plan.core_embeddings(two_core(host))
+            got = plan.hom_counts(*host.csr, core)
+            want = full_n_hom_counts(plan, *host.csr, core)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+            dtypes.append(got.dtype)
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+    def test_relabelled_core_is_counted(self):
+        # the triangle host's cyclic patterns count through the relabelled core
+        plan = counting_engine(8).plan
+        host = list(self.hosts())[2]
+        labels, _ = core = plan.core_embeddings(two_core(host))
+        assert labels.tolist() == [5, 9, 12]
+        hom = plan.hom_counts(*host.csr, core)
+        assert any(hom[i] for i, _, _ in plan.cyclic)
+
+    def test_edgeless_host_counts_nothing(self):
+        plan = counting_engine(8).plan
+        host = Graph.empty(10)
+        hom = plan.hom_counts(*host.csr, plan.core_embeddings(two_core(host)))
+        assert hom.dtype == np.int64 and not hom.any()
 
 
 class TestDeepAlgebra:

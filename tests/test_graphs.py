@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -336,6 +337,46 @@ class TestArrayBuild:
             other = Graph.build(self.random_edges(rng, n, int(rng.integers(0, 3 * n))), n=n)
             assert graphs._edge_subset(h, g)
             assert graphs._edge_subset(other, g) == (other.edge_set <= g.edge_set), trial
+
+    def test_lazy_tuples_keep_value_semantics(self):
+        # an array-built graph derives `edges` (and, built with n=, `vertices`)
+        # on first read; before and after, and across pickling at either
+        # point, it equals, hashes and prints like the list-built graph
+        edges = [(3, 1), (1, 2), (1, 3), (5, 3), (2, 3), (6, 2)]
+        for kw in ({"n": 7}, {"vertices": [1, 2, 3, 5, 6]}, {}):
+            ref = Graph.build(edges, **kw)
+            fresh = Graph.build(np.array(edges), **kw)
+            assert "edges" not in fresh.__dict__
+            assert ("vertices" in fresh.__dict__) == ("n" not in kw)
+            assert (fresh.n_vertices, fresh.n_edges) == (ref.n_vertices, ref.n_edges)
+            assert "edges" not in fresh.__dict__  # the counts derive nothing
+            early = pickle.loads(pickle.dumps(fresh))
+            assert "edges" not in early.__dict__
+            read = Graph.build(np.array(edges), **kw)
+            assert read.edges == ref.edges and read.vertices == ref.vertices
+            late = pickle.loads(pickle.dumps(read))
+            for g in (fresh, early, read, late):
+                assert g == ref and ref == g, kw
+                assert hash(g) == hash(ref) and repr(g) == repr(ref), kw
+                assert g != Graph.build(edges[:-1], **kw)
+        assert Graph.build(np.empty((0, 2), dtype=np.int64), n=-2) == Graph.empty(0)
+
+    @pytest.mark.parametrize("labels, edges", [
+        ((1, 2, 3), [(1, 2), (2, 3), (1, 3)]),   # last label equals the length
+        ((0, 1, 3), [(0, 1), (1, 3), (0, 3)]),   # a gap
+        ((0, 1, 3), [(0, 1), (1, 3)]),
+    ])
+    def test_one_step_off_dense(self, labels, edges):
+        by_label = two_core_by_queue(Graph.build(edges, vertices=labels))
+        for g in (Graph.build(edges, vertices=labels),
+                  Graph.build(np.array(edges), vertices=labels)):
+            with pytest.raises(ValueError, match="dense universe"):
+                g.csr
+            assert two_core(g) == by_label
+            assert "v=" in g.to_text() and '"vertices"' in g.to_json()
+        dense = Graph.build(np.array([(0, 1), (1, 2)]), vertices=(0, 1, 2))
+        assert dense.csr[1].tolist() == [1, 0, 2, 1]
+        assert "v=" not in dense.to_text() and '"vertices"' not in dense.to_json()
 
 
 class TestCsr:
