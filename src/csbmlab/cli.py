@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DensityParams, has_bad_subgraph, is_admissible, is_bad, is_self_bad, phi_log
+from .density import DensityParams, is_admissible, is_bad, is_self_bad, phi_log
 from .graphs import Graph, cycles_up_to
 from .models import ModelParams, sample_correlated, sample_null, sample_truncated_pair
 from .moments import predicted_f_mean
@@ -245,8 +245,7 @@ def _cmd_analyze(args) -> int:
         "phi_log": phi_log(g, density),
         "is_bad": is_bad(g, density),
         "is_self_bad": is_self_bad(g, density),
-        "is_admissible": (not has_bad_subgraph(g, density)
-                          and is_admissible(g, density, args.N)),
+        "is_admissible": is_admissible(g, density, args.N),
         "cycles_by_length": {str(k): v for k, v in sorted(by_length.items())},
     }
     _emit(payload, args.out)

@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (Graph, _has, _tree_centers, _tree_rooted_code,
-                     canonical_form, two_core)
+from .graphs import (Graph, _general_canonical_code, _has, _tree_centers,
+                     _tree_rooted_code, canonical_form, two_core)
 from .trees import enumerate_trees
 
 __all__ = ["CountingEngine", "counting_engine", "falling_factorial",
@@ -73,9 +73,11 @@ def _compact(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 class _Algebra:
-    """Expands disjoint-forest counts into products of connected counts,
-    enumerating vertex identifications with `_quotient_counts`; every
-    labelled edge set is split into keyed components once."""
+    """Registry of connected patterns by `canonical_form`, keeping each
+    one's first labelled copy on 0..v-1; it also expands disjoint-forest
+    counts into products of connected counts, enumerating vertex
+    identifications with `_quotient_counts`. Every labelled edge set is
+    keyed, or split into keyed components, once."""
 
     def __init__(self) -> None:
         self.patterns: dict[tuple, Graph] = {}
@@ -188,30 +190,23 @@ def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]
     by fibres gives P(Q) = inj(Q) + Σ_row count·inj(Q/ρ): every other
     partition ρ into independent sets with at most one K-vertex per block
     lists a pattern with fewer vertices. The closure of the trees under these
-    quotients is every connected graph with at most aleph edges."""
-    keys: dict[tuple, tuple] = {}  # labelled quotient edges -> canonical key
-    reps: dict[tuple, Graph] = {}
-    todo: list[tuple] = []
-
-    def key_of(edges: tuple) -> tuple:
-        key = keys.get(edges)
-        if key is None:
-            g = Graph.build(edges)
-            key = keys[edges] = canonical_form(g)
-            if key not in reps:
-                reps[key] = g
-                todo.append(key)
-        return key
-
+    quotients is every connected graph with at most aleph edges. Patterns are
+    keyed, and their first labelled copy kept, by an `_Algebra` registry of
+    its own; they are expanded last registered first."""
+    algebra = _Algebra()
     for e in range(1, aleph + 1):
         for shape in enumerate_trees(e):
-            key_of(shape.canonical_edges)
+            algebra.register(shape.canonical_edges)
+    todo = list(algebra.patterns)
     rows: dict[tuple, dict[tuple, int]] = {}
     while todo:
         key = todo.pop()
-        core = two_core(reps[key]).vertex_set
-        rows[key] = _quotient_counts(reps[key], key_of,
-                                     [-1 if x in core else x for x in reps[key].vertices])
+        g, known = algebra.patterns[key], len(algebra.patterns)
+        core = two_core(g).vertex_set
+        rows[key] = _quotient_counts(g, algebra.register,
+                                     [-1 if x in core else x for x in g.vertices])
+        todo.extend(list(algebra.patterns)[known:])
+    reps = algebra.patterns
     order = sorted(reps, key=lambda k: (reps[k].n_vertices, reps[k].n_edges, repr(k)))
     index = {k: i for i, k in enumerate(order)}
     return ([reps[k] for k in order],
@@ -288,30 +283,6 @@ def _search_plan(core: Graph) -> tuple[list[int], list[tuple]]:
     return order, steps
 
 
-def _isomorphism(g: Graph, h: Graph) -> dict[int, int]:
-    """One isomorphism g -> h of two isomorphic small graphs."""
-    gv = list(g.vertices)
-    image: dict[int, int] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(gv):
-            return True
-        x = gv[i]
-        for y in h.vertices:
-            if (y not in image.values() and h.degree(y) == g.degree(x)
-                    and all((w in g.adjacency[x]) == (image[w] in h.adjacency[y])
-                            for w in gv[:i])):
-                image[x] = y
-                if extend(i + 1):
-                    return True
-                del image[x]
-        return False
-
-    if not extend(0):
-        raise RuntimeError("graphs with one canonical form are not isomorphic")
-    return image
-
-
 def _code_size(code: tuple) -> int:
     return 1 + sum(_code_size(c) for c in code)
 
@@ -336,7 +307,7 @@ class _HomPlan:
         self.cyclic_out = [(key, index[key]) for key in cyclic_keys]
         self.tree_out: list[tuple[tuple, int]] = []
         roots: dict[tuple, list[int]] = {}  # center-rooted code -> tree patterns
-        core_index: dict[tuple, int] = {}
+        core_index: dict[tuple, tuple[int, list[int]]] = {}  # core code -> slot, canonical order
         self.cores: list[tuple[Graph, list[int], list[tuple]]] = []
         self.cyclic: list[tuple[int, int, list[tuple[int, tuple]]]] = []
         for key, i in index.items():
@@ -348,19 +319,24 @@ class _HomPlan:
                 roots.setdefault(_tree_rooted_code(adj, center, -1), []).append(i)
                 continue
             core = two_core(g)
-            ckey = canonical_form(core)
+            ckey, canon, _ = _general_canonical_code(core)
             if ckey not in core_index:
-                core_index[ckey] = len(self.cores)
+                core_index[ckey] = (len(self.cores), canon)
                 self.cores.append((core, *_search_plan(core)))
-            rep, order, _ = self.cores[core_index[ckey]]
-            iso = _isomorphism(core, rep)
+            slot, rep_canon = core_index[ckey]
+            rep, order, _ = self.cores[slot]
+            # both canonical orders attain one code, so they align the cores
+            iso = dict(zip(canon, rep_canon))
+            if {tuple(sorted((iso[u], iso[v]))) for u, v in core.edges} != rep.edge_set:
+                raise RuntimeError("the canonical orders of two cores with one "
+                                   "code do not give an isomorphism")
             pendants = []
             for c in core.vertices:
                 code = tuple(sorted(_tree_rooted_code(adj, u, c) for u in adj[c]
                                     if u not in core.vertex_set))
                 if code:
                     pendants.append((order.index(iso[c]), code))
-            self.cyclic.append((i, core_index[ckey], pendants))
+            self.cyclic.append((i, slot, pendants))
 
         # every rooted code a root or a pendant needs, children before parents
         codes: set[tuple] = set()

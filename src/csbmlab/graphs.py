@@ -14,7 +14,9 @@ Equality is label-sensitive; isomorphism is a separate query
 from __future__ import annotations
 
 import json
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -505,7 +507,18 @@ def connected_components(g: Graph) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism machinery (pattern graphs, <= 16 vertices)
+# Isomorphism machinery (pattern graphs)
+#
+# Every isomorphism fact about a pattern is read off one canonical code per
+# component. A tree component's code is `tree_code`, the nested tuple of
+# sorted child codes rooted at its center(s): |Aut| is a product over that
+# code, and the catalog's canonical labels are a walk of it
+# (`trees._canonical_relabel`). A component with a cycle, up to
+# MAX_CANONICAL_VERTICES vertices, is coded by one colour-refined search,
+# `_general_canonical_code`, which also returns a vertex order attaining the
+# code and the number of orders that do, which is |Aut|; two isomorphic
+# components map onto each other along their canonical orders.
+# `canonical_form` and `automorphism_count` combine the components' codes.
 # ---------------------------------------------------------------------------
 
 def _tree_rooted_code(adj, root: int, parent: int) -> tuple:
@@ -535,7 +548,8 @@ def _tree_centers(adj, verts: Sequence[int]) -> list[int]:
 
 
 def tree_code(adj, verts: Sequence[int]) -> tuple:
-    """Center-rooted canonical code of the tree on `verts` (isomorphism key).
+    """Center-rooted canonical code of the tree on `verts` (isomorphism key):
+    ``("c1", code)`` for one center, ``("c2", x, y)`` with x <= y for two.
 
     `adj` maps each vertex to its neighbours: a dict, or a list indexed by
     vertex. Every neighbour of a vertex in `verts` must be in `verts`, so the
@@ -547,6 +561,25 @@ def tree_code(adj, verts: Sequence[int]) -> tuple:
     a, b = centers
     return ("c2",) + tuple(sorted([_tree_rooted_code(adj, a, b),
                                    _tree_rooted_code(adj, b, a)]))
+
+
+def _rooted_automorphisms(code: tuple) -> int:
+    """|Aut| of the rooted tree with this code: each child's, times m! for
+    each child code repeated m times (repeats are adjacent, the code is sorted)."""
+    total = run = 1
+    for i, child in enumerate(code):
+        run = run + 1 if i and child == code[i - 1] else 1
+        total *= run * _rooted_automorphisms(child)
+    return total
+
+
+def _tree_automorphisms(code: tuple) -> int:
+    """|Aut| of the tree whose `tree_code` is `code`. Every automorphism fixes
+    the center, or the central edge, which it may flip when both halves agree."""
+    if code[0] == "c1":
+        return _rooted_automorphisms(code[1])
+    _, x, y = code
+    return _rooted_automorphisms(x) * _rooted_automorphisms(y) * (2 if x == y else 1)
 
 
 def _refined_classes(g: Graph) -> list[int]:
@@ -566,9 +599,20 @@ def _refined_classes(g: Graph) -> list[int]:
     return colors
 
 
-def _general_canonical_code(g: Graph) -> tuple:
-    """Canonical code by backtracking over color-respecting orderings."""
+def _general_canonical_code(g: Graph) -> tuple[tuple, list[int], int]:
+    """Canonical code of a connected graph with a cycle, one vertex order
+    (of labels) that attains it, and the number of orders that do: |Aut(g)|.
+
+    The search places vertices in order of refined colour and keeps the least
+    tuple of adjacency rows. Automorphisms keep the colours, and two orders
+    attain the code iff one is the other followed by an automorphism, so the
+    attaining orders number |Aut|. The prune cuts a prefix only when it is
+    above the best code's, never on a tie, so every one of them is reached.
+    """
     n = g.n_vertices
+    if n > MAX_CANONICAL_VERTICES:
+        raise ValueError(f"canonical codes support cyclic components up to "
+                         f"{MAX_CANONICAL_VERTICES} vertices, got {n}")
     idx = {v: i for i, v in enumerate(g.vertices)}
     colors = _refined_classes(g)
     adj_bits = [0] * n
@@ -576,7 +620,7 @@ def _general_canonical_code(g: Graph) -> tuple:
         adj_bits[idx[u]] |= 1 << idx[v]
         adj_bits[idx[v]] |= 1 << idx[u]
 
-    best: list[tuple[int, ...] | None] = [None]
+    best: list = [None, None, 0]  # least code, an order attaining it, how many do
 
     def search(order: list[int], rows: list[int], remaining: list[int]) -> None:
         if best[0] is not None and tuple(rows) > best[0][: len(rows)]:
@@ -584,7 +628,9 @@ def _general_canonical_code(g: Graph) -> tuple:
         if not remaining:
             code = tuple(rows)
             if best[0] is None or code < best[0]:
-                best[0] = code
+                best[:] = [code, list(order), 1]
+            else:  # a larger code was pruned, so this one ties
+                best[2] += 1
             return
         # candidates: lowest color class first, break ties by adjacency to placed
         cands = sorted(remaining, key=lambda w: colors[w])
@@ -604,82 +650,42 @@ def _general_canonical_code(g: Graph) -> tuple:
             rows.pop()
 
     search([], [], list(range(n)))
-    if best[0] is None:
+    code, order, count = best
+    if code is None:
         raise RuntimeError("canonical search placed no complete vertex order")
-    return ("G", n, tuple(sorted(colors))) + best[0]
+    return ("G", n, tuple(sorted(colors))) + code, [g.vertices[i] for i in order], count
 
 
-def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant code: equal codes iff isomorphic graphs.
-
-    Tree components get the center-rooted `tree_code`; anything with a cycle
-    goes through refined backtracking (graphs up to 16 non-isolated vertices).
-    """
+def _component_codes(g: Graph) -> tuple[int, list[tuple[tuple, int]]]:
+    """g's number of isolated vertices, and (canonical code, |Aut|) of each
+    of its other components."""
     comps = [c for c in connected_components(g) if c.n_edges > 0]
-    n_iso = g.n_vertices - sum(c.n_vertices for c in comps)
     codes = []
     for c in comps:
         if excess(c) == -1:
             # g's adjacency serves: building each component's own costs more
-            codes.append(tree_code(g.adjacency, c.vertices))
+            code = tree_code(g.adjacency, c.vertices)
+            codes.append((code, _tree_automorphisms(code)))
         else:
-            if c.n_vertices > MAX_CANONICAL_VERTICES:
-                raise ValueError(
-                    f"canonical_form supports components up to {MAX_CANONICAL_VERTICES} "
-                    f"vertices, got {c.n_vertices}")
-            codes.append(_general_canonical_code(c))
-    return ("C", n_iso, tuple(sorted(codes)))
+            code, _, aut = _general_canonical_code(c)
+            codes.append((code, aut))
+    return g.n_vertices - sum(c.n_vertices for c in comps), codes
+
+
+def canonical_form(g: Graph) -> tuple:
+    """Isomorphism-invariant code: equal codes iff isomorphic graphs. It holds
+    the number of isolated vertices and the sorted component codes."""
+    n_iso, codes = _component_codes(g)
+    return ("C", n_iso, tuple(sorted(code for code, _ in codes)))
 
 
 def automorphism_count(g: Graph) -> int:
-    """Exact |Aut(g)| by color-refined backtracking (<= 16 vertices/component).
-
-    Isolated vertices contribute a factor (#isolated)!; identical components
-    contribute multiset permutation factors.
-    """
-    import math
-
-    comps = [c for c in connected_components(g) if c.n_edges > 0]
-    n_iso = g.n_vertices - sum(c.n_vertices for c in comps)
+    """Exact |Aut(g)|: (#isolated)!, each component's |Aut|, and m! for each
+    component code that m components share."""
+    n_iso, codes = _component_codes(g)
     total = math.factorial(n_iso)
-    by_code: dict[tuple, list[Graph]] = {}
-    for c in comps:
-        if c.n_vertices > MAX_CANONICAL_VERTICES:
-            raise ValueError("automorphism_count supports components up to "
-                             f"{MAX_CANONICAL_VERTICES} vertices")
-        by_code.setdefault(canonical_form(c), []).append(c)
-    for code, group in by_code.items():
-        total *= math.factorial(len(group))
-        total *= _component_automorphisms(group[0]) ** len(group)
+    for _, aut in codes:
+        total *= aut
+    for m in Counter(code for code, _ in codes).values():
+        total *= math.factorial(m)
     return total
-
-
-def _component_automorphisms(g: Graph) -> int:
-    n = g.n_vertices
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    colors = _refined_classes(g)
-    adj_sets = [frozenset(idx[u] for u in g.adjacency[v]) for v in g.vertices]
-    count = [0]
-
-    def extend(mapping: list[int], used: set[int]) -> None:
-        i = len(mapping)
-        if i == n:
-            count[0] += 1
-            return
-        for j in range(n):
-            if j in used or colors[j] != colors[i]:
-                continue
-            ok = True
-            for k in range(i):
-                if (k in adj_sets[i]) != (mapping[k] in adj_sets[j]):
-                    ok = False
-                    break
-            if ok:
-                mapping.append(j)
-                used.add(j)
-                extend(mapping, used)
-                mapping.pop()
-                used.discard(j)
-
-    extend([], set())
-    return count[0]

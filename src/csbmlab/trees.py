@@ -2,8 +2,11 @@
 
 Shapes are enumerated once per edge count and cached: grow every tree with k
 edges by attaching a leaf at each structurally-distinct vertex of a tree with
-k-1 edges, then dedup by the center-rooted canonical code. A Prüfer-sequence
-enumerator is kept alongside as the independent oracle for small sizes.
+k-1 edges, then dedup by the center-rooted canonical code (`graphs.tree_code`).
+Everything else about a shape is read off that code: its canonical labels
+are a preorder walk of it, and its |Aut| a product over it
+(`graphs.automorphism_count`). A Prüfer-sequence enumerator is kept
+alongside as the independent oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, _tree_centers, _tree_rooted_code, tree_code
+from .graphs import Graph, _tree_rooted_code, automorphism_count, tree_code
 
 __all__ = [
     "OTTER_ALPHA",
@@ -22,7 +25,6 @@ __all__ = [
     "a_coefficient",
     "prufer_canonical_codes",
     "tree_canonical_key",
-    "tree_automorphisms",
 ]
 
 # Growth-rate constant for the unlabeled tree family: |T_k|^(1/k) -> 1/alpha.
@@ -44,7 +46,7 @@ class TreeShape:
 
 
 # ---------------------------------------------------------------------------
-# Rooted codes, canonical labeling, automorphisms
+# Canonical key and labeling, both from the center-rooted code
 # ---------------------------------------------------------------------------
 
 def tree_canonical_key(g: Graph) -> tuple:
@@ -52,60 +54,26 @@ def tree_canonical_key(g: Graph) -> tuple:
     return tree_code(g.adjacency, g.vertices)
 
 
-def _rooted_aut(adj: dict[int, tuple[int, ...]], root: int, parent: int) -> tuple[tuple, int]:
-    """(rooted code, |Aut| of the rooted tree) in one pass."""
-    children = []
-    for c in adj[root]:
-        if c != parent:
-            children.append(_rooted_aut(adj, c, root))
-    children.sort(key=lambda t: t[0])
-    aut = 1
-    run = 0
-    for i, (code, sub_aut) in enumerate(children):
-        aut *= sub_aut
-        if i > 0 and code == children[i - 1][0]:
-            run += 1
-            aut *= run + 1
-        else:
-            run = 0
-    return tuple(c for c, _ in children), aut
-
-
-def tree_automorphisms(g: Graph) -> int:
-    """|Aut| of a tree from its rooted canonical decomposition."""
-    adj = g.adjacency
-    centers = _tree_centers(adj, list(g.vertices))
-    if len(centers) == 1:
-        return _rooted_aut(adj, centers[0], -1)[1]
-    a, b = centers
-    code_a, aut_a = _rooted_aut(adj, a, b)
-    code_b, aut_b = _rooted_aut(adj, b, a)
-    if code_a == code_b:
-        return 2 * aut_a * aut_b
-    return aut_a * aut_b
-
-
-def _canonical_relabel(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Deterministic relabeling to {0..v-1} from the canonical rooted order."""
-    adj = g.adjacency
-    centers = _tree_centers(adj, list(g.vertices))
-    if len(centers) == 1:
-        root = centers[0]
-    else:
-        a, b = centers
-        root = a if _tree_rooted_code(adj, a, b) <= _tree_rooted_code(adj, b, a) else b
-    label: dict[int, int] = {}
+def _canonical_relabel(code: tuple) -> tuple[tuple[int, int], ...]:
+    """Sorted edges of the tree with center-rooted code `code`, labelled
+    0..v-1 in preorder of a walk that visits children in descending code
+    order, from the center (of a bicentral tree: the one with the lesser half)."""
+    if code[0] == "c1":
+        root = code[1]
+    else:  # the lesser center, with the other one's half as one more child
+        _, lesser, greater = code
+        root = tuple(sorted(lesser + (greater,)))
     edges: list[tuple[int, int]] = []
 
-    def visit(v: int, parent: int) -> None:
-        label[v] = len(label)
-        kids = sorted((c for c in adj[v] if c != parent),
-                      key=lambda c: _tree_rooted_code(adj, c, v), reverse=True)
-        for c in kids:
-            edges.append((label[v], len(label)))
-            visit(c, v)
+    def visit(node: tuple, label: int) -> int:
+        """Label `node`'s subtree from `label` on; returns the next free label."""
+        nxt = label + 1
+        for child in reversed(node):
+            edges.append((label, nxt))
+            nxt = visit(child, nxt)
+        return nxt
 
-    visit(root, -1)
+    visit(root, 0)
     return tuple(sorted(edges))
 
 
@@ -121,7 +89,7 @@ def enumerate_trees(aleph: int) -> tuple[TreeShape, ...]:
     if aleph == 1:
         g = Graph.build([(0, 1)])
         return (TreeShape(g.edges, 1, 2),)
-    shapes: dict[tuple, Graph] = {}
+    shapes: set[tuple] = set()
     for smaller in enumerate_trees(aleph - 1):
         g = smaller.graph()
         seen_sites: set[tuple] = set()
@@ -131,16 +99,13 @@ def enumerate_trees(aleph: int) -> tuple[TreeShape, ...]:
                 continue
             seen_sites.add(site)
             grown = Graph.build(list(g.edges) + [(v, g.n_vertices)])
-            key = tree_canonical_key(grown)
-            if key not in shapes:
-                shapes[key] = grown
+            shapes.add(tree_canonical_key(grown))
     out = []
     for key in sorted(shapes):
-        g = shapes[key]
-        canon = Graph.build(_canonical_relabel(g))
-        if _canonical_relabel(canon) != canon.edges:
+        canon = Graph.build(_canonical_relabel(key))
+        if _canonical_relabel(tree_canonical_key(canon)) != canon.edges:
             raise RuntimeError("canonical tree labeling is not a fixed point")
-        out.append(TreeShape(canon.edges, aleph, tree_automorphisms(canon)))
+        out.append(TreeShape(canon.edges, aleph, automorphism_count(canon)))
     return tuple(out)
 
 

@@ -67,3 +67,58 @@ def test_series_are_appended(tmp_path, monkeypatch):
     assert [p["seed"] for p in series[1]["runs"]] == [5, 6, 7]
     assert set(seen) == {7} and len(seen) == 10
     assert all(s["run_seconds"] == 7 and s["all_correct"] for s in series)
+
+
+def test_regression_verdict_against_the_bound():
+    parent = [1.0, 1.02, 0.98, 1.0]
+    for change, verdict in (([0.7, 0.72, 0.68, 0.7], "worse"),
+                            ([0.8, 0.82, 0.78, 0.8], "within_bound"),
+                            ([1.5, 1.5, 1.5, 1.5], "within_bound")):
+        out = bench_pairs.summarize(pairs_of(parent, change),
+                                    {"rate": "higher", "time": "lower"},
+                                    {"rate": 0.25, "time": 0.25})
+        assert out["rate"]["regression"] == verdict
+        assert out["rate"]["bound"] == 0.25
+    # a lower-is-better metric is worse when it grows
+    out = bench_pairs.summarize(pairs_of(parent, [1.3, 1.32, 1.28, 1.3]),
+                                {"time": "lower"}, {"time": 0.25})
+    assert out["time"]["regression"] == "worse"
+    assert "regression" not in out["rate"]  # no direction, so no verdict
+
+
+def test_wide_parent_spread_is_unresolved():
+    parent = [1.0, 2.0, 1.0, 2.0]  # IQR 1.0 > 0.25 × median 1.5
+    out = bench_pairs.summarize(pairs_of(parent, [1.5] * 4), {"rate": "higher"},
+                                {"rate": 0.25})
+    assert out["rate"]["regression"] == "unresolved"
+    # unless every change run beats every parent run
+    out = bench_pairs.summarize(pairs_of(parent, [2.1] * 4), {"rate": "higher"},
+                                {"rate": 0.25})
+    assert out["rate"]["regression"] == "within_bound"
+    out = bench_pairs.summarize(pairs_of(parent, [0.5] * 4), {"time": "lower"},
+                                {"time": 0.25})
+    assert out["time"]["regression"] == "within_bound"
+
+
+def test_bounds_come_from_end_to_end_metrics(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1,
+             "end_to_end": [{"name": "rate", "better": "higher", "bound": 0.1}],
+             "per_layer": [{"name": "time", "better": "lower"}]}))
+    rates = {"parent": 1.0, "change": 0.5}
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        rate = rates["change" if checkout.endswith("change") else "parent"]
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"rate": rate, "time": rate}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                      str(tmp_path / "change"), "--workload", "w", "--pairs", "2",
+                      "--out", str(out)])
+    summary = json.loads(out.read_text())["workloads"]["w"][0]["summary"]
+    assert summary["rate"]["bound"] == 0.1 and summary["rate"]["regression"] == "worse"
+    assert "regression" not in summary["time"]

@@ -178,6 +178,28 @@ class TestAnalyze:
         assert payload["is_bad"] is True
         assert payload["is_self_bad"] is True
 
+    def test_subsets_enumerated_once_for_admissibility(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the all-subgraph minimum (up to 2^24 edge subsets) runs once per call
+        from csbmlab import density
+
+        calls = []
+        minimum = density._min_phi_log_subgraphs
+
+        def counted(h, p, proper):
+            calls.append(proper)
+            return minimum(h, p, proper)
+
+        monkeypatch.setattr(density, "_min_phi_log_subgraphs", counted)
+        path = tmp_path / "k4.json"
+        path.write_text(Graph.complete(4).to_json())
+        for phi_n in ("10", "1e126"):
+            calls.clear()
+            assert run(["analyze", "--input", str(path), "--N", "3",
+                        "--phi-n", phi_n]) == 0
+            json.loads(capsys.readouterr().out)
+            assert calls.count(False) == 1
+
 
 class TestQuickstart:
     def test_readme_commands(self, tmp_path, monkeypatch, capsys):

@@ -3,10 +3,14 @@ connected counts over vertex identifications, pattern counts, W values."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,6 +705,18 @@ class TestHomBasis:
             expected = 0 if j is None else 2 * d if j == 1 else math.perm(d, j)
             assert value == expected, key
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_core_map_postcondition_survives_optimize(self, flags):
+        # a core whose canonical order is rotated no longer maps onto its
+        # class representative; the explicit raise must report it, with
+        # asserts stripped too
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, *flags, "-c", CORRUPT_CORE_ORDERS],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stdout + done.stderr
+
     def test_committed_tables_regenerate(self):
         for aleph in (7, 8):
             assert load_quotient_table(aleph) == quotient_table(aleph)
@@ -717,6 +733,27 @@ class TestHomBasis:
     def test_closure_sizes(self):
         # connected graphs with at most 1, 2, ..., 6 edges
         assert [len(quotient_table(a)[0]) for a in range(1, 7)] == [1, 2, 5, 10, 22, 52]
+
+
+CORRUPT_CORE_ORDERS = """
+from csbmlab import counting
+search, seen = counting._general_canonical_code, set()
+
+def rotated(g):  # every order of a core code after the first is rotated
+    code, order, aut = search(g)
+    if code in seen:
+        order = order[1:] + order[:1]
+    seen.add(code)
+    return code, order, aut
+
+counting._general_canonical_code = rotated
+try:
+    counting._HomPlan(6, set())
+except RuntimeError as exc:
+    print(exc)
+else:
+    raise SystemExit("no RuntimeError")
+"""
 
 
 def bell(m: int) -> int:

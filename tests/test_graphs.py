@@ -52,6 +52,30 @@ def random_subgraph(rng: random.Random, g: Graph) -> Graph:
     return Graph.build(edges, vertices=verts | set(extra))
 
 
+def random_pattern(rng: random.Random, max_n: int) -> tuple[Graph, set[str]]:
+    """A graph on at most max_n shuffled labels, and which of tree components,
+    cyclic components, isolated vertices and repeated components it has."""
+    parts: list[list[tuple[int, int]]] = []
+    kinds: set[str] = set()
+    used = 0
+    while max_n - used >= 2 and rng.random() < 0.8:
+        k = rng.randint(2, min(5, max_n - used))
+        edges = {(rng.randrange(v), v) for v in range(1, k)}  # a random tree
+        edges |= {e for e in itertools.combinations(range(k), 2) if rng.random() < 0.2}
+        kinds.add("tree" if len(edges) == k - 1 else "cyclic")
+        copies = 2 if used + 2 * k <= max_n and rng.random() < 0.4 else 1
+        kinds |= {"repeated"} if copies == 2 else set()
+        for _ in range(copies):
+            parts.append([(u + used, v + used) for u, v in sorted(edges)])
+            used += k
+    n = rng.randint(used, max_n) if used < max_n else used
+    kinds |= {"isolated"} if n > used else set()
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return Graph.build([(labels[u], labels[v]) for part in parts for u, v in part],
+                       n=n), kinds
+
+
 class TestBasics:
     def test_excess(self):
         assert excess(TRIANGLE) == 0
@@ -397,6 +421,22 @@ class TestIsomorphism:
         assert automorphism_count(TRIANGLE) == 6
         assert automorphism_count(K4) == 24
         assert automorphism_count(Graph.cycle(5)) == 10
+
+    def test_aut_matches_brute_force(self):
+        # random graphs on <= 7 vertices mixing tree and cyclic components,
+        # isolated vertices and repeated identical components
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(150):
+            g, kinds = random_pattern(rng, 7)
+            seen |= kinds
+            edges = g.edge_set
+            brute = sum(
+                all(tuple(sorted((img[u], img[v]))) in edges for u, v in edges)
+                for img in map(dict, (zip(g.vertices, p)
+                                      for p in itertools.permutations(g.vertices))))
+            assert automorphism_count(g) == brute, g.edges
+        assert seen == {"tree", "cyclic", "isolated", "repeated"}
 
     def test_canonical_form_relabel_invariant(self):
         rng = random.Random(3)

@@ -1,5 +1,6 @@
 """Tree catalog: enumeration, automorphisms, statistic weights."""
 
+import hashlib
 import itertools
 import math
 
@@ -18,7 +19,16 @@ from csbmlab.trees import (
 
 class TestEnumeration:
     def test_counts(self):
-        assert [tree_count(a) for a in range(1, 9)] == [1, 1, 2, 3, 6, 11, 23, 47]
+        # OEIS A000055: unlabeled trees on aleph + 1 vertices
+        assert [tree_count(a) for a in range(1, 13)] == [
+            1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
+
+    def test_catalog_fingerprint(self):
+        # canonical labels and |Aut| of every shape with aleph <= 10, pinned
+        shapes = [(s.canonical_edges, s.aut)
+                  for aleph in range(1, 11) for s in enumerate_trees(aleph)]
+        assert hashlib.sha256(repr(shapes).encode()).hexdigest() == (
+            "07e21750735e9cc1eb5883cea490385e4caafa410534d32ade9e42a81208ccb5")
 
     def test_aleph_three_shapes(self):
         shapes = enumerate_trees(3)

@@ -17,6 +17,11 @@ and, for the metrics whose direction `BENCHMARK.json` gives, how many pairs
 the change won (ties count for neither side) and whether a gain is shown:
 the change wins at least 9 in 10 of at least 10 pairs and the medians
 differ by more than the parent's interquartile range (null below 10 pairs).
+An end-to-end metric with a `bound` also gets a no-regression verdict:
+"worse" when the change's median is worse than the parent's by more than
+bound × the parent's median, "within_bound" otherwise, and "unresolved"
+when the parent's own IQR exceeds bound × its median, unless every change
+run beats every parent run.
 """
 
 from __future__ import annotations
@@ -47,14 +52,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def benchmark(checkout: str) -> tuple[float, dict[str, str]]:
-    """The checkout's BENCHMARK.json: run length in seconds, and metric
-    name -> "higher" or "lower"."""
+def benchmark(checkout: str) -> tuple[float, dict[str, str], dict[str, float]]:
+    """The checkout's BENCHMARK.json: run length in seconds, metric name ->
+    "higher" or "lower", and end-to-end metric name -> its bound."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    end_to_end = bench.get("end_to_end", [])
     return bench["run_seconds"], {
-        m["name"]: m["better"]
-        for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+        m["name"]: m["better"] for m in end_to_end + bench.get("per_layer", [])
+    }, {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
 
 
 def spread(xs: list[float]) -> dict:
@@ -63,7 +69,23 @@ def spread(xs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def regression(parent: list[float], change: list[float], sign: int,
+               bound: float) -> str:
+    """"worse" when the change's median is worse than the parent's by more
+    than bound × the parent's median, else "within_bound"; "unresolved"
+    when the parent's IQR exceeds bound × its median, unless every change
+    run beats every parent run."""
+    p, c = spread(parent), spread(change)
+    if min(sign * x for x in change) > max(sign * x for x in parent):
+        return "within_bound"
+    if p["q3"] - p["q1"] > bound * abs(p["median"]):
+        return "unresolved"
+    worse = sign * (p["median"] - c["median"]) > bound * abs(p["median"])
+    return "worse" if worse else "within_bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         parent = [p["parent"]["metrics"][name] for p in pairs]
@@ -78,6 +100,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                      if len(pairs) >= MIN_PAIRS else None)
             row.update(better=better[name], change_wins=wins, pairs=len(pairs),
                        median_gap=gap, parent_iqr=iqr, gain_shown=shown)
+            if bounds and name in bounds:
+                row.update(bound=bounds[name],
+                           regression=regression(parent, change, sign, bounds[name]))
         out[name] = row
     return out
 
@@ -96,7 +121,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    seconds, better = benchmark(sides["change"])
+    seconds, better, bounds = benchmark(sides["change"])
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -118,7 +143,7 @@ def main(argv=None) -> int:
         "run_seconds": seconds, "trace": args.trace, "pairs": args.pairs,
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("parent", "change")),
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, better, bounds),
         "runs": pairs,
     })
     with open(args.out, "w") as fh:
