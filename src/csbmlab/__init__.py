@@ -24,7 +24,7 @@ from .experiments import (
     run_verification_suite,
     sweep,
 )
-from .graphs import Graph, Permutation
+from .graphs import Graph
 from .models import (
     CorrelatedSample,
     ModelParams,
@@ -49,7 +49,6 @@ from .trees import OTTER_ALPHA, TreeShape, enumerate_trees, otter_estimate, tree
 
 __all__ = [
     "Graph",
-    "Permutation",
     "TreeShape",
     "enumerate_trees",
     "tree_count",

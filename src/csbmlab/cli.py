@@ -148,14 +148,11 @@ def _cmd_sample(args) -> int:
     latent = None
     if args.model == "Q":
         a, b = sample_null(params, rng)
-    elif args.model == "P":
-        smp = sample_correlated(params, rng)
-        a, b = smp.a, smp.b
-        latent = {"sigma": list(smp.sigma), "pi": list(smp.pi.image)}
     else:
-        smp = sample_truncated_pair(params, args.N, args.vertex_cap, rng)
+        smp = (sample_correlated(params, rng) if args.model == "P" else
+               sample_truncated_pair(params, args.N, args.vertex_cap, rng))
         a, b = smp.a, smp.b
-        latent = {"sigma": list(smp.sigma), "pi": list(smp.pi.image)}
+        latent = {"sigma": smp.sigma.tolist(), "pi": smp.pi.tolist()}
     _write_graph(a, f"{prefix}_A.{ext}", args.format)
     _write_graph(b, f"{prefix}_B.{ext}", args.format)
     if latent is not None:

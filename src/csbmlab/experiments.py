@@ -91,6 +91,8 @@ class SweepConfig:
             raise ValueError("trials must be >= 2")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0 < self.C < 1:
+            raise ValueError("C must lie in (0, 1)")
         object.__setattr__(self, "s_grid", grid)
 
     def params_at(self, s: float) -> ModelParams:
@@ -156,13 +158,17 @@ def _row_from_samples(s: float, f_p: np.ndarray, f_q: np.ndarray,
     tau = C * predicted_f_mean(params, aleph)
     sd_p = float(f_p.std(ddof=1))
     sd_q = float(f_q.std(ddof=1))
+    mean_p, mean_q = float(f_p.mean()), float(f_q.mean())
     degenerate = sd_p == 0.0 or sd_q == 0.0
     spread = max(sd_p, sd_q)
-    z = (float(f_p.mean()) - float(f_q.mean())) / spread if spread > 0 else math.inf
+    if spread > 0:
+        z = (mean_p - mean_q) / spread
+    else:  # no spread: the sign of the mean gap, and 0 (not 0/0) without one
+        z = math.copysign(math.inf, mean_p - mean_q) if mean_p != mean_q else 0.0
     return DetectionRow(
         s=s,
-        mean_P=float(f_p.mean()), sd_P=sd_p,
-        mean_Q=float(f_q.mean()), sd_Q=sd_q,
+        mean_P=mean_p, sd_P=sd_p,
+        mean_Q=mean_q, sd_Q=sd_q,
         z_separation=z,
         type_I=float((f_q >= tau).mean()),
         type_II=float((f_p < tau).mean()),
@@ -224,13 +230,18 @@ def write_csv(result: ExperimentResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_number(value: float) -> float | None:
+    """JSON has no infinities or NaN; such values are written as null."""
+    return value if math.isfinite(value) else None
+
+
 def write_json(result: ExperimentResult, path: str) -> None:
     payload = {
         "schema": SCHEMA,
-        "reference": {k: (None if math.isinf(v) else v)
-                      for k, v in result.reference.items()},
+        "reference": {k: _json_number(v) for k, v in result.reference.items()},
         "config": result.config,
-        "rows": [dict(row.as_dict(), degenerate=row.degenerate)
+        "rows": [dict({k: _json_number(v) for k, v in row.as_dict().items()},
+                      degenerate=row.degenerate)
                  for row in result.rows],
     }
     with open(path, "w") as fh:

@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "Permutation",
     "excess",
     "leaves",
     "isolated",
@@ -322,27 +321,6 @@ class Graph:
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed graph JSON: needs an 'edges' list and an "
                              f"integer 'n' or a 'vertices' list ({exc})") from exc
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {0..n-1} stored as an image array: i -> image[i]."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        image = np.asarray(self.image)
-        n = len(image)
-        if n and not (image.dtype.kind in "iu" and image.min() >= 0 and image.max() < n
-                      and np.bincount(image, minlength=n).min() == 1):
-            raise ValueError("image is not a permutation of 0..n-1")
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 from .density import MAX_SUBGRAPH_EDGES, DensityParams, is_self_bad
 from .graphs import (
     Graph,
-    Permutation,
     _edge_subset,
     canonical_form,
     connected_components,
@@ -87,13 +86,17 @@ class ModelParams:
         return self.lam * self.s * self.eps ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatedSample:
     """One draw of the planted model: latent labels and matching plus the
-    parent graph and the two observed subsampled graphs."""
+    parent graph and the two observed subsampled graphs.
 
-    sigma: tuple[int, ...]
-    pi: Permutation
+    ``sigma`` and ``pi`` are read-only int64 arrays: ``sigma[u]`` is the
+    community of u and ``pi[u]`` its image in B. Array fields take no part
+    in a generated ``__eq__``, so samples compare by identity."""
+
+    sigma: np.ndarray
+    pi: np.ndarray
     parent: Graph
     a: Graph
     b: Graph
@@ -151,9 +154,11 @@ def _binomial_pairs_between(rng: np.random.Generator, left: np.ndarray,
     return np.stack([left[i], right[j]], axis=1)
 
 
-def sample_sbm(params: ModelParams, rng: np.random.Generator) -> tuple[tuple[int, ...], Graph]:
-    """Uniform labeling plus conditionally independent intra/inter edges."""
+def sample_sbm(params: ModelParams, rng: np.random.Generator) -> tuple[np.ndarray, Graph]:
+    """Uniform labeling (a read-only int64 array) plus conditionally
+    independent intra/inter edges."""
     sigma = rng.integers(0, params.k, size=params.n)
+    sigma.flags.writeable = False
     blocks = [np.flatnonzero(sigma == c) for c in range(params.k)]
     edges = []
     for a in range(params.k):
@@ -161,20 +166,19 @@ def sample_sbm(params: ModelParams, rng: np.random.Generator) -> tuple[tuple[int
         for b in range(a + 1, params.k):
             edges.append(_binomial_pairs_between(rng, blocks[a], blocks[b],
                                                  params.p_inter))
-    return (tuple(sigma.tolist()),
-            Graph.build(np.concatenate(edges), n=params.n))
+    return sigma, Graph.build(np.concatenate(edges), n=params.n)
 
 
-def _correlated_pair(sigma: tuple[int, ...], parent: Graph, params: ModelParams,
+def _correlated_pair(sigma: np.ndarray, parent: Graph, params: ModelParams,
                      rng: np.random.Generator) -> CorrelatedSample:
     """Uniform matching, then A and the relabeled B as independent masks of
     the parent's sorted edges (draws in that order)."""
     image = rng.permutation(params.n)
+    image.flags.writeable = False
     edges = parent.edge_array
     a_edges = edges[rng.random(len(edges)) < params.s]
     b_edges = image[edges][rng.random(len(edges)) < params.s]
-    return CorrelatedSample(sigma=sigma, pi=Permutation(tuple(image.tolist())),
-                            parent=parent,
+    return CorrelatedSample(sigma=sigma, pi=image, parent=parent,
                             a=Graph.build(a_edges, n=params.n),
                             b=Graph.build(b_edges, n=params.n))
 
@@ -264,7 +268,7 @@ def truncate_graph(g: Graph, N: int, vertex_cap: int, rng: np.random.Generator,
 def sample_truncated(params: ModelParams, N: int, vertex_cap: int,
                      rng: np.random.Generator,
                      density: DensityParams | None = None,
-                     ) -> tuple[tuple[int, ...], Graph, Graph]:
+                     ) -> tuple[np.ndarray, Graph, Graph]:
     """Parent SBM plus its truncated version (σ, G, G')."""
     sigma, parent = sample_sbm(params, rng)
     truncated = truncate_graph(parent, N, vertex_cap, rng, density)

@@ -161,17 +161,6 @@ def _rooted_children(shape: TreeShape) -> dict[int, list[int]]:
     return children
 
 
-def _subtree_sizes(children: dict[int, list[int]], root: int = 0) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-
-    def visit(v: int) -> int:
-        sizes[v] = 1 + sum(visit(c) for c in children[v])
-        return sizes[v]
-
-    visit(root)
-    return sizes
-
-
 def _disjoint_mask_pairs(n_colors: int, acc_size: int, child_size: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(acc masks, child masks, union masks) over all disjoint pairs."""
@@ -214,8 +203,6 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
     c = shape.aleph + 1
     n = x.n
     children = _rooted_children(shape)
-    sizes = _subtree_sizes(children)
-    post = _postorder(children)
     q = colorful_probability(shape.aleph)
     adj = x.sparse_adjacency()
     batch = max(1, (1 << 22) // ((1 << c) * max(n, 1)))
@@ -226,7 +213,10 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
         colors = rng.integers(0, c, size=(r_b, n))
         bit = (1 << colors).astype(np.int64)
         dp_cache: dict[int, np.ndarray] = {}
-        for v in post:
+        sizes: dict[int, int] = {}
+        # catalog labels are a preorder (children above their parent), so
+        # walking them downwards finishes every subtree before its root
+        for v in range(shape.aleph, -1, -1):
             acc = np.zeros((r_b, 1 << c, n))
             ridx = np.repeat(np.arange(r_b), n)
             hidx = np.tile(np.arange(n), r_b)
@@ -244,6 +234,7 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
                 acc = new
                 acc_size += csz
             dp_cache[v] = acc
+            sizes[v] = acc_size
         root_dp = dp_cache[0]
         full = (1 << c) - 1
         samples[done: done + r_b] = root_dp[:, full, :].sum(axis=1) / (q * shape.aut)
@@ -251,18 +242,6 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
     if return_samples:
         return samples
     return float(samples.mean())
-
-
-def _postorder(children: dict[int, list[int]], root: int = 0) -> list[int]:
-    out: list[int] = []
-
-    def visit(v: int) -> None:
-        for ch in children[v]:
-            visit(ch)
-        out.append(v)
-
-    visit(root)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +370,8 @@ class TreeCountingDetector:
         return self
 
     def fit(self, X=None, y=None) -> "TreeCountingDetector":
+        if not 0 < self.C < 1:
+            raise ValueError("C must lie in (0, 1)")
         self.params_ = ModelParams(n=self.n, lam=self.lam, k=self.k,
                                    eps=self.eps, s=self.s)
         self.catalog_ = enumerate_trees(self.aleph)

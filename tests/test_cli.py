@@ -313,3 +313,13 @@ class TestConfigAndErrors:
                     "--aleph", "2", "--trials", "2", "--workers", workers,
                     "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("C", ["5", "-1"])
+    def test_threshold_scale_outside_unit_interval(self, tmp_path, capsys, C):
+        # the same check as `detect --C`
+        out = tmp_path / "s.json"
+        assert run(["sweep", "--n", "20", "--lambda", "1.0", "--s-grid", "0.5",
+                    "--aleph", "2", "--trials", "2", "--C", C,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: C must lie in (0, 1)\n"
+        assert not out.exists()

@@ -3,9 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from csbmlab import experiments
 from csbmlab.experiments import (
+    DetectionRow,
+    ExperimentResult,
     SweepConfig,
     run_detection,
     run_verification_suite,
@@ -58,6 +62,20 @@ class TestRunDetection:
         params = ModelParams(n=80, lam=1.0, k=2, eps=0.0, s=0.5)
         row = run_detection(params, aleph=2, trials=2, seed=1)
         assert isinstance(row.degenerate, bool)
+
+    def test_zero_spread_with_equal_means_is_not_separated(self):
+        # λ=0.01 leaves every host edgeless, so all statistics coincide
+        params = ModelParams(n=50, lam=0.01, k=2, eps=0.0, s=0.1)
+        row = run_detection(params, aleph=2, trials=3, seed=0)
+        assert row.degenerate and row.sd_P == row.sd_Q == 0.0
+        assert row.mean_P == row.mean_Q and row.z_separation == 0.0
+
+    @pytest.mark.parametrize("gap", (1.0, -1.0))
+    def test_zero_spread_z_has_the_sign_of_the_mean_gap(self, gap):
+        params = ModelParams(n=50, lam=1.0, k=2, eps=0.0, s=0.5)
+        row = experiments._row_from_samples(0.5, np.full(3, gap), np.zeros(3),
+                                            params, aleph=2, C=0.5)
+        assert row.degenerate and row.z_separation == math.copysign(math.inf, gap)
 
     @pytest.mark.parametrize("trials,workers", [(1, 1), (4, 0), (4, -4)])
     def test_rejects_one_trial_and_no_workers(self, trials, workers):
@@ -143,6 +161,26 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
                         aleph=2, trials=1, seed=0)
+        for C in (0.0, 1.0, 5.0, -1.0):
+            with pytest.raises(ValueError, match=r"C must lie in \(0, 1\)"):
+                SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
+                            aleph=2, trials=2, seed=0, C=C)
+
+    def test_non_finite_row_values(self, tmp_path):
+        # JSON writes null where CSV keeps the float's repr
+        row = DetectionRow(s=0.5, mean_P=1.0, sd_P=0.0, mean_Q=0.0, sd_Q=0.0,
+                           z_separation=math.inf, type_I=0.0, type_II=0.0,
+                           degenerate=True)
+        res = ExperimentResult(rows=(row,), reference={"ks_s": math.inf})
+        write_json(res, tmp_path / "out.json")
+        text = (tmp_path / "out.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        payload = json.loads(text)
+        assert payload["rows"][0]["z_separation"] is None
+        assert payload["rows"][0]["mean_P"] == 1.0
+        write_csv(res, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text().splitlines()[-1] \
+            == "0.5,1.0,0.0,0.0,0.0,inf,0.0,0.0"
 
 
 class TestVerificationSuite:

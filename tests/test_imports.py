@@ -1,5 +1,6 @@
 """Static checks: no module of the package imports a name it never uses,
-and no module-level private helper is left without a caller.
+every name in a module's ``__all__`` is bound in that module, and no
+module-level private helper is left without a caller.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module or listed in
@@ -17,6 +18,13 @@ import csbmlab
 MODULES = sorted(Path(csbmlab.__file__).parent.glob("*.py"))
 
 
+def _exports(tree: ast.Module) -> list[str]:
+    """The names a module lists in ``__all__`` (none without one)."""
+    return [name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
@@ -29,11 +37,7 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exports(tree))
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in used]
 
@@ -46,6 +50,35 @@ def test_no_unused_imports(path):
 def test_check_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == [
         "line 2: b", "line 1: os"]
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level def, class, import or
+    assignment of the module binds. The unused-import check counts every
+    ``__all__`` name as used, so a stale entry would pass it."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return [name for name in _exports(tree) if name not in bound]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
+
+
+def test_check_finds_an_unbound_export():
+    source = ("from a import b\nC = 1\nd: int = 2\n\ndef e():\n    f = 3\n\n"
+              "__all__ = ['b', 'C', 'd', 'e', 'f', 'Gone']\n")
+    assert unbound_exports(source) == ["f", "Gone"]
 
 
 def _names(node: ast.AST) -> Counter:

@@ -26,10 +26,10 @@ from csbmlab.models import (
 P_DENSE = DensityParams.create(n=1e126, D=100, lam=1.0, k=2)
 
 
-def apply_permutation(g, p):
-    """Relabeled graph: vertex v becomes p(v)."""
-    return Graph.build([(p(u), p(v)) for u, v in g.edges],
-                       vertices=[p(v) for v in g.vertices])
+def apply_permutation(g, image):
+    """Relabeled graph: vertex v becomes image[v]."""
+    return Graph.build([(image[u], image[v]) for u, v in g.edges],
+                       vertices=[image[v] for v in g.vertices])
 
 
 class TestParams:
@@ -95,9 +95,9 @@ class TestSbmSampler:
 
     def test_determinism(self):
         params = ModelParams(n=200, lam=1.5, k=2, eps=0.4, s=0.7)
-        a = sample_sbm(params, np.random.default_rng(99))
-        b = sample_sbm(params, np.random.default_rng(99))
-        assert a == b
+        sigma_a, a = sample_sbm(params, np.random.default_rng(99))
+        sigma_b, b = sample_sbm(params, np.random.default_rng(99))
+        assert np.array_equal(sigma_a, sigma_b) and a == b
 
 
 class TestCorrelatedSampler:
@@ -130,7 +130,7 @@ class TestCorrelatedSampler:
             b_edges = smp.b.edge_set
             for u, v in smp.parent.edges:
                 total += 1
-                e = tuple(sorted((smp.pi(u), smp.pi(v))))
+                e = tuple(sorted((smp.pi[u], smp.pi[v])))
                 if smp.a.has_edge(u, v) and e in b_edges:
                     hits += 1
         p_hat = hits / total
@@ -141,7 +141,23 @@ class TestCorrelatedSampler:
         params = ModelParams(n=120, lam=1.0, k=2, eps=0.3, s=0.5)
         a = sample_correlated(params, np.random.default_rng(1))
         b = sample_correlated(params, np.random.default_rng(1))
-        assert a == b
+        assert np.array_equal(a.sigma, b.sigma) and np.array_equal(a.pi, b.pi)
+        assert (a.parent, a.a, a.b) == (b.parent, b.a, b.b)
+
+    @pytest.mark.parametrize("truncated", (False, True))
+    def test_latent_arrays(self, truncated):
+        # sigma and pi are read-only int64 arrays, and pi is a permutation
+        params = ModelParams(n=90, lam=2.0, k=3, eps=0.3, s=0.6)
+        rng = np.random.default_rng(12)
+        smp = (sample_truncated_pair(params, 4, 10, rng) if truncated
+               else sample_correlated(params, rng))
+        for arr in (smp.sigma, smp.pi):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.int64
+            assert arr.shape == (90,) and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert np.array_equal(np.sort(smp.pi), np.arange(90))
+        assert smp.sigma.min() >= 0 and smp.sigma.max() < 3
 
     def test_invariant_checked(self):
         g = Graph.build([(0, 1)], n=3)
@@ -269,10 +285,7 @@ class TestExchangeability:
         smp = sample_correlated(params, np.random.default_rng(41))
         perm_img = list(range(100))
         perm_img = perm_img[1:] + perm_img[:1]
-        from csbmlab.graphs import Permutation
-
-        p = Permutation(tuple(perm_img))
-        ra = apply_permutation(smp.a, p)
+        ra = apply_permutation(smp.a, perm_img)
         assert sorted(smp.a.degree(v) for v in smp.a.vertices) \
             == sorted(ra.degree(v) for v in ra.vertices)
         assert count_cycles(ra, 3) == count_cycles(smp.a, 3)
@@ -304,14 +317,14 @@ class TestSamplerPin:
         rng = np.random.default_rng(seed)
         sigma, g = sample_sbm(params, rng)
         out["sbm"] = ((g.n_edges,), _fingerprint(
-            sigma, g.vertices, g.edges, rng.bit_generator.state))
+            tuple(sigma.tolist()), g.vertices, g.edges, rng.bit_generator.state))
         rng = np.random.default_rng(seed)
         smp = sample_correlated(params, rng)
         out["correlated"] = (
             (smp.parent.n_edges, smp.a.n_edges, smp.b.n_edges),
-            _fingerprint(smp.sigma, smp.pi.image, smp.parent.edges, smp.a.edges,
-                         smp.b.edges, smp.a.vertices, smp.b.vertices,
-                         rng.bit_generator.state))
+            _fingerprint(tuple(smp.sigma.tolist()), tuple(smp.pi.tolist()),
+                         smp.parent.edges, smp.a.edges, smp.b.edges,
+                         smp.a.vertices, smp.b.vertices, rng.bit_generator.state))
         rng = np.random.default_rng(seed)
         qa, qb = sample_null(params, rng)
         out["null"] = ((qa.n_edges, qb.n_edges), _fingerprint(
@@ -371,6 +384,7 @@ class TestSamplerPin:
         rng = np.random.default_rng(8)
         smp = sample_truncated_pair(params, 4, 10, rng)
         got = ((smp.parent.n_edges, smp.a.n_edges, smp.b.n_edges),
-               _fingerprint(smp.sigma, smp.pi.image, smp.parent.edges,
-                            smp.a.edges, smp.b.edges, rng.bit_generator.state))
+               _fingerprint(tuple(smp.sigma.tolist()), tuple(smp.pi.tolist()),
+                            smp.parent.edges, smp.a.edges, smp.b.edges,
+                            rng.bit_generator.state))
         assert got == ((67, 40, 50), 'eafd9b0e3161d7c8')

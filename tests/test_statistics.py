@@ -1,5 +1,6 @@
 """Centered matrices, the three W evaluators, and the assembled statistic."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from csbmlab import statistics
-from csbmlab.graphs import Graph, Permutation
+from csbmlab.graphs import Graph
 from csbmlab.models import ModelParams, sample_correlated, sample_null
 from csbmlab.statistics import (
     CenteredMatrix,
@@ -40,10 +41,10 @@ def psi(pattern, x):
     return out
 
 
-def apply_permutation(g, p):
-    """Relabeled graph: vertex v becomes p(v)."""
-    return Graph.build([(p(u), p(v)) for u, v in g.edges],
-                       vertices=[p(v) for v in g.vertices])
+def apply_permutation(g, image):
+    """Relabeled graph: vertex v becomes image[v]."""
+    return Graph.build([(image[u], image[v]) for u, v in g.edges],
+                       vertices=[image[v] for v in g.vertices])
 
 
 def brute_w(shape, x):
@@ -135,6 +136,21 @@ class TestColorCoding:
                                return_samples=True)
             assert np.allclose(a, b, rtol=1e-11, atol=1e-11)
 
+    def test_samples_pinned(self):
+        # exact samples at a fixed generator, recorded before the DP walked
+        # the labels downwards instead of a recursive postorder
+        rng = random.Random(5)
+        g = random_graph(rng, 11, 0.35)
+        x = CenteredMatrix.from_graph(g, ModelParams(
+            n=11, lam=1.0, k=2, eps=0.2, s=0.7))
+        gen = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for aleph in (4, 5):
+            for shape in enumerate_trees(aleph):
+                digest.update(w_color_coding(shape, x, 5, gen,
+                                             return_samples=True).tobytes())
+        assert (g.n_edges, digest.hexdigest()[:16]) == (23, "871cc94c535d5976")
+
     def test_unbiased_against_exact(self):
         rng = random.Random(21)
         g = random_graph(rng, 12, 0.3)
@@ -214,9 +230,8 @@ class TestTreeStat:
         b = random_graph(rng, 10, 0.35)
         img = list(range(10))
         rng.shuffle(img)
-        perm = Permutation(tuple(img))
         base = f_tree_stat(a, b, params, 3, method="sparse")
-        moved = f_tree_stat(apply_permutation(a, perm), apply_permutation(b, perm),
+        moved = f_tree_stat(apply_permutation(a, img), apply_permutation(b, img),
                             params, 3, method="sparse")
         assert moved.value == base.value  # exact counts: bitwise identical
 
@@ -361,6 +376,11 @@ class TestDetector:
             det.decision_function([(Graph.empty(10), Graph.empty(20))])
         with pytest.raises(TypeError):
             det.decision_function([("x", "y")])
+
+    @pytest.mark.parametrize("C", (0.0, 1.0, 5.0, -1.0))
+    def test_fit_rejects_threshold_scale(self, C):
+        with pytest.raises(ValueError, match=r"C must lie in \(0, 1\)"):
+            TreeCountingDetector(n=20, aleph=2, C=C).fit()
 
     def test_separates_extreme_models(self):
         det = TreeCountingDetector(n=400, lam=4.0, k=2, eps=0.0, s=1.0,
