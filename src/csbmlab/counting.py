@@ -25,8 +25,10 @@ from the package's `tables/` for ℵ = 7, 8, 9). Per host graph, read
 through `Graph.csr`: P of a tree is a homomorphism count, summed from
 rooted-subtree vectors h = Π_children A·h_child; P of a cyclic pattern sums
 products of its pendant trees' vectors over the injective maps of K into
-the host's 2-core, found by a pruned search along orders built once per ℵ.
-Solving the system in order of vertex count gives every injective count.
+the host's 2-core. Those maps are found by one search pruned by degree and
+host distance, over a tree of placement steps built once per ℵ: cores whose
+placement orders begin alike share a node, and its rows, per host. Solving
+the system in order of vertex count gives every injective count.
 
 Everything is exact: counts are Python integers, vectors are int64 only
 while no entry can reach 2^62, and W is the correctly rounded float of the
@@ -276,9 +278,9 @@ def _search_plan(core: Graph) -> tuple[list[int], list[tuple]]:
     for i, v in enumerate(order):
         full = _bfs(adj, v, core.vertex_set)
         part = _bfs(adj, v, set(order[: i + 1]))
-        near = [p for p in range(i) if order[p] in adj[v]]
-        apart = [p for p in range(i) if order[p] not in adj[v]]
-        far = [(p, full[order[p]]) for p in apart if full[order[p]] < part[order[p]]]
+        near = tuple(p for p in range(i) if order[p] in adj[v])
+        apart = tuple(p for p in range(i) if order[p] not in adj[v])
+        far = tuple((p, full[order[p]]) for p in apart if full[order[p]] < part[order[p]])
         steps.append((near, apart, far, len(adj[v])))
     return order, steps
 
@@ -294,7 +296,14 @@ class _HomPlan:
     h = Π_children A·h_child, each message A·h computed once per rooted code;
     P(cyclic Q) = Σ over injective maps φ of Q's 2-core into the host's 2-core
     of Π_c h_pendant(c)[φ(c)]. Then inj follows from the quotient table, one
-    array pass per vertex count."""
+    array pass per vertex count.
+
+    The core maps are searched in the prefix tree `search_tree`. Each
+    pattern core has a placement order (`_search_plan`) and one step per
+    position. The per-core step lists are merged, so a node stands for a
+    distinct step prefix, and a core's maps are the rows of the node where
+    its steps end (at ℵ=8: 4 roots and 133 nodes for the 40 cores' 233
+    steps)."""
 
     def __init__(self, aleph: int, cyclic_keys: set[tuple]) -> None:
         self.aleph = aleph
@@ -308,7 +317,7 @@ class _HomPlan:
         self.tree_out: list[tuple[tuple, int]] = []
         roots: dict[tuple, list[int]] = {}  # center-rooted code -> tree patterns
         core_index: dict[tuple, tuple[int, list[int]]] = {}  # core code -> slot, canonical order
-        self.cores: list[tuple[Graph, list[int], list[tuple]]] = []
+        self.cores: list[tuple[Graph, list[int], list[tuple]]] = []  # core, order, steps
         self.cyclic: list[tuple[int, int, list[tuple[int, tuple]]]] = []
         for key, i in index.items():
             g = graphs[i]
@@ -338,6 +347,17 @@ class _HomPlan:
                     pendants.append((order.index(iso[c]), code))
             self.cyclic.append((i, slot, pendants))
 
+        # the cores' step lists merged into one prefix tree: a node per
+        # distinct step prefix, keyed by its last step (a first step places
+        # one vertex, so a root is keyed by its need alone), holding the core
+        # slots whose steps end there and its children
+        self.search_tree: dict[tuple, tuple[list[int], dict]] = {}
+        for slot, (_, _, steps) in enumerate(self.cores):
+            children = self.search_tree
+            for step in steps:
+                slots, children = children.setdefault(step, ([], {}))
+            slots.append(slot)
+
         # every rooted code a root or a pendant needs, children before parents
         codes: set[tuple] = set()
         stack = list(roots) + [code for *_, ps in self.cyclic for _, code in ps]
@@ -362,9 +382,11 @@ class _HomPlan:
     def core_embeddings(self, core: Graph) -> tuple[np.ndarray, list]:
         """The host 2-core's labels and, per pattern core, its injective maps
         into the host 2-core as rows of positions in those labels (None when
-        the search ran dry). Partial maps are pruned by degree and by host
-        distance; a search whose next level would exceed MAX_CORE_ROWS
-        candidates raises MemoryError."""
+        the search ran dry). Each node of `search_tree` is expanded once, from
+        its parent's rows, and the cores ending at it all get its rows; a
+        node without rows prunes its subtree. Partial maps are pruned by
+        degree and by host distance; a node whose expansion would exceed
+        MAX_CORE_ROWS candidates raises MemoryError."""
         labels = np.array(core.vertices, dtype=np.int64)
         k = len(labels)
         if k == 0:
@@ -388,10 +410,17 @@ class _HomPlan:
                 balls.append(np.sort(pairs.row.astype(np.int64) * k + pairs.col))
             return balls[r]
 
-        out = []
-        for _, _, steps in self.cores:
-            rows = np.flatnonzero(deg >= steps[0][3])[:, None]
-            for near, apart, far, need in steps[1:]:
+        out: list = [None] * len(self.cores)
+        # depth first with an explicit stack of (key, node, parent's rows or
+        # None at a root); a recursive nested function would hold itself in
+        # its closure, a cycle that keeps this host's arrays alive until the
+        # cyclic garbage collector runs
+        stack = [(key, node, None) for key, node in self.search_tree.items()]
+        while stack:
+            (near, apart, far, need), (slots, children), rows = stack.pop()
+            if rows is None:
+                rows = np.flatnonzero(deg >= need)[:, None]
+            else:
                 anchor = rows[:, near[0]]
                 d = deg[anchor]
                 total = int(d.sum())
@@ -414,9 +443,10 @@ class _HomPlan:
                     ok = _has(within(r), rows[parent, p] * k + new)
                     parent, new = parent[ok], new[ok]
                 rows = np.column_stack([rows[parent], new])
-                if not len(rows):
-                    break
-            out.append(rows if len(rows) else None)
+            if len(rows):  # else the subtree's cores keep None
+                for slot in slots:
+                    out[slot] = rows
+                stack.extend((key, node, rows) for key, node in children.items())
         return labels, out
 
     def hom_counts(self, indptr: np.ndarray, indices: np.ndarray,

@@ -1,6 +1,7 @@
 """Exact sparse counting engine: forest counts, their expansion into
 connected counts over vertex identifications, pattern counts, W values."""
 
+import gc
 import itertools
 import math
 import os
@@ -14,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from csbmlab.counting import (counting_engine, falling_factorial,
+from csbmlab.counting import (MAX_CORE_ROWS, counting_engine, falling_factorial,
                               load_quotient_table, quotient_table)
 from csbmlab.experiments import trial_generator
-from csbmlab.graphs import Graph, canonical_form, two_core
+from csbmlab.graphs import Graph, _has, canonical_form, two_core
 from csbmlab.models import ModelParams, sample_correlated, sample_null
 from csbmlab.statistics import CenteredMatrix, w_exact
 from csbmlab.trees import enumerate_trees
@@ -265,6 +267,65 @@ def full_n_hom_counts(plan, indptr: np.ndarray, indices: np.ndarray,
             weight = weight * at_core[j][rows[:, col]]
         hom[i] = weight.sum()
     return hom
+
+
+def per_core_embeddings(plan, core: Graph) -> tuple[np.ndarray, list]:
+    """What `plan.core_embeddings` returned when it searched the pattern
+    cores one after another, each along its own steps, with no rows shared
+    between cores."""
+    labels = np.array(core.vertices, dtype=np.int64)
+    k = len(labels)
+    if k == 0:
+        return labels, [None] * len(plan.cores)
+    ends = np.searchsorted(labels, core.edge_array)
+    keys = np.sort(np.concatenate([ends[:, 0] * k + ends[:, 1],
+                                   ends[:, 1] * k + ends[:, 0]]))
+    src, dst = np.divmod(keys, k)
+    indptr = np.searchsorted(src, np.arange(k + 1))
+    deg = np.diff(indptr)
+    step = sp.csr_matrix((np.ones(len(keys), dtype=bool), (src, dst)), shape=(k, k))
+    step = step + sp.identity(k, dtype=bool, format="csr")
+    balls = [None, keys]  # balls[r]: sorted keys of the pairs at distance <= r
+    reach = step
+
+    def within(r: int) -> np.ndarray:
+        nonlocal reach
+        while len(balls) <= r:
+            reach = reach @ step
+            pairs = reach.tocoo()
+            balls.append(np.sort(pairs.row.astype(np.int64) * k + pairs.col))
+        return balls[r]
+
+    out = []
+    for _, _, steps in plan.cores:
+        rows = np.flatnonzero(deg >= steps[0][3])[:, None]
+        for near, apart, far, need in steps[1:]:
+            anchor = rows[:, near[0]]
+            d = deg[anchor]
+            total = int(d.sum())
+            if total > MAX_CORE_ROWS:
+                raise MemoryError(
+                    f"core search needs {total} candidate rows (> {MAX_CORE_ROWS}): "
+                    f"the host 2-core ({k} vertices, max degree {deg.max()}) is "
+                    f"too dense for exact counting at aleph={plan.aleph}")
+            parent = np.repeat(np.arange(len(rows)), d)
+            new = dst[np.repeat(indptr[anchor] - np.cumsum(d) + d, d) + np.arange(total)]
+            ok = deg[new] >= need
+            parent, new = parent[ok], new[ok]
+            for p in near[1:]:
+                ok = _has(keys, rows[parent, p] * k + new)
+                parent, new = parent[ok], new[ok]
+            for p in apart:
+                ok = rows[parent, p] != new
+                parent, new = parent[ok], new[ok]
+            for p, r in far:
+                ok = _has(within(r), rows[parent, p] * k + new)
+                parent, new = parent[ok], new[ok]
+            rows = np.column_stack([rows[parent], new])
+            if not len(rows):
+                break
+        out.append(rows if len(rows) else None)
+    return labels, out
 
 
 def exact_w(eng, graph: Graph, c0: float, c1: float) -> list[float]:
@@ -601,6 +662,108 @@ class TestSupportCounting:
         host = Graph.empty(10)
         hom = plan.hom_counts(*host.csr, plan.core_embeddings(two_core(host)))
         assert hom.dtype == np.int64 and not hom.any()
+
+
+def sampled_host(n: int, lam: float, s: float, seed: int, trial: int = 0) -> Graph:
+    params = ModelParams(n=n, lam=lam, k=2, eps=0.3, s=s)
+    return sample_correlated(params, trial_generator(seed, 0, trial, 0)).a
+
+
+def steps_tree_size(tree: dict) -> tuple[int, int, list[int]]:
+    """Roots, nodes, and the core slots ending at each node, concatenated."""
+    nodes, ends, stack = 0, [], list(tree.values())
+    while stack:
+        here, children = stack.pop()
+        nodes += 1
+        ends += here
+        stack += children.values()
+    return len(tree), nodes, ends
+
+
+class TestSharedCoreSearch:
+    """The pattern cores searched as one prefix tree against the per-core
+    search oracle."""
+
+    @pytest.mark.parametrize("host", [
+        pytest.param(lambda: sampled_host(3000, 1.2, 0.3, 12), id="c12-s0.3"),
+        pytest.param(lambda: sampled_host(3000, 1.2, 0.9, 12), id="c12-s0.9"),
+        pytest.param(lambda: sampled_host(3000, 1.2, 0.9, 12, trial=1), id="c12-s0.9-b"),
+        pytest.param(lambda: sampled_host(3000, 2.0, 0.8, 3000), id="lam2"),
+        pytest.param(lambda: sampled_host(3000, 3.0, 0.8, 3000), id="lam3"),
+        pytest.param(lambda: sampled_host(100_000, 1.2, 0.8, 1), id="n1e5"),
+        # a lone 5-cycle among isolated vertices: every root that needs
+        # degree >= 3 is empty, and so is every other node under the
+        # degree-2 root
+        pytest.param(lambda: Graph.build([(2, 3), (3, 5), (5, 8), (8, 9), (2, 9)],
+                                         n=12), id="lone-cycle"),
+        pytest.param(lambda: Graph.empty(5), id="empty"),
+    ])
+    def test_rows_equal_the_per_core_search(self, host):
+        plan = counting_engine(8).plan
+        core = two_core(host())
+        labels, got = plan.core_embeddings(core)
+        want_labels, want = per_core_embeddings(plan, core)
+        assert np.array_equal(labels, want_labels)
+        assert len(got) == len(want) == len(plan.cores)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_dense_host_raises_on_both_paths(self):
+        plan = counting_engine(8).plan
+        core = two_core(Graph.complete(60))
+        with pytest.raises(MemoryError, match="too dense for exact counting"):
+            plan.core_embeddings(core)
+        with pytest.raises(MemoryError, match="too dense for exact counting"):
+            per_core_embeddings(plan, core)
+
+    def test_prefixes_are_shared(self):
+        # the 40 cores' 233 steps at aleph 8 merge into 133 prefixes
+        plan = counting_engine(8).plan
+        assert len(plan.cores) == 40
+        assert sum(len(steps) for _, _, steps in plan.cores) == 233
+        roots, nodes, ends = steps_tree_size(plan.search_tree)
+        assert (roots, nodes) == (4, 133)
+        assert sorted(ends) == list(range(len(plan.cores)))
+        for slot, (_, _, steps) in enumerate(plan.cores):
+            children = plan.search_tree
+            for step in steps:
+                here, children = children[step]
+            assert slot in here
+
+    def test_each_node_is_expanded_once(self, monkeypatch):
+        # K_8 holds every core with at most 8 vertices, so no node runs dry:
+        # one expansion per non-root node, where the per-core search made
+        # one per non-first step of every core
+        plan = counting_engine(8).plan
+        core = two_core(Graph.complete(8))
+        calls = []
+        column_stack = np.column_stack
+
+        def counted(arrays):
+            calls.append(1)
+            return column_stack(arrays)
+
+        monkeypatch.setattr(np, "column_stack", counted)
+        _, got = plan.core_embeddings(core)
+        assert all(rows is not None for rows in got)
+        assert len(calls) == 133 - 4
+        calls.clear()
+        per_core_embeddings(plan, core)
+        assert len(calls) == 233 - 40
+
+    def test_search_leaves_no_reference_cycle(self):
+        # a walk that holds the host's arrays in a reference cycle keeps
+        # them alive until the cyclic collector runs
+        plan = counting_engine(8).plan
+        core = two_core(sampled_host(3000, 2.0, 0.8, 3000))
+        plan.core_embeddings(core)
+        gc.collect()
+        gc.disable()
+        try:
+            plan.core_embeddings(core)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDeepAlgebra:
