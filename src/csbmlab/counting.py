@@ -23,7 +23,9 @@ block. The system is unitriangular with graph-independent integer
 coefficients (`quotient_table`; built at run time up to ℵ = 6 and loaded
 from the package's `tables/` for ℵ = 7, 8, 9). Per host graph, read
 through `Graph.csr`: P of a tree is a homomorphism count, summed from
-rooted-subtree vectors h = Π_children A·h_child; P of a cyclic pattern sums
+rooted-subtree vectors h = Π_children A·h_child, each message A·h one int64
+CSR matvec over the host's non-isolated vertices (one `add.reduceat` over
+the neighbour segments for Python-integer vectors); P of a cyclic pattern sums
 products of its pendant trees' vectors over the injective maps of K into
 the host's 2-core. Those maps are found by one search pruned by degree and
 host distance, over a tree of placement steps built once per ℵ: cores whose
@@ -459,8 +461,11 @@ class _HomPlan:
         The vectors run over the support, the non-isolated vertices relabelled
         0..|S|-1 in order. That is exact: every table pattern has an edge, so
         no map of one sends a vertex to an isolated host vertex, and an
-        isolated vertex sends no message. No support vertex has an empty
-        neighbour segment, so a message is one `add.reduceat`; the host
+        isolated vertex sends no message. The support adjacency is built once
+        as an int64 CSR matrix, so a message A·h is one compiled CSR matvec,
+        exact in int64 under the same bound; Python-integer vectors, which
+        scipy has no kernel for, sum each neighbour segment with one
+        `add.reduceat` (no support vertex has an empty one). The host
         2-core's vertices have degree >= 2, so all lie in the support."""
         labels, embeddings = core
         n = len(indptr) - 1
@@ -472,19 +477,27 @@ class _HomPlan:
         starts = indptr[:-1][deg > 0]
         support = len(starts)
         at_labels = pos[labels]
+        if exact:
+            adj = sp.csr_matrix((np.ones(len(nbr), dtype=np.int64), nbr,
+                                 np.append(starts, len(nbr))), shape=(support, support))
         hom = np.zeros(self.size, dtype)
         msg: dict[int, np.ndarray] = {}
         at_core: dict[int, np.ndarray] = {}
         for j, (children, spread, trees, pendant, done) in enumerate(self.jobs):
-            h = msg[children[0]] if children else np.ones(support, dtype)
-            for c in children[1:]:
-                h = h * msg[c]
+            if not children:
+                h = np.ones(support, dtype)
+            elif len(children) == 1:
+                h = msg[children[0]]
+            else:  # a fresh product, so later factors never touch a message
+                h = msg[children[0]] * msg[children[1]]
+                for c in children[2:]:
+                    np.multiply(h, msg[c], out=h)
             if trees:
                 hom[trees] = h.sum()
             if pendant and len(labels):
                 at_core[j] = h[at_labels]
             if spread:
-                msg[j] = np.add.reduceat(h[nbr], starts)
+                msg[j] = adj @ h if exact else np.add.reduceat(h[nbr], starts)
             for c in done:
                 del msg[c]
         for i, r, pendants in self.cyclic:

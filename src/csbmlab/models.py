@@ -4,7 +4,9 @@ short-cycle/density-truncated variant.
 All samplers take an explicit numpy Generator and are bit-reproducible for a
 fixed stream: edge sets are drawn per block pair as a Binomial count followed
 by a uniform distinct-pair sample, which reproduces independent Bernoulli
-edges in O(expected edges) time. Edges stay ``(m, 2)`` arrays, masked and
+edges in O(expected edges) time. The sample is deduplicated by a sort and
+an adjacent-difference mask, not `np.unique`, whose int64 hash path is far
+slower on draws this size. Edges stay ``(m, 2)`` arrays, masked and
 relabelled by numpy, until `Graph.build` makes each host straight from its
 array, which the host keeps as `Graph.edge_array`; the generator calls and
 their order are those of the former per-edge Python samplers.
@@ -107,14 +109,16 @@ class CorrelatedSample:
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, m: int) -> np.ndarray:
-    """Uniform m-subset of range(total) by iid draws with dedup."""
+    """Uniform m-subset of range(total), sorted, by iid draws deduplicated
+    by a sort and an adjacent-difference mask."""
     if m > total:
         raise ValueError("cannot sample more pairs than exist")
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < m:
         need = m - chosen.size
         batch = rng.integers(0, total, size=need + max(4, need // 4), dtype=np.int64)
-        chosen = np.unique(np.concatenate([chosen, batch]))
+        chosen = np.sort(np.concatenate([chosen, batch]))
+        chosen = chosen[np.diff(chosen, prepend=-1) != 0]
         if chosen.size > m:
             # keep a uniform subset of what we have
             keep = rng.permutation(chosen.size)[:m]

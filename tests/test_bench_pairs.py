@@ -66,7 +66,8 @@ def test_series_are_appended(tmp_path, monkeypatch):
     assert [s["pairs"] for s in series] == [2, 3]
     assert [p["seed"] for p in series[1]["runs"]] == [5, 6, 7]
     assert set(seen) == {7} and len(seen) == 10
-    assert all(s["run_seconds"] == 7 and s["all_correct"] for s in series)
+    assert all(s["run_seconds"] == 7 and s["all_correct"] and s["complete"]
+               and "failed_run" not in s for s in series)
 
 
 def test_regression_verdict_against_the_bound():
@@ -122,3 +123,38 @@ def test_bounds_come_from_end_to_end_metrics(tmp_path, monkeypatch):
     summary = json.loads(out.read_text())["workloads"]["w"][0]["summary"]
     assert summary["rate"]["bound"] == 0.1 and summary["rate"]["regression"] == "worse"
     assert "regression" not in summary["time"]
+
+
+FAKE_RUN = """\
+import json, pathlib, sys
+calls = pathlib.Path(__file__).with_name("calls")
+n = int(calls.read_text()) + 1 if calls.exists() else 1
+calls.write_text(str(n))
+if n == {fail_at}:
+    sys.exit("run {fail_at} fails")
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {{"rate": {{"value": {rate}}}}}}}))
+"""
+
+
+def test_finished_pairs_are_kept_when_a_run_fails(tmp_path):
+    for side, rate, fail_at in (("parent", 1.0, 0), ("change", 2.0, 2)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [{"name": "rate", "better": "higher"}]}))
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            FAKE_RUN.format(fail_at=fail_at, rate=rate))
+    out = tmp_path / "bench.json"
+    # pair 0 runs parent then change; pair 1 runs the change first, its second call
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "w",
+                             "--pairs", "3", "--seed", "40", "--out", str(out)])
+    assert code != 0
+    series = json.loads(out.read_text())["workloads"]["w"]
+    assert len(series) == 1
+    done = series[0]
+    assert done["complete"] is False
+    assert done["failed_run"] == {"side": "change", "seed": 41}
+    assert done["pairs"] == 1 and [p["seed"] for p in done["runs"]] == [40]
+    assert done["runs"][0]["change"]["metrics"] == {"rate": 2.0}
+    assert done["summary"]["rate"]["change_wins"] == 1 and done["all_correct"]

@@ -634,6 +634,11 @@ class TestSupportCounting:
         yield Graph.build([(5, 9), (9, 12), (5, 12), (12, 20), (20, 31), (31, 40)],
                           n=50)
         yield Graph.empty(10)
+        # the stars either side of n·Δ^8 < 2^62: K_{1,118} is the largest that
+        # stays int64 (119·118^8 < 2^62), so the CSR matvec runs at its
+        # largest admissible values, and K_{1,119} is counted in Python ints
+        yield Graph.build([(0, i) for i in range(1, 119)], n=119)
+        yield Graph.build([(0, i) for i in range(1, 120)], n=120)
         yield Graph.build([(0, i) for i in range(1, 301)], n=301)  # object dtype
 
     def test_equals_the_full_n_vectors(self):
@@ -646,7 +651,9 @@ class TestSupportCounting:
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
             dtypes.append(got.dtype)
-        assert dtypes[0] == np.int64 and dtypes[-1] == object
+        assert 119 * 118 ** 8 < 2 ** 62 <= 120 * 119 ** 8
+        assert dtypes[0] == np.int64
+        assert dtypes[-3:] == [np.int64, object, object]
 
     def test_relabelled_core_is_counted(self):
         # the triangle host's cyclic patterns count through the relabelled core

@@ -388,3 +388,41 @@ class TestSamplerPin:
                             smp.parent.edges, smp.a.edges, smp.b.edges,
                             rng.bit_generator.state))
         assert got == ((67, 40, 50), 'eafd9b0e3161d7c8')
+
+
+def _sample_distinct_by_unique(rng, total, m):
+    """The former body of `models._sample_distinct`, deduping with
+    `np.unique`, kept as an oracle; also says whether it trimmed."""
+    chosen = np.empty(0, dtype=np.int64)
+    trimmed = False
+    while chosen.size < m:
+        need = m - chosen.size
+        batch = rng.integers(0, total, size=need + max(4, need // 4), dtype=np.int64)
+        chosen = np.unique(np.concatenate([chosen, batch]))
+        if chosen.size > m:
+            trimmed = True
+            keep = rng.permutation(chosen.size)[:m]
+            chosen = chosen[np.sort(keep)]
+    return chosen, trimmed
+
+
+class TestSampleDistinct:
+    """The sort-based dedupe gives the oracle's array and leaves the
+    generator where the oracle leaves it."""
+
+    CASES = [(10, 0), (1, 1), (7, 7), (60, 60), (60, 55), (200, 150),
+             (1000, 40), (10**6, 5000), (3000 * 2999 // 2, 1762)]
+
+    @pytest.mark.parametrize("seed", (0, 1, 7, 12))
+    def test_equals_the_unique_oracle(self, seed):
+        trims = []
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for total, m in self.CASES:
+            got = models._sample_distinct(got_rng, total, m)
+            want, trimmed = _sample_distinct_by_unique(want_rng, total, m)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert len(got) == m and np.all(np.diff(got) > 0)
+            trims.append(trimmed)
+        assert models._sample_distinct(np.random.default_rng(seed), 7, 7).tolist() == list(range(7))
+        assert any(trims) and not all(trims)  # the trim branch ran, and not always

@@ -22,6 +22,10 @@ An end-to-end metric with a `bound` also gets a no-regression verdict:
 bound × the parent's median, "within_bound" otherwise, and "unresolved"
 when the parent's own IQR exceeds bound × its median, unless every change
 run beats every parent run.
+
+If a perfbench run exits nonzero, the pairs finished before it are still
+appended, as a series marked `"complete": false` that names the failing
+run's side and seed, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ import time
 MIN_PAIRS = 10  # fewest pairs from which a gain can be shown
 
 
+class RunFailed(Exception):
+    """A perfbench run that exited nonzero."""
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     """One perfbench run inside `checkout`; its final JSON line."""
@@ -44,8 +52,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited "
-                         f"{done.returncode}:\n{done.stderr[-2000:]}")
+        raise RunFailed(f"bench_pairs: {' '.join(cmd)} in {checkout} exited "
+                        f"{done.returncode}:\n{done.stderr[-2000:]}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -122,16 +130,21 @@ def main(argv=None) -> int:
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     seconds, better, bounds = benchmark(sides["change"])
-    pairs = []
+    pairs, failure = [], None
     for i in range(args.pairs):
         seed = args.seed + i
         first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": first}
-        for side in (first, second):
-            t = time.perf_counter()
-            pair[side] = run_once(sides[side], args.workload, seed, seconds, args.trace)
-            print(f"pair {i} {side:<6} {time.perf_counter() - t:6.1f} s "
-                  f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+        try:
+            for side in (first, second):
+                t = time.perf_counter()
+                pair[side] = run_once(sides[side], args.workload, seed, seconds, args.trace)
+                print(f"pair {i} {side:<6} {time.perf_counter() - t:6.1f} s "
+                      f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+        except RunFailed as exc:
+            print(exc, file=sys.stderr)
+            failure = {"side": side, "seed": seed}
+            break
         pairs.append(pair)
 
     key = args.workload + (" traced" if args.trace else "")
@@ -139,17 +152,21 @@ def main(argv=None) -> int:
     if os.path.isfile(args.out):
         with open(args.out) as fh:
             report = json.load(fh)
-    report["workloads"].setdefault(key, []).append({
-        "run_seconds": seconds, "trace": args.trace, "pairs": args.pairs,
+    series = {
+        "run_seconds": seconds, "trace": args.trace, "pairs": len(pairs),
+        "complete": failure is None,
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("parent", "change")),
-        "summary": summarize(pairs, better, bounds),
+        "summary": summarize(pairs, better, bounds) if pairs else {},
         "runs": pairs,
-    })
+    }
+    if failure:
+        series["failed_run"] = failure
+    report["workloads"].setdefault(key, []).append(series)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return 0
+    return 0 if failure is None else 1
 
 
 if __name__ == "__main__":
