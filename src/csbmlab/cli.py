@@ -27,7 +27,7 @@ from .experiments import (
     write_csv,
     write_json,
 )
-from .statistics import f_tree_stat, threshold_test
+from .statistics import METHODS, f_tree_stat, threshold_test
 from .trees import enumerate_trees, tree_count
 
 __all__ = ["main", "build_parser"]
@@ -92,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--k", type=int, default=2)
     p_detect.add_argument("--eps", type=float, default=0.0)
     p_detect.add_argument("--s", type=float, required=True)
-    p_detect.add_argument("--method", choices=("auto", "exact", "sparse", "cc"),
-                          default="auto")
+    p_detect.add_argument("--method", choices=METHODS, default="sparse")
     p_detect.add_argument("--reps", type=int)
     p_detect.add_argument("--C", type=float, default=0.5)
 
@@ -107,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated increasing values in (0,1]")
     p_sweep.add_argument("--aleph", type=int, required=True)
     p_sweep.add_argument("--trials", type=int, default=200)
-    p_sweep.add_argument("--method", choices=("auto", "exact", "sparse", "cc"),
-                         default="auto")
+    p_sweep.add_argument("--method", choices=METHODS, default="sparse")
     p_sweep.add_argument("--reps", type=int)
     p_sweep.add_argument("--C", type=float, default=0.5)
     p_sweep.add_argument("--workers", type=int, default=1)

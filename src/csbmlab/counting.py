@@ -567,9 +567,6 @@ class CountingEngine:
         self.aleph = aleph
         self.catalog = enumerate_trees(aleph)
         self.algebra = _Algebra()
-        # register every tree shape up to aleph edges as a known pattern
-        tree_keys = {self.algebra.register(shape.canonical_edges)
-                     for e in range(1, aleph + 1) for shape in enumerate_trees(e)}
 
         # decompose every catalog shape's edge subsets into forest multisets
         self.forest_defs: dict[tuple, tuple] = {}  # forest key -> component keys
@@ -593,10 +590,12 @@ class CountingEngine:
             self.forest_expansion[fkey] = [(c, prod) for prod, c in sorted(
                 expansion.items(), key=repr)]
 
-        # needed keys are connected with at most aleph edges, so the ones
-        # that are not tree shapes up to aleph edges are exactly the cyclic ones
+        # every tree with at most aleph edges is a component of some catalog
+        # edge subset, so the needed keys hold all of them; the rest are cyclic
         needed = self._needed_keys()
-        self.cyclic_keys = needed - tree_keys
+        patterns = self.algebra.patterns
+        self.cyclic_keys = {key for key in needed
+                            if patterns[key].n_edges >= patterns[key].n_vertices}
         self.plan = _HomPlan(aleph, self.cyclic_keys)
 
         # the expansions as index arrays: per term, its factors' slots among

@@ -38,7 +38,7 @@ from .moments import (
     moment_closed_form,
     predicted_f_mean,
 )
-from .statistics import CenteredMatrix, f_tree_stat, resolve_method, w_color_coding, w_exact
+from .statistics import METHODS, CenteredMatrix, f_tree_stat, w_color_coding, w_exact
 from .trees import (
     OTTER_ALPHA,
     a_coefficient,
@@ -76,7 +76,7 @@ class SweepConfig:
     aleph: int
     trials: int
     seed: int
-    method: str = "auto"
+    method: str = "sparse"
     reps: int | None = None
     C: float = 0.5
     workers: int = 1
@@ -93,6 +93,8 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
         if not 0 < self.C < 1:
             raise ValueError("C must lie in (0, 1)")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}")
         object.__setattr__(self, "s_grid", grid)
 
     def params_at(self, s: float) -> ModelParams:
@@ -177,7 +179,7 @@ def _row_from_samples(s: float, f_p: np.ndarray, f_q: np.ndarray,
 
 
 def run_detection(params: ModelParams, aleph: int, trials: int, seed: int,
-                  method: str = "auto", reps: int | None = None, C: float = 0.5,
+                  method: str = "sparse", reps: int | None = None, C: float = 0.5,
                   workers: int = 1) -> DetectionRow:
     """Empirical moments, z-separation and both error rates for one grid
     point: the one row of a sweep over ``s_grid=(params.s,)``."""
@@ -191,13 +193,12 @@ def sweep(cfg: SweepConfig) -> ExperimentResult:
     """Detection rows over the whole s grid, plus the reference thresholds.
 
     The reference lines are reported, never consulted by any decision."""
-    method = resolve_method(cfg.method, cfg.n, cfg.aleph)
-    if method == "sparse":
+    if cfg.method == "sparse":
         counting_engine(cfg.aleph)  # build before any fork so workers share it
     tasks = []
     for s_index, s in enumerate(cfg.s_grid):
         params = cfg.params_at(s)
-        tasks.extend((cfg.seed, s_index, t, params, cfg.aleph, method, cfg.reps)
+        tasks.extend((cfg.seed, s_index, t, params, cfg.aleph, cfg.method, cfg.reps)
                      for t in range(cfg.trials))
     if cfg.workers == 1:
         results = [_one_trial(t) for t in tasks]
@@ -215,7 +216,7 @@ def sweep(cfg: SweepConfig) -> ExperimentResult:
     reference = {"sqrt_alpha": cfg.sqrt_alpha, "ks_s": cfg.ks_s}
     config = {"n": cfg.n, "lam": cfg.lam, "k": cfg.k, "eps": cfg.eps,
               "aleph": cfg.aleph, "trials": cfg.trials, "seed": cfg.seed,
-              "method": method, "reps": cfg.reps, "C": cfg.C}
+              "method": cfg.method, "reps": cfg.reps, "C": cfg.C}
     return ExperimentResult(rows=tuple(rows), reference=reference, config=config)
 
 

@@ -2,13 +2,14 @@
 
 The per-entry centering maps an adjacency bit to a mean-zero unit-variance
 value under the null density p = λs/n. Per-shape sums W of centered products
-over injective tree embeddings come from three interchangeable evaluators:
+over injective tree embeddings come from one of three ``METHODS``:
 
-* ``w_exact`` - direct sum over all injective maps (small hosts only);
-* color coding - unbiased estimator via rainbow-embedding dynamic
-  programming over color subsets, whose messages split each entry into a
-  rank-one part plus a sparse part, so the n² entries are never materialised;
-* the sparse exact engine from :mod:`csbmlab.counting` (default at scale).
+* ``"sparse"`` (the default) - the exact engine of :mod:`csbmlab.counting`;
+* ``"exact"`` - ``w_exact``, the brute-force reference over all injective
+  maps, within ``EXACT_BUDGET_N`` vertices and ``EXACT_BUDGET_ALEPH`` edges;
+* ``"cc"`` - color coding, an unbiased estimator via rainbow-embedding
+  dynamic programming over color subsets, whose messages split each entry into
+  a rank-one part plus a sparse part, so the n² entries are never materialised.
 
 The pair statistic is Σ_shapes a_shape · W_shape(A) · W_shape(B), thresholded
 at a fixed fraction of its predicted planted mean.
@@ -44,6 +45,7 @@ __all__ = [
 
 EXACT_BUDGET_N = 40
 EXACT_BUDGET_ALEPH = 4
+METHODS = ("exact", "sparse", "cc")
 
 
 @dataclass(frozen=True)
@@ -272,21 +274,12 @@ def _w_all(graph: Graph, params: ModelParams, aleph: int, method: str,
     raise ValueError(f"unknown method {method!r}")
 
 
-def resolve_method(method: str, n: int, aleph: int) -> str:
-    if method != "auto":
-        return method
-    if n <= EXACT_BUDGET_N and aleph <= EXACT_BUDGET_ALEPH:
-        return "exact"
-    return "sparse"
-
-
 def f_tree_stat(a: Graph, b: Graph, params: ModelParams, aleph: int,
-                method: str = "auto", reps: int | None = None,
+                method: str = "sparse", reps: int | None = None,
                 rng: np.random.Generator | None = None) -> TreeStatResult:
     """Tree-counting pair statistic Σ_shapes a_shape·W_shape(A)·W_shape(B)."""
     if a.n_vertices != params.n or b.n_vertices != params.n:
         raise ValueError("graphs must live on the model's vertex set")
-    method = resolve_method(method, params.n, aleph)
     if reps is None:
         reps = default_reps(params, aleph) if method == "cc" else 0
     w_a = _w_all(a, params, aleph, method, reps, rng)
@@ -342,7 +335,7 @@ class TreeCountingDetector:
 
     def __init__(self, n: int = 1000, lam: float = 1.0, k: int = 2,
                  eps: float = 0.0, s: float = 0.8, aleph: int = 4,
-                 method: str = "auto", reps: int | None = None,
+                 method: str = "sparse", reps: int | None = None,
                  C: float = 0.5, seed: int = 0):
         self.n = n
         self.lam = lam

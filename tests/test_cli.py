@@ -80,6 +80,22 @@ class TestDetect:
         assert capsys.readouterr().err == (
             "error: host graphs must use the dense universe 0..n-1\n")
 
+    def test_default_method_is_the_engine(self, tmp_path, capsys):
+        # n=12, ℵ=3 lies within the brute-force budget
+        prefix = str(tmp_path / "d")
+        run(["sample", "--model", "Q", "--n", "12", "--lambda", "1.5",
+             "--s", "0.8", "--seed", "1", "--out", prefix])
+        capsys.readouterr()
+        inputs = ["--input-a", f"{prefix}_A.json", "--input-b", f"{prefix}_B.json",
+                  "--aleph", "3", "--lambda", "1.5", "--s", "0.8"]
+        assert run(["detect", *inputs]) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert run(["detect", *inputs, "--method", "sparse"]) == 0
+        assert default["method"] == "sparse"
+        assert default == json.loads(capsys.readouterr().out)
+        assert run(["detect", *inputs, "--method", "auto"]) == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
     def test_size_mismatch_is_usage_error(self, tmp_path):
         ga, gb = tmp_path / "a.json", tmp_path / "b.json"
         ga.write_text(Graph.empty(5).to_json())

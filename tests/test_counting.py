@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from csbmlab import counting
 from csbmlab.counting import (MAX_CORE_ROWS, counting_engine, falling_factorial,
-                              load_quotient_table, quotient_table)
+                              load_quotient_table, quotient_table, write_quotient_table)
 from csbmlab.experiments import trial_generator
 from csbmlab.graphs import Graph, _has, canonical_form, two_core
 from csbmlab.models import ModelParams, sample_correlated, sample_null
@@ -890,6 +891,17 @@ class TestHomBasis:
     def test_committed_tables_regenerate(self):
         for aleph in (7, 8):
             assert load_quotient_table(aleph) == quotient_table(aleph)
+
+    def test_written_table_loads_back(self, tmp_path, monkeypatch):
+        # the writer is the only way to regenerate a committed table; check
+        # it round-trips through the loader, and the loader's aleph guard
+        monkeypatch.setattr(counting, "_table_path",
+                            lambda aleph: tmp_path / f"quotients{aleph}.json")
+        assert write_quotient_table(5) == tmp_path / "quotients5.json"
+        assert load_quotient_table(5) == quotient_table(5)
+        (tmp_path / "quotients5.json").rename(tmp_path / "quotients6.json")
+        with pytest.raises(RuntimeError, match="holds the table of aleph=5"):
+            load_quotient_table(6)
 
     def test_aleph_nine_table(self):
         graphs, rows = load_quotient_table(9)

@@ -166,6 +166,20 @@ class TestSweep:
                 SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
                             aleph=2, trials=2, seed=0, C=C)
 
+    @pytest.mark.parametrize("method", ["auto", "brute", ""])
+    def test_unknown_method_rejected_when_built(self, method):
+        # raised by the config itself, before any trial reaches a worker
+        with pytest.raises(ValueError, match="method must be one of exact, sparse, cc"):
+            SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
+                        aleph=2, trials=2, seed=0, method=method, workers=2)
+
+    def test_default_method_written_to_config(self, tmp_path):
+        cfg = SweepConfig(n=12, lam=1.5, k=2, eps=0.3, s_grid=(0.8,),
+                          aleph=3, trials=2, seed=0)
+        write_json(sweep(cfg), tmp_path / "out.json")
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert payload["config"]["method"] == "sparse"
+
     def test_non_finite_row_values(self, tmp_path):
         # JSON writes null where CSV keeps the float's repr
         row = DetectionRow(s=0.5, mean_P=1.0, sd_P=0.0, mean_Q=0.0, sd_Q=0.0,

@@ -17,7 +17,6 @@ from csbmlab.statistics import (
     cycle_count_test,
     default_reps,
     f_tree_stat,
-    resolve_method,
     threshold_test,
     w_color_coding,
     w_exact,
@@ -246,11 +245,23 @@ class TestTreeStat:
                          for i, wa, wb in res.per_shape)
         assert res.value == pytest.approx(recomputed, abs=1e-12)
 
-    def test_method_resolution(self):
-        assert resolve_method("auto", 30, 3) == "exact"
-        assert resolve_method("auto", 300, 3) == "sparse"
-        assert resolve_method("auto", 30, 6) == "sparse"
-        assert resolve_method("cc", 30, 3) == "cc"
+    def test_default_method_is_the_engine(self):
+        # n=12, ℵ=3 lies within the brute-force budget; the default still
+        # scores with the engine, bit for bit as an explicit request
+        rng = random.Random(29)
+        a = random_graph(rng, 12, 0.3)
+        b = random_graph(rng, 12, 0.3)
+        default = f_tree_stat(a, b, PARAMS_SMALL, 3)
+        sparse = f_tree_stat(a, b, PARAMS_SMALL, 3, method="sparse")
+        assert default.method == "sparse"
+        assert default.value == sparse.value
+        assert default.per_shape == sparse.per_shape
+        assert TreeCountingDetector().method == "sparse"
+
+    def test_auto_method_is_rejected(self):
+        a = Graph.empty(12)
+        with pytest.raises(ValueError, match="unknown method 'auto'"):
+            f_tree_stat(a, a, PARAMS_SMALL, 3, method="auto")
 
     def test_w_orthonormality_consequence(self):
         # under the null, per-shape W sums have variance equal to the labeled
