@@ -12,7 +12,8 @@ F with components C_1..C_r, Π inj(C_i) = Σ_σ inj(F/σ) over the partitions σ
 of V(F) whose blocks hold at most one vertex of each component. The discrete
 σ gives inj(F), and every other quotient has fewer vertices, so its own
 expansion is known recursively. The integer coefficients are
-graph-independent and cached per ℵ.
+graph-independent: they are generated once per ℵ and kept with the quotient
+table below.
 
 Connected pattern counts come from the homomorphism basis (Curticapean,
 Dell & Marx, STOC 2017) taken relative to each pattern's 2-core. For a
@@ -20,8 +21,9 @@ connected pattern Q with 2-core K, the maps V(Q) -> host that are
 homomorphisms and injective on K number P(Q) = Σ_ρ inj(Q/ρ), over the
 partitions ρ of V(Q) into independent sets with at most one K-vertex per
 block. The system is unitriangular with graph-independent integer
-coefficients (`quotient_table`; built at run time up to ℵ = 6 and loaded
-from the package's `tables/` for ℵ = 7, 8, 9). Per host graph, read
+coefficients (`quotient_table`, which also holds the forest expansions;
+built at run time up to ℵ = 6 and loaded from the package's `tables/` for
+ℵ = 7, 8, 9). Per host graph, read
 through `Graph.csr`: P of a tree is a homomorphism count, summed from
 rooted-subtree vectors h = Π_children A·h_child, each message A·h one int64
 CSR matvec over the host's non-isolated vertices (one `add.reduceat` over
@@ -81,7 +83,8 @@ class _Algebra:
     one's first labelled copy on 0..v-1; it also expands disjoint-forest
     counts into products of connected counts, enumerating vertex
     identifications with `_quotient_counts`. Every labelled edge set is
-    keyed, or split into keyed components, once."""
+    keyed, or split into keyed components, once. It generates the quotient
+    table and the forest record; an engine only reads them back."""
 
     def __init__(self) -> None:
         self.patterns: dict[tuple, Graph] = {}
@@ -185,9 +188,11 @@ def _quotient_counts(g: Graph, key_of, group: list[int]) -> dict[tuple, int]:
     return out
 
 
-def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]]:
+def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]], dict]:
     """Every connected graph with 1..aleph edges, by increasing vertex count,
-    each with its row of nontrivial quotients ``[(pattern index, count)]``.
+    each with its row of nontrivial quotients ``[(pattern index, count)]``,
+    and the catalog's forest record in those pattern indices
+    (`_forest_record`).
 
     For a pattern Q with 2-core K and a host G, let P(Q) count the maps
     V(Q) -> V(G) that are homomorphisms and are injective on K. Grouping them
@@ -214,7 +219,40 @@ def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]
     order = sorted(reps, key=lambda k: (reps[k].n_vertices, reps[k].n_edges, repr(k)))
     index = {k: i for i, k in enumerate(order)}
     return ([reps[k] for k in order],
-            [sorted((index[q], c) for q, c in rows[k].items()) for k in order])
+            [sorted((index[q], c) for q, c in rows[k].items()) for k in order],
+            _forest_record(aleph, index))
+
+
+def _forest_record(aleph: int, index: dict[tuple, int]) -> dict:
+    """What `CountingEngine` needs of the forests spanned by edge subsets of
+    the aleph catalog's shapes, in table pattern indices (`index` maps a
+    pattern key to its index), as JSON-ready lists:
+
+    * ``registry``: the patterns of a fresh `_Algebra`, in the order it
+      keyed them;
+    * ``forests``: per forest, in order of first appearance, its component
+      patterns and its expansion terms ``[coeff, factors]``;
+    * ``shapes``: per catalog shape, its canonical edges and, per forest its
+      edge subsets span, ``[forest, number of subsets, vertices, edges]``."""
+    algebra = _Algebra()
+    forests: dict[tuple, int] = {}  # component keys -> position
+    shapes = []
+    for shape in enumerate_trees(aleph):
+        edges = shape.canonical_edges
+        terms: dict[tuple, list[int]] = {}
+        for bits in range(1 << len(edges)):
+            subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
+            fkey = algebra._split(subset)
+            term = terms.setdefault(fkey, [forests.setdefault(fkey, len(forests)), 0,
+                                           len({w for e in subset for w in e}), len(subset)])
+            term[1] += 1
+        shapes.append([[list(e) for e in edges], list(terms.values())])
+    expansions = [[[index[k] for k in fkey],
+                   [[coeff, [index[k] for k in prod]] for prod, coeff
+                    in sorted(algebra.expansion(fkey).items(), key=repr)]]
+                  for fkey in forests]
+    return {"registry": [index[k] for k in algebra.patterns],
+            "forests": expansions, "shapes": shapes}
 
 
 def _table_path(aleph: int) -> Path:
@@ -223,18 +261,27 @@ def _table_path(aleph: int) -> Path:
 
 def write_quotient_table(aleph: int) -> Path:
     """Generate the aleph table and write it where the engine loads it from:
-    one line per pattern, ``[edges, row]``."""
-    graphs, rows = quotient_table(aleph)
-    lines = [json.dumps([[list(e) for e in g.edges], [list(r) for r in row]],
-                        separators=(",", ":")) for g, row in zip(graphs, rows)]
+    one line per pattern, ``[edges, row]``, then the forest record, one line
+    per forest and per shape."""
+    graphs, rows, record = quotient_table(aleph)
+
+    def lines(items) -> str:
+        return "[\n" + ",\n".join(json.dumps(x, separators=(",", ":")) for x in items) + "\n]"
+
+    patterns = [[[list(e) for e in g.edges], [list(r) for r in row]]
+                for g, row in zip(graphs, rows)]
     path = _table_path(aleph)
     path.parent.mkdir(exist_ok=True)
-    path.write_text(f'{{"aleph": {aleph}, "patterns": [\n' + ",\n".join(lines) + "\n]}\n")
+    path.write_text(f'{{"aleph": {aleph}, "patterns": {lines(patterns)},\n'
+                    f'"registry": {json.dumps(record["registry"], separators=(",", ":"))},\n'
+                    f'"forests": {lines(record["forests"])},\n'
+                    f'"shapes": {lines(record["shapes"])}}}\n')
     return path
 
 
-def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]]:
-    """The committed table where there is one, else `quotient_table(aleph)`."""
+def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]], dict]:
+    """The committed table and forest record where there is one, else
+    `quotient_table(aleph)`."""
     path = _table_path(aleph)
     if not path.exists():
         return quotient_table(aleph)
@@ -242,7 +289,8 @@ def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, i
     if data["aleph"] != aleph:
         raise RuntimeError(f"{path} holds the table of aleph={data['aleph']}")
     return ([Graph.build(edges) for edges, _ in data["patterns"]],
-            [[tuple(r) for r in row] for _, row in data["patterns"]])
+            [[tuple(r) for r in row] for _, row in data["patterns"]],
+            {name: data[name] for name in ("registry", "forests", "shapes")})
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +346,9 @@ class _HomPlan:
     h = Π_children A·h_child, each message A·h computed once per rooted code;
     P(cyclic Q) = Σ over injective maps φ of Q's 2-core into the host's 2-core
     of Π_c h_pendant(c)[φ(c)]. Then inj follows from the quotient table, one
-    array pass per vertex count.
+    array pass per vertex count. It is built from the table's graphs and
+    rows and from `keys`, the keys by table index of the patterns it may
+    report: every tree and every pattern in `cyclic_keys`.
 
     The core maps are searched in the prefix tree `search_tree`. Each
     pattern core has a placement order (`_search_plan`) and one step per
@@ -307,13 +357,14 @@ class _HomPlan:
     its steps end (at ℵ=8: 4 roots and 133 nodes for the 40 cores' 233
     steps)."""
 
-    def __init__(self, aleph: int, cyclic_keys: set[tuple]) -> None:
+    def __init__(self, aleph: int, graphs: list[Graph], rows: list[list[tuple[int, int]]],
+                 keys: dict[int, tuple], cyclic_keys: set[tuple]) -> None:
         self.aleph = aleph
-        graphs, rows = load_quotient_table(aleph)
         self.size = len(graphs)
         self.levels = _quotient_levels(graphs, rows)
-        index = {canonical_form(g): i for i, g in enumerate(graphs)}
-        if not cyclic_keys <= set(index):
+        index = {key: i for i, key in keys.items()}  # keyed table patterns only
+        trees = {i for i, g in enumerate(graphs) if g.n_edges == g.n_vertices - 1}
+        if not (cyclic_keys <= set(index) and trees <= set(keys)):
             raise RuntimeError(f"the aleph={aleph} quotient table misses needed patterns")
         self.cyclic_out = [(key, index[key]) for key in cyclic_keys]
         self.tree_out: list[tuple[tuple, int]] = []
@@ -321,11 +372,10 @@ class _HomPlan:
         core_index: dict[tuple, tuple[int, list[int]]] = {}  # core code -> slot, canonical order
         self.cores: list[tuple[Graph, list[int], list[tuple]]] = []  # core, order, steps
         self.cyclic: list[tuple[int, int, list[tuple[int, tuple]]]] = []
-        for key, i in index.items():
-            g = graphs[i]
+        for i, g in enumerate(graphs):
             adj = g.adjacency
-            if g.n_edges == g.n_vertices - 1:
-                self.tree_out.append((key, i))
+            if i in trees:
+                self.tree_out.append((keys[i], i))
                 center = _tree_centers(adj, g.vertices)[0]
                 roots.setdefault(_tree_rooted_code(adj, center, -1), []).append(i)
                 continue
@@ -561,34 +611,33 @@ def _quotient_levels(graphs: list[Graph], rows: list[list[tuple[int, int]]]) -> 
 class CountingEngine:
     """Per-ℵ tables: the forests spanned by edge subsets of every catalog
     shape, their expansions into connected pattern counts, and the counting
-    plan. Construction is graph-independent."""
+    plan. Construction is graph-independent: it reads the quotient table and
+    its forest record (`load_quotient_table`), and keys only the patterns
+    the record names, once each."""
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph
         self.catalog = enumerate_trees(aleph)
+        graphs, rows, record = load_quotient_table(aleph)
+        if [edges for edges, _ in record["shapes"]] != [
+                [list(e) for e in shape.canonical_edges] for shape in self.catalog]:
+            raise RuntimeError(f"the aleph={aleph} forest record's shapes are not "
+                               f"the catalog's")
+        keys = {i: canonical_form(graphs[i]) for i in record["registry"]}
+
+        # the registry, the forests (each keyed by its sorted component keys)
+        # with their expansions into products of connected pattern counts,
+        # and per shape the forests its edge subsets span
         self.algebra = _Algebra()
-
-        # decompose every catalog shape's edge subsets into forest multisets
-        self.forest_defs: dict[tuple, tuple] = {}  # forest key -> component keys
-        self.shape_terms: list[list[tuple[tuple, int, int, int]]] = []
-        meta: dict[tuple, tuple[int, int]] = {}  # forest key -> (v, e)
-        for shape in self.catalog:
-            edges = shape.canonical_edges
-            acc: dict[tuple, int] = {}
-            for bits in range(1 << len(edges)):
-                subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
-                fkey = self.algebra._split(subset)
-                self.forest_defs.setdefault(fkey, fkey)
-                acc[fkey] = acc.get(fkey, 0) + 1
-                meta[fkey] = (len({w for e in subset for w in e}), len(subset))
-            self.shape_terms.append([(fkey, mult, *meta[fkey]) for fkey, mult in acc.items()])
-
-        # expand every forest into products of connected pattern counts
-        self.forest_expansion: dict[tuple, list[tuple[int, tuple]]] = {}
-        for fkey, comp_keys in self.forest_defs.items():
-            expansion = self.algebra.expansion(comp_keys)
-            self.forest_expansion[fkey] = [(c, prod) for prod, c in sorted(
-                expansion.items(), key=repr)]
+        self.algebra.patterns.update((keys[i], graphs[i]) for i in record["registry"])
+        fkeys = [tuple(keys[i] for i in comps) for comps, _ in record["forests"]]
+        self.forest_defs: dict[tuple, tuple] = dict(zip(fkeys, fkeys))
+        self.forest_expansion: dict[tuple, list[tuple[int, tuple]]] = {
+            fkey: [(coeff, tuple(keys[i] for i in prod)) for coeff, prod in terms]
+            for fkey, (_, terms) in zip(fkeys, record["forests"])}
+        self.shape_terms: list[list[tuple[tuple, int, int, int]]] = [
+            [(fkeys[f], mult, v, e) for f, mult, v, e in terms]
+            for _, terms in record["shapes"]]
 
         # every tree with at most aleph edges is a component of some catalog
         # edge subset, so the needed keys hold all of them; the rest are cyclic
@@ -596,7 +645,7 @@ class CountingEngine:
         patterns = self.algebra.patterns
         self.cyclic_keys = {key for key in needed
                             if patterns[key].n_edges >= patterns[key].n_vertices}
-        self.plan = _HomPlan(aleph, self.cyclic_keys)
+        self.plan = _HomPlan(aleph, graphs, rows, keys, self.cyclic_keys)
 
         # the expansions as index arrays: per term, its factors' slots among
         # the needed keys (the last slot holds the empty product's 1) and its

@@ -365,6 +365,8 @@ class TreeCountingDetector:
     def fit(self, X=None, y=None) -> "TreeCountingDetector":
         if not 0 < self.C < 1:
             raise ValueError("C must lie in (0, 1)")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}")
         self.params_ = ModelParams(n=self.n, lam=self.lam, k=self.k,
                                    eps=self.eps, s=self.s)
         self.catalog_ = enumerate_trees(self.aleph)

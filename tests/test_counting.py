@@ -3,6 +3,7 @@ connected counts over vertex identifications, pattern counts, W values."""
 
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -881,30 +882,106 @@ class TestHomBasis:
         # a core whose canonical order is rotated no longer maps onto its
         # class representative; the explicit raise must report it, with
         # asserts stripped too
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, *flags, "-c", CORRUPT_CORE_ORDERS],
-                              capture_output=True, text=True, env=env)
+        done = run_python(flags, CORRUPT_CORE_ORDERS)
         assert done.returncode == 0, done.stdout + done.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_shape_guard_survives_optimize(self, flags, tmp_path):
+        # a table file whose shapes are out of catalog order would pair each
+        # shape with another's terms; the explicit raise must refuse it, with
+        # asserts stripped too
+        table = json.loads(counting._table_path(7).read_text())
+        shapes = table["shapes"]
+        shapes[0], shapes[1] = shapes[1], shapes[0]
+        (tmp_path / "quotients7.json").write_text(json.dumps(table))
+        done = run_python(flags, LOAD_FROM_DIRECTORY, str(tmp_path))
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "forest record's shapes are not the catalog's" in done.stdout
+
     def test_committed_tables_regenerate(self):
+        # the quotient rows and the forest record alike
         for aleph in (7, 8):
-            assert load_quotient_table(aleph) == quotient_table(aleph)
+            graphs, rows, record = load_quotient_table(aleph)
+            assert (graphs, rows) == generated_table(aleph)[:2]
+            assert record == generated_table(aleph)[2]
+
+    @pytest.mark.parametrize("aleph", [7, 8])
+    def test_loaded_engine_equals_the_generated(self, aleph):
+        loaded, built = counting_engine(aleph), generated_engine(aleph)
+        for name in ("forest_defs", "forest_expansion"):
+            assert list(getattr(loaded, name).items()) == list(getattr(built, name).items())
+        assert list(loaded.algebra.patterns) == list(built.algebra.patterns)
+        assert loaded.shape_terms == built.shape_terms
+        assert loaded.cyclic_keys == built.cyclic_keys
+        for name in ("_products", "_w_terms"):
+            assert ([a.tolist() for a in getattr(loaded, name)]
+                    == [a.tolist() for a in getattr(built, name)])
+
+    def test_build_generates_nothing(self, monkeypatch):
+        # with the generator disabled an ℵ=8 engine still builds, from the
+        # committed table alone, and scores a host as the generated one does
+        params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
+        host = sample_correlated(params, trial_generator(3000, 1, 0, 0)).a
+        x = CenteredMatrix.from_graph(host, params)
+        expected = generated_engine(8).w_all_shapes(host, x.nonedge_value, x.slope)
+
+        def generate(*args):
+            raise AssertionError("the engine build ran the generator")
+
+        monkeypatch.setattr(counting, "_quotient_counts", generate)
+        monkeypatch.setattr(counting._Algebra, "expansion", generate)
+        eng = counting.CountingEngine(8)
+        assert len(eng.algebra.patterns) == 177
+        assert len(eng.cyclic_keys) == 83
+        assert len(eng.forest_defs) == 153
+        w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
+        assert w.tolist() == expected.tolist()
 
     def test_written_table_loads_back(self, tmp_path, monkeypatch):
         # the writer is the only way to regenerate a committed table; check
-        # it round-trips through the loader, and the loader's aleph guard
+        # it round-trips through the loader, forest record included, and the
+        # loader's aleph guard
         monkeypatch.setattr(counting, "_table_path",
                             lambda aleph: tmp_path / f"quotients{aleph}.json")
         assert write_quotient_table(5) == tmp_path / "quotients5.json"
-        assert load_quotient_table(5) == quotient_table(5)
+        loaded = load_quotient_table(5)
+        assert loaded == quotient_table(5)
+        assert len(loaded[2]["shapes"]) == len(enumerate_trees(5))
         (tmp_path / "quotients5.json").rename(tmp_path / "quotients6.json")
         with pytest.raises(RuntimeError, match="holds the table of aleph=5"):
             load_quotient_table(6)
 
+    def test_aleph_nine_forest_record(self):
+        # too slow to regenerate here, so check its structure: indices in
+        # range, factors with at most 9 edges, each forest's leading term
+        # itself, each shape's 2^9 edge subsets, and (v, e) of every forest
+        graphs, _, record = load_quotient_table(9)
+        forests = record["forests"]
+
+        def pattern(i: int) -> Graph:
+            assert 0 <= i < len(graphs)
+            assert graphs[i].n_edges <= 9
+            return graphs[i]
+
+        for i in record["registry"]:
+            pattern(i)
+        for comps, terms in forests:
+            for _, factors in terms:
+                for i in factors:
+                    pattern(i)
+            assert [1, comps] in terms
+        assert [edges for edges, _ in record["shapes"]] == [
+            [list(e) for e in shape.canonical_edges] for shape in enumerate_trees(9)]
+        for _, terms in record["shapes"]:
+            assert sum(mult for _, mult, _, _ in terms) == 2 ** 9
+            for f, _, v, e in terms:
+                assert 0 <= f < len(forests)
+                comps = [pattern(i) for i in forests[f][0]]
+                assert (v, e) == (sum(g.n_vertices for g in comps),
+                                  sum(g.n_edges for g in comps))
+
     def test_aleph_nine_table(self):
-        graphs, rows = load_quotient_table(9)
+        graphs, rows, _ = load_quotient_table(9)
         assert len(graphs) == 1068  # connected graphs with at most 9 edges
         for g, row in zip(graphs, rows):
             assert all(graphs[j].n_vertices < g.n_vertices for j, _ in row)
@@ -930,12 +1007,47 @@ def rotated(g):  # every order of a core code after the first is rotated
 
 counting._general_canonical_code = rotated
 try:
-    counting._HomPlan(6, set())
+    counting.CountingEngine(6)
 except RuntimeError as exc:
     print(exc)
 else:
     raise SystemExit("no RuntimeError")
 """
+
+LOAD_FROM_DIRECTORY = """
+import sys
+from pathlib import Path
+from csbmlab import counting
+counting._table_path = lambda aleph: Path(sys.argv[1]) / f"quotients{aleph}.json"
+try:
+    counting.CountingEngine(7)
+except RuntimeError as exc:
+    print(exc)
+else:
+    raise SystemExit("no RuntimeError")
+"""
+
+
+def run_python(flags: list[str], code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter with these flags, on this checkout's
+    sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *flags, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+generated_table = lru_cache(maxsize=None)(quotient_table)
+
+
+@lru_cache(maxsize=None)
+def generated_engine(aleph: int) -> counting.CountingEngine:
+    """CountingEngine(aleph) built from the generator's table and forest
+    record instead of the committed file."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "load_quotient_table", generated_table)
+        return counting.CountingEngine(aleph)
 
 
 def bell(m: int) -> int:

@@ -393,6 +393,11 @@ class TestDetector:
         with pytest.raises(ValueError, match=r"C must lie in \(0, 1\)"):
             TreeCountingDetector(n=20, aleph=2, C=C).fit()
 
+    def test_fit_rejects_unknown_method(self):
+        # caught at fit, not at the first scored pair
+        with pytest.raises(ValueError, match="method must be one of exact, sparse, cc"):
+            TreeCountingDetector(n=12, aleph=3, method="auto").fit()
+
     def test_separates_extreme_models(self):
         det = TreeCountingDetector(n=400, lam=4.0, k=2, eps=0.0, s=1.0,
                                    aleph=5, C=0.5).fit()
