@@ -22,9 +22,10 @@ homomorphisms and injective on K number P(Q) = Σ_ρ inj(Q/ρ), over the
 partitions ρ of V(Q) into independent sets with at most one K-vertex per
 block. The system is unitriangular with graph-independent integer
 coefficients (`quotient_table`, which also holds the forest expansions;
-built at run time up to ℵ = 6 and loaded from the package's `tables/` for
-ℵ = 7, 8, 9). Per host graph, read
-through `Graph.csr`: P of a tree is a homomorphism count, summed from
+loaded from the package's `tables/` for ℵ = 7, 8, 9 and generated at run
+time for every other ℵ: in minutes from ℵ = 10, where `CountingEngine(10)`
+took 514 s and 481 MB on 2 vCPUs). Per host graph, read through
+`Graph.csr`: P of a tree is a homomorphism count, summed from
 rooted-subtree vectors h = Π_children A·h_child, each message A·h one int64
 CSR matvec over the host's non-isolated vertices (one `add.reduceat` over
 the neighbour segments for Python-integer vectors); P of a cyclic pattern sums
@@ -39,13 +40,15 @@ while no entry can reach 2^62, and W is the correctly rounded float of the
 exact rational sum, combined in integers from the weights' exact binary
 values. The graph-independent algebra (the quotient solve, the forest
 products, the W terms) is compiled into index arrays once per ℵ, so a host
-costs a few array passes over it."""
+costs a few array passes over it. The engine keys nothing at run time: a
+pattern is its table index from the loaded record to W."""
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,8 +231,6 @@ def _forest_record(aleph: int, index: dict[tuple, int]) -> dict:
     the aleph catalog's shapes, in table pattern indices (`index` maps a
     pattern key to its index), as JSON-ready lists:
 
-    * ``registry``: the patterns of a fresh `_Algebra`, in the order it
-      keyed them;
     * ``forests``: per forest, in order of first appearance, its component
       patterns and its expansion terms ``[coeff, factors]``;
     * ``shapes``: per catalog shape, its canonical edges and, per forest its
@@ -251,8 +252,7 @@ def _forest_record(aleph: int, index: dict[tuple, int]) -> dict:
                    [[coeff, [index[k] for k in prod]] for prod, coeff
                     in sorted(algebra.expansion(fkey).items(), key=repr)]]
                   for fkey in forests]
-    return {"registry": [index[k] for k in algebra.patterns],
-            "forests": expansions, "shapes": shapes}
+    return {"forests": expansions, "shapes": shapes}
 
 
 def _table_path(aleph: int) -> Path:
@@ -273,7 +273,6 @@ def write_quotient_table(aleph: int) -> Path:
     path = _table_path(aleph)
     path.parent.mkdir(exist_ok=True)
     path.write_text(f'{{"aleph": {aleph}, "patterns": {lines(patterns)},\n'
-                    f'"registry": {json.dumps(record["registry"], separators=(",", ":"))},\n'
                     f'"forests": {lines(record["forests"])},\n'
                     f'"shapes": {lines(record["shapes"])}}}\n')
     return path
@@ -290,7 +289,7 @@ def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, i
         raise RuntimeError(f"{path} holds the table of aleph={data['aleph']}")
     return ([Graph.build(edges) for edges, _ in data["patterns"]],
             [[tuple(r) for r in row] for _, row in data["patterns"]],
-            {name: data[name] for name in ("registry", "forests", "shapes")})
+            {name: data[name] for name in ("forests", "shapes")})
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +346,8 @@ class _HomPlan:
     P(cyclic Q) = Σ over injective maps φ of Q's 2-core into the host's 2-core
     of Π_c h_pendant(c)[φ(c)]. Then inj follows from the quotient table, one
     array pass per vertex count. It is built from the table's graphs and
-    rows and from `keys`, the keys by table index of the patterns it may
-    report: every tree and every pattern in `cyclic_keys`.
+    rows, and reports by table index every tree and the cyclic patterns
+    `cyclic_out` lists.
 
     The core maps are searched in the prefix tree `search_tree`. Each
     pattern core has a placement order (`_search_plan`) and one step per
@@ -358,24 +357,20 @@ class _HomPlan:
     steps)."""
 
     def __init__(self, aleph: int, graphs: list[Graph], rows: list[list[tuple[int, int]]],
-                 keys: dict[int, tuple], cyclic_keys: set[tuple]) -> None:
+                 cyclic_out: list[int]) -> None:
         self.aleph = aleph
         self.size = len(graphs)
         self.levels = _quotient_levels(graphs, rows)
-        index = {key: i for i, key in keys.items()}  # keyed table patterns only
-        trees = {i for i, g in enumerate(graphs) if g.n_edges == g.n_vertices - 1}
-        if not (cyclic_keys <= set(index) and trees <= set(keys)):
-            raise RuntimeError(f"the aleph={aleph} quotient table misses needed patterns")
-        self.cyclic_out = [(key, index[key]) for key in cyclic_keys]
-        self.tree_out: list[tuple[tuple, int]] = []
+        self.cyclic_out = cyclic_out
+        self.tree_out: list[int] = []
         roots: dict[tuple, list[int]] = {}  # center-rooted code -> tree patterns
         core_index: dict[tuple, tuple[int, list[int]]] = {}  # core code -> slot, canonical order
         self.cores: list[tuple[Graph, list[int], list[tuple]]] = []  # core, order, steps
         self.cyclic: list[tuple[int, int, list[tuple[int, tuple]]]] = []
         for i, g in enumerate(graphs):
             adj = g.adjacency
-            if i in trees:
-                self.tree_out.append((keys[i], i))
+            if g.n_edges == g.n_vertices - 1:
+                self.tree_out.append(i)
                 center = _tree_centers(adj, g.vertices)[0]
                 roots.setdefault(_tree_rooted_code(adj, center, -1), []).append(i)
                 continue
@@ -572,15 +567,15 @@ class _HomPlan:
 
     def count_embeddings(self, indptr: np.ndarray, indices: np.ndarray,
                          core: tuple[np.ndarray, list],
-                         cyclic: dict[tuple, int]) -> dict[tuple, int]:
-        """Ordered injective-map counts, as Python integers, of every tree
-        with 1..ℵ edges in the host whose `Graph.csr` is ``(indptr,
-        indices)``; the needed cyclic patterns' counts go into `cyclic`.
-        `core` is `core_embeddings` of the host's 2-core. `hom_counts` gives
-        P, and `solve` turns it into inj."""
+                         cyclic: dict[int, int]) -> dict[int, int]:
+        """Ordered injective-map counts, as Python integers by table index,
+        of every tree with 1..ℵ edges in the host whose `Graph.csr` is
+        ``(indptr, indices)``; the `cyclic_out` patterns' counts go into
+        `cyclic`. `core` is `core_embeddings` of the host's 2-core.
+        `hom_counts` gives P, and `solve` turns it into inj."""
         inj = self.solve(self.hom_counts(indptr, indices, core))
-        cyclic.update((key, inj[i]) for key, i in self.cyclic_out)
-        return {key: inj[i] for key, i in self.tree_out}
+        cyclic.update((i, inj[i]) for i in self.cyclic_out)
+        return {i: inj[i] for i in self.tree_out}
 
 
 def _quotient_levels(graphs: list[Graph], rows: list[list[tuple[int, int]]]) -> list[tuple]:
@@ -612,97 +607,75 @@ class CountingEngine:
     """Per-ℵ tables: the forests spanned by edge subsets of every catalog
     shape, their expansions into connected pattern counts, and the counting
     plan. Construction is graph-independent: it reads the quotient table and
-    its forest record (`load_quotient_table`), and keys only the patterns
-    the record names, once each."""
+    its forest record (`load_quotient_table`) and keys nothing."""
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph
         self.catalog = enumerate_trees(aleph)
         graphs, rows, record = load_quotient_table(aleph)
-        if [edges for edges, _ in record["shapes"]] != [
+        forests, shapes = record["forests"], record["shapes"]
+        if [edges for edges, _ in shapes] != [
                 [list(e) for e in shape.canonical_edges] for shape in self.catalog]:
             raise RuntimeError(f"the aleph={aleph} forest record's shapes are not "
                                f"the catalog's")
-        keys = {i: canonical_form(graphs[i]) for i in record["registry"]}
+        # the needed patterns, the expansions' factors, hold every tree with
+        # at most aleph edges and the cyclic patterns that quotients form
+        needed = {i for _, terms in forests for _, prod in terms for i in prod}
+        # an index array would read a bad index, -1 say, as another slot
+        if not (needed.union(*(comps for comps, _ in forests)) <= set(range(len(graphs)))
+                and {f for _, terms in shapes for f, *_ in terms} <= set(range(len(forests)))):
+            raise RuntimeError(f"the aleph={aleph} forest record names a pattern "
+                               f"or a forest its table does not hold")
 
-        # the registry, the forests (each keyed by its sorted component keys)
-        # with their expansions into products of connected pattern counts,
-        # and per shape the forests its edge subsets span
-        self.algebra = _Algebra()
-        self.algebra.patterns.update((keys[i], graphs[i]) for i in record["registry"])
-        fkeys = [tuple(keys[i] for i in comps) for comps, _ in record["forests"]]
-        self.forest_defs: dict[tuple, tuple] = dict(zip(fkeys, fkeys))
-        self.forest_expansion: dict[tuple, list[tuple[int, tuple]]] = {
-            fkey: [(coeff, tuple(keys[i] for i in prod)) for coeff, prod in terms]
-            for fkey, (_, terms) in zip(fkeys, record["forests"])}
-        self.shape_terms: list[list[tuple[tuple, int, int, int]]] = [
-            [(fkeys[f], mult, v, e) for f, mult, v, e in terms]
-            for _, terms in record["shapes"]]
+        # perfbench reads these names: it counts algebra.patterns,
+        # cyclic_keys and forest_defs, and wraps plan.count_embeddings,
+        # pattern_counts, forest_counts and w_all_shapes
+        self.algebra = SimpleNamespace(patterns={i: graphs[i] for i in sorted(needed)})
+        self.cyclic_keys = {i for i in needed if graphs[i].n_edges >= graphs[i].n_vertices}
+        self.forest_defs = [tuple(comps) for comps, _ in forests]
+        self.plan = _HomPlan(aleph, graphs, rows, sorted(self.cyclic_keys))
 
-        # every tree with at most aleph edges is a component of some catalog
-        # edge subset, so the needed keys hold all of them; the rest are cyclic
-        needed = self._needed_keys()
-        patterns = self.algebra.patterns
-        self.cyclic_keys = {key for key in needed
-                            if patterns[key].n_edges >= patterns[key].n_vertices}
-        self.plan = _HomPlan(aleph, graphs, rows, keys, self.cyclic_keys)
-
-        # the expansions as index arrays: per term, its factors' slots among
-        # the needed keys (the last slot holds the empty product's 1) and its
-        # coefficient; per forest, its first term
-        self._factor_keys = sorted(needed, key=repr)
-        slot = {key: i for i, key in enumerate(self._factor_keys)}
-        factors: list[int] = []
-        term_starts: list[int] = []
-        coeffs: list[int] = []
-        forest_starts: list[int] = []
-        for terms in self.forest_expansion.values():
-            forest_starts.append(len(coeffs))
-            for coeff, prod in terms:
-                term_starts.append(len(factors))
-                factors.extend([slot[key] for key in prod] or [len(slot)])
-                coeffs.append(coeff)
-        self._products = (np.array(factors), np.array(term_starts),
-                          np.array(coeffs, dtype=object), np.array(forest_starts))
+        # the expansions as index arrays: the terms' factors, as table
+        # indices (an empty product names an extra last slot, which holds 1),
+        # where each term's factors start, its coefficient, and where each
+        # forest's terms start
+        flat = [(coeff, prod or [len(graphs)]) for _, ts in forests for coeff, prod in ts]
+        self._products = (np.array([i for _, prod in flat for i in prod]),
+                          np.cumsum([0] + [len(prod) for _, prod in flat[:-1]]),
+                          np.array([coeff for coeff, _ in flat], dtype=object),
+                          np.cumsum([0] + [len(ts) for _, ts in forests[:-1]]))
 
         # the W terms sorted by their cell (shape, |F|) of K: per term its
         # forest, vertex count and multiplicity; per cell its first term
-        forest_slot = {fkey: i for i, fkey in enumerate(self.forest_expansion)}
         cell, forest, verts, mult = map(np.array, zip(*sorted(
-            (idx * (aleph + 1) + e_f, forest_slot[fkey], v_f, mult)
-            for idx, terms in enumerate(self.shape_terms)
-            for fkey, mult, v_f, e_f in terms)))
+            (idx * (aleph + 1) + e_f, f, v_f, mult)
+            for idx, (_, terms) in enumerate(shapes) for f, mult, v_f, e_f in terms)))
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         self._w_terms = (forest, verts, mult.astype(object), starts, cell[starts])
 
-    def _needed_keys(self) -> set[tuple]:
-        needed: set[tuple] = set()
-        for terms in self.forest_expansion.values():
-            for _, prod in terms:
-                needed.update(prod)
-        return needed
-
     # -- per-graph evaluation ------------------------------------------------
 
-    def pattern_counts(self, graph: Graph) -> dict[tuple, int]:
+    def pattern_counts(self, graph: Graph) -> dict[int, int]:
+        """inj of every tree with 1..ℵ edges and of every needed cyclic
+        pattern in the host, as Python integers, by table index."""
         indptr, indices = graph.csr
         core = self.plan.core_embeddings(two_core(graph))
-        cyclic: dict[tuple, int] = {}
+        cyclic: dict[int, int] = {}
         counts = self.plan.count_embeddings(indptr, indices, core, cyclic)
         counts.update(cyclic)
         return counts
 
-    def forest_counts(self, graph: Graph) -> dict[tuple, int]:
+    def forest_counts(self, graph: Graph) -> list[int]:
         """Exact injective disjoint-placement counts, as Python integers, of
-        every needed forest: the products of connected counts in one
-        `multiply.reduceat` over an object array, times the coefficients,
-        summed per forest in one `add.reduceat`."""
+        every forest of the record, in its order: the products of connected
+        counts in one `multiply.reduceat` over an object array, times the
+        coefficients, summed per forest in one `add.reduceat`."""
         counts = self.pattern_counts(graph)
         factors, term_starts, coeffs, forest_starts = self._products
-        values = np.array([counts[key] for key in self._factor_keys] + [1], dtype=object)
+        values = np.ones(self.plan.size + 1, dtype=object)  # last: the empty product's 1
+        values[list(counts)] = list(counts.values())
         terms = coeffs * np.multiply.reduceat(values[factors], term_starts)
-        return dict(zip(self.forest_expansion,
-                        np.add.reduceat(terms, forest_starts).tolist()))
+        return np.add.reduceat(terms, forest_starts).tolist()
 
     def w_all_shapes(self, graph: Graph, c0: float, c1: float) -> np.ndarray:
         """W_H for every catalog shape: the exact rational sum, correctly
@@ -713,9 +686,8 @@ class CountingEngine:
         `as_integer_ratio`), W_H·Aut·(b0·b1)^ℵ = Σ_e K[H, e]·a0^(ℵ-e)·b0^e·
         a1^e·b1^(ℵ-e), and one integer division per shape rounds it."""
         aleph = self.aleph
-        forests = self.forest_counts(graph)
+        d = np.array(self.forest_counts(graph), dtype=object)
         forest, verts, mult, starts, cells = self._w_terms
-        d = np.array([forests[fkey] for fkey in self.forest_expansion], dtype=object)
         placed = mult * _placements(graph.n_vertices, aleph)[verts] * d[forest]
         k = np.zeros(len(self.catalog) * (aleph + 1), dtype=object)
         k[cells] = np.add.reduceat(placed, starts)

@@ -58,8 +58,12 @@ class DensityParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        # the bad-graph threshold takes log log n
+        if not (math.isfinite(self.n) and self.n > 1):
+            raise ValueError(f"n must be finite and > 1, not {self.n}")
+        if not math.isfinite(self.lambda_tilde):
+            raise ValueError(f"lambda_tilde is max(lambda, 1) and must be finite, "
+                             f"not {self.lambda_tilde}")
         if self.D < 100:
             raise ValueError("degree budget D must be >= 100")
         if self.k < 2:

@@ -355,11 +355,16 @@ class TreeCountingDetector:
                              "reps", "C", "seed")}
 
     def set_params(self, **params) -> "TreeCountingDetector":
+        """Set parameters and discard the fitted state, which they shaped:
+        scoring raises until `fit` runs again."""
         known = self.get_params()
-        for name, value in params.items():
+        for name in params:
             if name not in known:
                 raise ValueError(f"unknown parameter {name!r}")
+        for name, value in params.items():
             setattr(self, name, value)
+        for name in ("params_", "catalog_", "tau_", "_rng"):
+            vars(self).pop(name, None)
         return self
 
     def fit(self, X=None, y=None) -> "TreeCountingDetector":

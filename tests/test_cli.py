@@ -194,6 +194,18 @@ class TestAnalyze:
         assert payload["is_bad"] is True
         assert payload["is_self_bad"] is True
 
+    @pytest.mark.parametrize("flag, value", [("--phi-n", "nan"), ("--phi-n", "inf"),
+                                             ("--phi-n", "1e400"), ("--phi-n", "1"),
+                                             ("--lambda", "nan")])
+    def test_bad_density_parameters_are_usage_errors(self, tmp_path, capsys, flag, value):
+        # these printed "phi_log": NaN, which is not JSON, or a math domain error
+        path = tmp_path / "tri.json"
+        path.write_text(Graph.build([(0, 1), (1, 2), (0, 2)], n=3).to_json())
+        assert run(["analyze", "--input", str(path), flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be" in err
+
     def test_subsets_enumerated_once_for_admissibility(self, tmp_path, capsys,
                                                       monkeypatch):
         # the all-subgraph minimum (up to 2^24 edge subsets) runs once per call

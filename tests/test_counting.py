@@ -185,11 +185,14 @@ def _growth_plan(aleph: int) -> _GrowthPlan:
     return _GrowthPlan(aleph)
 
 
-def frontier_pattern_counts(aleph: int, graph: Graph) -> dict[tuple, int]:
-    """What `CountingEngine(aleph).pattern_counts(graph)` returned before."""
+def frontier_pattern_counts(aleph: int, graph: Graph) -> dict[int, int]:
+    """What `CountingEngine(aleph).pattern_counts(graph)` returned before,
+    keyed by table index."""
     eng = counting_engine(aleph)
     indptr, indices = graph.csr
-    counts = _growth_plan(aleph).count_embeddings(indptr, indices)
+    index = table_index(eng)
+    counts = {index[key]: value for key, value
+              in _growth_plan(aleph).count_embeddings(indptr, indices).items()}
     core_vertices = frozenset(two_core(graph).vertices)
     flat, bounds = indices.tolist(), indptr.tolist()
     neighbours = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
@@ -214,10 +217,11 @@ def solve_by_rows(rows: list, hom: list[int]) -> list[int]:
     return inj
 
 
-def forest_products(eng, counts: dict[tuple, int]) -> dict[tuple, int]:
-    """What `eng.forest_counts` returned given these pattern counts."""
-    out: dict[tuple, int] = {}
-    for fkey, terms in eng.forest_expansion.items():
+def forest_products(eng, counts: dict[int, int]) -> list[int]:
+    """What `eng.forest_counts` returned given these pattern counts, from the
+    forest record's expansions."""
+    out: list[int] = []
+    for _, terms in forest_record(eng.aleph)["forests"]:
         total = 0
         for coeff, prod in terms:
             term = coeff
@@ -226,7 +230,7 @@ def forest_products(eng, counts: dict[tuple, int]) -> dict[tuple, int]:
                 if term == 0:
                     break
             total += term
-        out[fkey] = total
+        out.append(total)
     return out
 
 
@@ -332,11 +336,11 @@ def per_core_embeddings(plan, core: Graph) -> tuple[np.ndarray, list]:
 
 def exact_w(eng, graph: Graph, c0: float, c1: float) -> list[float]:
     """Each shape's W as the float nearest the exact rational sum, rebuilt
-    from `forest_counts` and `shape_terms`."""
+    from `forest_counts` and the forest record's shape terms."""
     n, aleph = graph.n_vertices, eng.aleph
     forests = eng.forest_counts(graph)
     out = []
-    for shape, terms in zip(eng.catalog, eng.shape_terms):
+    for shape, (_, terms) in zip(eng.catalog, forest_record(aleph)["shapes"]):
         total = sum(mult * Fraction(c0) ** (aleph - e) * Fraction(c1) ** e
                     * forests[fkey] * falling_factorial(n - v, aleph + 1 - v)
                     for fkey, mult, v, e in terms)
@@ -426,7 +430,8 @@ class TestForestCounts:
         # the 4-vertex path contains a pair of disjoint edges as a subset
         eng = counting_engine(3)
         counts = eng.forest_counts(Graph.build([(0, 1), (1, 2), (0, 2)], n=3))
-        two_edges = tuple(sorted([canonical_form(Graph.build([(0, 1)]))] * 2))
+        edge = table_index(eng)[canonical_form(Graph.build([(0, 1)]))]
+        two_edges = eng.forest_defs.index((edge, edge))
         assert counts[two_edges] == 0  # no two disjoint edges in a triangle
 
     def test_matches_brute_force(self):
@@ -436,8 +441,8 @@ class TestForestCounts:
             n = rng.randint(6, 8)
             host = random_graph(rng, n, rng.choice([0.25, 0.4, 0.6]))
             counts = eng.forest_counts(host)
-            for fkey, comp_keys in eng.forest_defs.items():
-                if not fkey:
+            for fkey, comp_keys in enumerate(eng.forest_defs):
+                if not comp_keys:
                     assert counts[fkey] == 1
                     continue
                 forest = forest_of(eng, comp_keys)
@@ -456,16 +461,16 @@ class TestForestCounts:
         for _ in range(3):
             host = mixed_host(rng, rng.randint(6, 8), 0.5, rng.randint(3, 5), 2)
             counts = eng.forest_counts(host)
-            for fkey, comp_keys in eng.forest_defs.items():
+            for fkey, comp_keys in enumerate(eng.forest_defs):
                 assert counts[fkey] == backtrack_count(forest_of(eng, comp_keys), host), fkey
-            hit |= {fkey for fkey, value in counts.items() if value}
-        assert hit == set(eng.forest_defs)  # no count passes for being zero
+            hit |= {fkey for fkey, value in enumerate(counts) if value}
+        assert hit == set(range(len(eng.forest_defs)))  # no count passes for being zero
 
     def test_cyclic_pattern_count(self):
         # identifying both ends of a 2-path with those of a disjoint edge
         # forms a triangle, first possible inside 4-edge trees
         eng = counting_engine(4)
-        tri_key = canonical_form(Graph.build([(0, 1), (1, 2), (0, 2)]))
+        tri_key = table_index(eng)[canonical_form(Graph.build([(0, 1), (1, 2), (0, 2)]))]
         assert tri_key in eng.cyclic_keys
         counts = eng.pattern_counts(Graph.complete(4))
         assert counts[tri_key] == 4 * 6  # four triangles, six ordered maps each
@@ -529,8 +534,8 @@ class TestForestCounts:
     def test_empty_host(self):
         eng = counting_engine(3)
         counts = eng.forest_counts(Graph.empty(10))
-        for fkey in eng.forest_defs:
-            assert counts[fkey] == (1 if not fkey else 0)
+        for fkey, comp_keys in enumerate(eng.forest_defs):
+            assert counts[fkey] == (1 if not comp_keys else 0)
 
 
 class TestWAssembly:
@@ -606,10 +611,11 @@ class TestArrayPasses:
         for host in self.hosts():
             counts = eng.forest_counts(host)
             assert counts == forest_products(eng, eng.pattern_counts(host))
-            assert all(type(v) is int for v in counts.values())
+            assert all(type(v) is int for v in counts)
             if host.n_edges == 0:
-                assert counts[()] == 1  # the empty forest's empty product
-                assert all(v == 0 for k, v in counts.items() if k)
+                # the empty forest's empty product
+                assert counts[eng.forest_defs.index(())] == 1
+                assert all(v == 0 for k, v in zip(eng.forest_defs, counts) if k)
 
     @pytest.mark.parametrize("n, lam, s", [(100_000, 1.2, 0.8), (3000, 1.2, 0.9)])
     def test_w_is_the_rounded_exact_sum(self, n, lam, s):
@@ -818,7 +824,7 @@ class TestDeepAlgebra:
         for _ in range(3):
             g, _ = sample_null(params, gen)
             counts = eng.forest_counts(g)
-            assert all(v >= 0 for v in counts.values())
+            assert all(v >= 0 for v in counts)
 
 
 class TestHomBasis:
@@ -860,8 +866,11 @@ class TestHomBasis:
             frontier_pattern_counts(8, host)
         counts = counting_engine(8).pattern_counts(host)
         small = frontier_pattern_counts(6, host)
-        assert all(counts[key] == value for key, value in small.items())
-        assert all(v >= 0 for v in counting_engine(8).forest_counts(host).values())
+        index = table_index(counting_engine(8))  # the two tables index apart
+        six = counting_engine(6).algebra.patterns
+        assert all(counts[index[canonical_form(six[key])]] == value
+                   for key, value in small.items())
+        assert all(v >= 0 for v in counting_engine(8).forest_counts(host))
 
     def test_exact_past_the_int64_bound(self):
         # K_{1,300} at aleph 8: n·Δ^8 is past 2^62 and hom(K_{1,8}) = Σ deg^8
@@ -870,7 +879,8 @@ class TestHomBasis:
         eng = counting_engine(8)
         counts = eng.pattern_counts(Graph.build([(0, i) for i in range(1, d + 1)],
                                                 n=d + 1))
-        stars = {canonical_form(Graph.build([(0, i) for i in range(1, j + 1)])): j
+        index = table_index(eng)
+        stars = {index[canonical_form(Graph.build([(0, i) for i in range(1, j + 1)]))]: j
                  for j in range(1, 9)}
         for key, value in counts.items():
             j = stars.get(key)
@@ -888,15 +898,32 @@ class TestHomBasis:
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_shape_guard_survives_optimize(self, flags, tmp_path):
         # a table file whose shapes are out of catalog order would pair each
-        # shape with another's terms; the explicit raise must refuse it, with
-        # asserts stripped too
-        table = json.loads(counting._table_path(7).read_text())
-        shapes = table["shapes"]
-        shapes[0], shapes[1] = shapes[1], shapes[0]
-        (tmp_path / "quotients7.json").write_text(json.dumps(table))
-        done = run_python(flags, LOAD_FROM_DIRECTORY, str(tmp_path))
-        assert done.returncode == 0, done.stdout + done.stderr
-        assert "forest record's shapes are not the catalog's" in done.stdout
+        # shape with another's terms, and a factor index of -1 or a shape's
+        # forest index past the forests would read another slot; the
+        # explicit raises must refuse each, with asserts stripped too
+        text = counting._table_path(7).read_text()
+
+        def swap_shapes(table):
+            shapes = table["shapes"]
+            shapes[0], shapes[1] = shapes[1], shapes[0]
+
+        def factor_minus_one(table):
+            table["forests"][-1][1][-1][1][0] = -1
+
+        def forest_past_the_end(table):
+            table["shapes"][0][1][0][0] = len(table["forests"])
+
+        for corrupt, message in (
+                (swap_shapes, "forest record's shapes are not the catalog's"),
+                (factor_minus_one, "names a pattern or a forest its table does not hold"),
+                (forest_past_the_end, "names a pattern or a forest its table does not hold")):
+            table = json.loads(text)
+            corrupt(table)
+            (tmp_path / corrupt.__name__).mkdir()
+            (tmp_path / corrupt.__name__ / "quotients7.json").write_text(json.dumps(table))
+            done = run_python(flags, LOAD_FROM_DIRECTORY, str(tmp_path / corrupt.__name__))
+            assert done.returncode == 0, done.stdout + done.stderr
+            assert message in done.stdout, corrupt.__name__
 
     def test_committed_tables_regenerate(self):
         # the quotient rows and the forest record alike
@@ -908,18 +935,17 @@ class TestHomBasis:
     @pytest.mark.parametrize("aleph", [7, 8])
     def test_loaded_engine_equals_the_generated(self, aleph):
         loaded, built = counting_engine(aleph), generated_engine(aleph)
-        for name in ("forest_defs", "forest_expansion"):
-            assert list(getattr(loaded, name).items()) == list(getattr(built, name).items())
+        assert loaded.forest_defs == built.forest_defs
         assert list(loaded.algebra.patterns) == list(built.algebra.patterns)
-        assert loaded.shape_terms == built.shape_terms
         assert loaded.cyclic_keys == built.cyclic_keys
         for name in ("_products", "_w_terms"):
             assert ([a.tolist() for a in getattr(loaded, name)]
                     == [a.tolist() for a in getattr(built, name)])
 
     def test_build_generates_nothing(self, monkeypatch):
-        # with the generator disabled an ℵ=8 engine still builds, from the
-        # committed table alone, and scores a host as the generated one does
+        # with the generator and the pattern keying disabled an ℵ=8 engine
+        # still builds, from the committed table alone, and scores a host as
+        # the generated one does
         params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
         host = sample_correlated(params, trial_generator(3000, 1, 0, 0)).a
         x = CenteredMatrix.from_graph(host, params)
@@ -930,6 +956,7 @@ class TestHomBasis:
 
         monkeypatch.setattr(counting, "_quotient_counts", generate)
         monkeypatch.setattr(counting._Algebra, "expansion", generate)
+        monkeypatch.setattr(counting, "canonical_form", generate)
         eng = counting.CountingEngine(8)
         assert len(eng.algebra.patterns) == 177
         assert len(eng.cyclic_keys) == 83
@@ -963,8 +990,6 @@ class TestHomBasis:
             assert graphs[i].n_edges <= 9
             return graphs[i]
 
-        for i in record["registry"]:
-            pattern(i)
         for comps, terms in forests:
             for _, factors in terms:
                 for i in factors:
@@ -1039,6 +1064,17 @@ def run_python(flags: list[str], code: str, *args: str) -> subprocess.CompletedP
 
 
 generated_table = lru_cache(maxsize=None)(quotient_table)
+
+
+@lru_cache(maxsize=None)
+def forest_record(aleph: int) -> dict:
+    """The forest record `CountingEngine(aleph)` is built from."""
+    return load_quotient_table(aleph)[2]
+
+
+def table_index(eng) -> dict[tuple, int]:
+    """The table index of each pattern the engine names, by `canonical_form`."""
+    return {canonical_form(g): i for i, g in eng.algebra.patterns.items()}
 
 
 @lru_cache(maxsize=None)

@@ -97,6 +97,13 @@ class TestPhi:
             DensityParams.create(n=0)
         with pytest.raises(ValueError):
             DensityParams.create(n=100, k=1)
+        # log log n needs a finite n > 1, and the score a finite λ̃
+        for n in (1, 1.0, math.nan, math.inf, float("1e400")):
+            with pytest.raises(ValueError, match="^n must be"):
+                DensityParams.create(n=n)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^lambda_tilde"):
+                DensityParams.create(n=100, lam=lam)
 
 
 def all_graphs(n):

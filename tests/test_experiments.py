@@ -2,11 +2,13 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from csbmlab import experiments
+from csbmlab.counting import counting_engine, falling_factorial, load_quotient_table
 from csbmlab.experiments import (
     DetectionRow,
     ExperimentResult,
@@ -18,7 +20,8 @@ from csbmlab.experiments import (
     write_csv,
     write_json,
 )
-from csbmlab.models import ModelParams
+from csbmlab.models import ModelParams, sample_correlated
+from csbmlab.statistics import CenteredMatrix
 
 
 CFG = SweepConfig(n=150, lam=2.0, k=2, eps=0.0, s_grid=(0.4, 0.9),
@@ -243,30 +246,51 @@ class TestOutputPin:
 
     def test_per_shape_w_at_aleph_six(self):
         # host with a 61-vertex 2-core, so cyclic glued patterns contribute
-        from fractions import Fraction
-
-        import numpy as np
-
-        from csbmlab.counting import counting_engine, falling_factorial
-        from csbmlab.models import sample_correlated
-        from csbmlab.statistics import CenteredMatrix
-
         params = ModelParams(n=120, lam=2.5, k=2, eps=0.3, s=0.9)
         a = sample_correlated(params, np.random.default_rng(3)).a
-        x = CenteredMatrix.from_graph(a, params)
-        eng = counting_engine(6)
-        w = [float(v) for v in eng.w_all_shapes(a, x.nonedge_value, x.slope)]
-        pinned = [
+        self.check_pins(6, a, params, [
             263147.9257727777, -6007250.157168185, -2096397.6216511512,
             951449.4971614251, -3023734.8800197933, -7183404.388436003,
             853315.9239363023, 73870.82574423924, 1151628.7808780544,
-            -527403.0199877932, -236639.0162093765]
+            -527403.0199877932, -236639.0162093765])
+
+    def test_per_shape_w_at_aleph_eight(self):
+        # the ℵ=8 engine reads the committed table file that every default
+        # sweep loads; the host (criterion 12's config at s=0.9) has a
+        # 42-vertex 2-core
+        params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
+        a = sample_correlated(params, np.random.default_rng(8)).a
+        self.check_pins(8, a, params, [
+            1736652820061.7937, -371850135458315.0, 398309868415503.5,
+            -483153093555043.75, -250563558117056.2, -1035734265797915.8,
+            1706796459174243.0, -3671605003858860.0, -927702515740111.4,
+            -1291957514823021.5, -625029898687014.1, 2539425439654937.5,
+            165478059273063.9, 1373826284481914.2, 173678513479168.9,
+            243411159859590.6, -4603777347458688.0, -631657852639149.2,
+            -182330209399151.84, -1938455652670495.5, 44305172311820.46,
+            664700540516885.6, -144040528897334.34, -400963803998503.4,
+            -1648197153437335.0, 850611555386528.0, -498241677799005.25,
+            6020904432912.62, -39854759553749.26, 297310173865152.8,
+            1179007437695576.2, -3018386999429971.0, -1256478737881194.5,
+            -82095725716309.5, -2128734813550757.0, 1565133535539938.0,
+            1219539863802167.8, 2877922581541199.5, 536733172936515.8,
+            584745963739918.8, 210906039074485.2, 312491352667634.4,
+            819189259565320.2, 978657883470681.8, -989243367420579.4,
+            -538985574977591.44, 2543833622624487.5])
+
+    @staticmethod
+    def check_pins(aleph, host, params, pinned):
+        """The engine's W on `host` is `pinned`, and each pin is the float
+        nearest the exact rational sum over the forest record's terms."""
+        x = CenteredMatrix.from_graph(host, params)
+        eng = counting_engine(aleph)
+        w = [float(v) for v in eng.w_all_shapes(host, x.nonedge_value, x.slope)]
         assert w == pinned
-        # each pin is the float nearest the exact rational sum
-        forests = eng.forest_counts(a)
-        c0, c1 = Fraction(x.nonedge_value), Fraction(x.slope)
-        for value, shape, terms in zip(pinned, eng.catalog, eng.shape_terms):
-            exact = sum(mult * c0 ** (6 - e) * c1 ** e * forests[fkey]
-                        * falling_factorial(120 - v, 7 - v)
+        forests = eng.forest_counts(host)
+        c0, c1, n = Fraction(x.nonedge_value), Fraction(x.slope), host.n_vertices
+        shapes = load_quotient_table(aleph)[2]["shapes"]
+        for value, shape, (_, terms) in zip(pinned, eng.catalog, shapes):
+            exact = sum(mult * c0 ** (aleph - e) * c1 ** e * forests[fkey]
+                        * falling_factorial(n - v, aleph + 1 - v)
                         for fkey, mult, v, e in terms)
             assert value == float(exact / shape.aut)

@@ -21,6 +21,7 @@ from csbmlab.statistics import (
     w_color_coding,
     w_exact,
 )
+from csbmlab.moments import predicted_f_mean
 from csbmlab.trees import a_coefficient, enumerate_trees, tree_count
 
 PARAMS_SMALL = ModelParams(n=12, lam=1.5, k=2, eps=0.3, s=0.8)
@@ -375,6 +376,21 @@ class TestDetector:
         with pytest.raises(ValueError, match="'tau_'"):
             det.set_params(tau_=0.0)
         assert det.tau_ == tau
+
+    def test_set_params_discards_the_fit(self):
+        # a fitted threshold or model belongs to the parameters it was fitted
+        # with: after a change, scoring waits for the next fit
+        det = TreeCountingDetector(n=20, aleph=4).fit()
+        det.set_params(aleph=2)
+        for score in (det.decision_function, det.predict):
+            with pytest.raises(RuntimeError, match="call fit"):
+                score([])
+        det.fit()
+        assert det.tau_ == det.C * predicted_f_mean(det.params_, 2)
+        det.set_params(s=0.5)
+        with pytest.raises(RuntimeError, match="call fit"):
+            det.predict([])
+        assert det.fit().params_.s == 0.5
 
     def test_requires_fit(self):
         det = TreeCountingDetector(n=20, aleph=2)
