@@ -21,10 +21,12 @@ connected pattern Q with 2-core K, the maps V(Q) -> host that are
 homomorphisms and injective on K number P(Q) = Σ_ρ inj(Q/ρ), over the
 partitions ρ of V(Q) into independent sets with at most one K-vertex per
 block. The system is unitriangular with graph-independent integer
-coefficients (`quotient_table`, which also holds the forest expansions;
-loaded from the package's `tables/` for ℵ = 7, 8, 9 and generated at run
-time for every other ℵ: in minutes from ℵ = 10, where `CountingEngine(10)`
-took 514 s and 481 MB on 2 vCPUs). Per host graph, read through
+coefficients (`quotient_table`, which also holds the forest expansions).
+An engine only loads them: each ℵ from 1 to 10 has its table file in the
+package's `tables/`, and an ℵ without one is refused. The generator runs
+only in `write_quotient_table(aleph)`, which (re)writes a file: about 3 s
+at ℵ=8, 30-40 s at ℵ=9 and 6-9 minutes at ℵ=10 on 2 vCPUs, and
+`CountingEngine(10)` loads the result in about 2 s. Per host graph, read through
 `Graph.csr`: P of a tree is a homomorphism count, summed from
 rooted-subtree vectors h = Π_children A·h_child, each message A·h one int64
 CSR matvec over the host's non-isolated vertices (one `add.reduceat` over
@@ -141,7 +143,7 @@ class _Algebra:
 
 
 # ---------------------------------------------------------------------------
-# Quotient table, graph-independent: one per aleph, committed for aleph >= 7
+# Quotient table, graph-independent: one per aleph, committed for 1..10
 # ---------------------------------------------------------------------------
 
 def _quotient_counts(g: Graph, key_of, group: list[int]) -> dict[tuple, int]:
@@ -234,7 +236,7 @@ def _forest_record(aleph: int, index: dict[tuple, int]) -> dict:
     * ``forests``: per forest, in order of first appearance, its component
       patterns and its expansion terms ``[coeff, factors]``;
     * ``shapes``: per catalog shape, its canonical edges and, per forest its
-      edge subsets span, ``[forest, number of subsets, vertices, edges]``."""
+      edge subsets span, ``[forest, number of subsets]``."""
     algebra = _Algebra()
     forests: dict[tuple, int] = {}  # component keys -> position
     shapes = []
@@ -244,9 +246,7 @@ def _forest_record(aleph: int, index: dict[tuple, int]) -> dict:
         for bits in range(1 << len(edges)):
             subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
             fkey = algebra._split(subset)
-            term = terms.setdefault(fkey, [forests.setdefault(fkey, len(forests)), 0,
-                                           len({w for e in subset for w in e}), len(subset)])
-            term[1] += 1
+            terms.setdefault(fkey, [forests.setdefault(fkey, len(forests)), 0])[1] += 1
         shapes.append([[list(e) for e in edges], list(terms.values())])
     expansions = [[[index[k] for k in fkey],
                    [[coeff, [index[k] for k in prod]] for prod, coeff
@@ -279,11 +279,12 @@ def write_quotient_table(aleph: int) -> Path:
 
 
 def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]], dict]:
-    """The committed table and forest record where there is one, else
-    `quotient_table(aleph)`."""
+    """The committed table and forest record of aleph, as
+    `write_quotient_table` wrote them; ValueError when there is none."""
     path = _table_path(aleph)
     if not path.exists():
-        return quotient_table(aleph)
+        raise ValueError(f"no quotient table for aleph={aleph}: {path.name} is "
+                         f"written by counting.write_quotient_table({aleph})")
     data = json.loads(path.read_text())
     if data["aleph"] != aleph:
         raise RuntimeError(f"{path} holds the table of aleph={data['aleph']}")
@@ -611,8 +612,8 @@ class CountingEngine:
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph
-        self.catalog = enumerate_trees(aleph)
         graphs, rows, record = load_quotient_table(aleph)
+        self.catalog = enumerate_trees(aleph)
         forests, shapes = record["forests"], record["shapes"]
         if [edges for edges, _ in shapes] != [
                 [list(e) for e in shape.canonical_edges] for shape in self.catalog]:
@@ -623,7 +624,7 @@ class CountingEngine:
         needed = {i for _, terms in forests for _, prod in terms for i in prod}
         # an index array would read a bad index, -1 say, as another slot
         if not (needed.union(*(comps for comps, _ in forests)) <= set(range(len(graphs)))
-                and {f for _, terms in shapes for f, *_ in terms} <= set(range(len(forests)))):
+                and {f for _, terms in shapes for f, _ in terms} <= set(range(len(forests)))):
             raise RuntimeError(f"the aleph={aleph} forest record names a pattern "
                                f"or a forest its table does not hold")
 
@@ -646,10 +647,13 @@ class CountingEngine:
                           np.cumsum([0] + [len(ts) for _, ts in forests[:-1]]))
 
         # the W terms sorted by their cell (shape, |F|) of K: per term its
-        # forest, vertex count and multiplicity; per cell its first term
+        # forest, vertex count and multiplicity; per cell its first term. A
+        # forest's vertices and edges are its components'
+        size = [(sum(graphs[i].n_vertices for i in comps), sum(graphs[i].n_edges for i in comps))
+                for comps, _ in forests]
         cell, forest, verts, mult = map(np.array, zip(*sorted(
-            (idx * (aleph + 1) + e_f, f, v_f, mult)
-            for idx, (_, terms) in enumerate(shapes) for f, mult, v_f, e_f in terms)))
+            (idx * (aleph + 1) + size[f][1], f, size[f][0], mult)
+            for idx, (_, terms) in enumerate(shapes) for f, mult in terms)))
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         self._w_terms = (forest, verts, mult.astype(object), starts, cell[starts])
 

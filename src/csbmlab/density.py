@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 MAX_SUBGRAPH_EDGES = 24
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)])  # an edge mask fits 3 bytes
 
 
 @dataclass(frozen=True)
@@ -102,55 +102,37 @@ def is_bad(h: Graph, p: DensityParams) -> bool:
     return phi_log(h, p) < p.log_bad_threshold
 
 
-def _subset_profiles(h: Graph) -> Iterable[tuple[int, int, int]]:
-    """Yield (e', v_min, max_extra) over all edge subsets E' of h, where
-    v_min = #endpoints(E') and isolated vertices may lift v' up to |V(h)|."""
-    m = h.n_edges
+def _min_phi_log_subgraphs(h: Graph, p: DensityParams, proper: bool) -> float:
+    """Minimum of phi_log over subgraphs of h (all, or proper only).
+
+    A subgraph is an edge subset E' on a vertex set between E''s endpoints
+    and V(h), and phi_log is linear in the vertex count, so per subset the
+    least score is at one of those two ends. The subsets are bitmasks, taken
+    in chunks as numpy arrays. A proper subgraph keeps the full edge set (the
+    last mask) only on fewer than |V| vertices: on its endpoints or on |V|-1,
+    when the endpoints are fewer than |V|."""
+    lx, ly = p.log_vertex_factor, p.log_edge_factor
+    m, n = h.n_edges, h.n_vertices
+    if ly >= 0 and m:  # least: edgeless on 0 or |V| vertices, both proper
+        return min(0.0, n * lx)
     if m > MAX_SUBGRAPH_EDGES:
         raise ValueError(f"subgraph enumeration limited to {MAX_SUBGRAPH_EDGES} edges")
-    if m == 0:
-        yield (0, 0, h.n_vertices)
-        return
-    incidence = {}
-    for i, (u, v) in enumerate(h.edges):
-        incidence.setdefault(u, 0)
-        incidence.setdefault(v, 0)
-        incidence[u] |= 1 << i
-        incidence[v] |= 1 << i
-    inc_masks = np.array(list(incidence.values()), dtype=np.int64)
-    total = 1 << m
-    chunk = min(total, 1 << 18)
-    n_all = h.n_vertices
+    incidence: dict = {}  # vertex -> bitmask of its edges
+    for i, edge in enumerate(h.edges):
+        for u in edge:
+            incidence[u] = incidence.get(u, 0) | 1 << i
+    incidence_masks = np.array(list(incidence.values()), dtype=np.int64)
+    total, chunk = 1 << m, 1 << 18
+    best = math.inf
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        e_counts = np.zeros(len(masks), dtype=np.int64)
-        tmp = masks.copy()
-        while tmp.any():
-            e_counts += tmp & 1
-            tmp >>= 1
-        v_min = ((masks[:, None] & inc_masks[None, :]) != 0).sum(axis=1)
-        for e, vm in zip(e_counts.tolist(), v_min.tolist()):
-            yield (e, vm, n_all)
-
-
-def _min_phi_log_subgraphs(h: Graph, p: DensityParams, proper: bool) -> float:
-    """Minimum of phi_log over subgraphs of h (all, or proper only)."""
-    lx, ly = p.log_vertex_factor, p.log_edge_factor
-    if ly >= 0 and h.n_edges:  # least: edgeless on 0 or |V| vertices, both proper
-        return min(0.0, h.n_vertices * lx)
-    full = (h.n_edges, h.n_vertices)
-    best = math.inf
-    for e, v_min, v_max in _subset_profiles(h):
-        for v in {v_min, v_max}:
-            if proper and (e, v) == full:
-                # clip to the nearest allowed vertex count instead
-                if v == v_max and v_max - 1 >= v_min:
-                    v = v_max - 1
-                elif v == v_min and v_min + 1 <= v_max:
-                    v = v_min + 1
-                else:
-                    continue
-            best = min(best, v * lx + e * ly)
+        e = _BYTE_BITS[masks & 255] + _BYTE_BITS[masks >> 8 & 255] + _BYTE_BITS[masks >> 16]
+        v_min = ((masks[:, None] & incidence_masks) != 0).sum(axis=1)
+        score = np.minimum(v_min * lx + e * ly, n * lx + e * ly)
+        if proper and start + len(masks) == total:
+            v = int(v_min[-1])
+            score[-1] = min(v * lx + m * ly, (n - 1) * lx + m * ly) if v < n else math.inf
+        best = min(best, float(score.min()))
     return best
 
 

@@ -104,6 +104,23 @@ class TestDetect:
                     "--aleph", "2", "--lambda", "1.0", "--s", "0.5"])
         assert code == 2
 
+    def test_aleph_without_a_table_is_refused(self, tmp_path, capsys, monkeypatch):
+        # ℵ=11 has no committed table: the engine refuses it at once, naming
+        # the writer, and never starts the generator
+        from csbmlab import counting
+
+        def generate(*args):
+            raise AssertionError("detect ran the generator")
+
+        monkeypatch.setattr(counting, "_quotient_counts", generate)
+        path = tmp_path / "g.json"
+        path.write_text(Graph.build([(0, 1), (1, 2)], n=4).to_json())
+        code = run(["detect", "--input-a", str(path), "--input-b", str(path),
+                    "--aleph", "11", "--lambda", "1.0", "--s", "0.5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "write_quotient_table(11)" in err
+
 
 class TestSweep:
     def test_writes_csv(self, tmp_path):

@@ -340,7 +340,7 @@ def exact_w(eng, graph: Graph, c0: float, c1: float) -> list[float]:
     n, aleph = graph.n_vertices, eng.aleph
     forests = eng.forest_counts(graph)
     out = []
-    for shape, (_, terms) in zip(eng.catalog, forest_record(aleph)["shapes"]):
+    for shape, terms in zip(eng.catalog, shape_terms(aleph)):
         total = sum(mult * Fraction(c0) ** (aleph - e) * Fraction(c1) ** e
                     * forests[fkey] * falling_factorial(n - v, aleph + 1 - v)
                     for fkey, mult, v, e in terms)
@@ -543,14 +543,27 @@ class TestWAssembly:
         params = ModelParams(n=12, lam=1.0, k=2, eps=0.0, s=0.5)
         host = Graph.empty(12)
         x = CenteredMatrix.from_graph(host, params)
-        for aleph in (1, 2, 3):
+        for aleph in (1, 2, 3, 10):
             eng = counting_engine(aleph)
             w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
             for i, shape in enumerate(enumerate_trees(aleph)):
                 expected = (x.nonedge_value ** aleph
                             * falling_factorial(12, aleph + 1) / shape.aut)
                 assert w[i] == pytest.approx(expected, rel=1e-12)
-                assert w[i] == pytest.approx(w_exact(shape, x), rel=1e-10)
+                if aleph <= 3:  # the brute force is out of reach at aleph=10
+                    assert w[i] == pytest.approx(w_exact(shape, x), rel=1e-10)
+
+    def test_aleph_ten_closed_forms(self):
+        # with c0 = 0 and c1 = 1, W_H counts the copies of H in the host: the
+        # path P_40 holds 30 paths of 10 edges, the star K_{1,14} holds
+        # C(14, 10) stars K_{1,10}, and neither holds another 10-edge tree
+        eng = counting_engine(10)
+        max_degree = [max(map(len, shape.graph().adjacency.values())) for shape in eng.catalog]
+        path = Graph.build([(i, i + 1) for i in range(39)])
+        star = Graph.build([(0, i) for i in range(1, 15)])
+        for host, degree, copies in ((path, 2, 30), (star, 10, math.comb(14, 10))):
+            w = eng.w_all_shapes(host, 0.0, 1.0)
+            assert w.tolist() == [copies if d == degree else 0 for d in max_degree]
 
     def test_matches_w_exact_random(self):
         rng = random.Random(101)
@@ -926,8 +939,9 @@ class TestHomBasis:
             assert message in done.stdout, corrupt.__name__
 
     def test_committed_tables_regenerate(self):
-        # the quotient rows and the forest record alike
-        for aleph in (7, 8):
+        # the quotient rows and the forest record alike, at every aleph the
+        # generator reaches in seconds
+        for aleph in range(1, 9):
             graphs, rows, record = load_quotient_table(aleph)
             assert (graphs, rows) == generated_table(aleph)[:2]
             assert record == generated_table(aleph)[2]
@@ -943,13 +957,15 @@ class TestHomBasis:
                     == [a.tolist() for a in getattr(built, name)])
 
     def test_build_generates_nothing(self, monkeypatch):
-        # with the generator and the pattern keying disabled an ℵ=8 engine
-        # still builds, from the committed table alone, and scores a host as
-        # the generated one does
+        # with the generator and the pattern keying disabled every engine
+        # from ℵ=1 to ℵ=10 still builds, from its committed table alone, and
+        # scores a host; as the generated one does where generating takes
+        # seconds
         params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
         host = sample_correlated(params, trial_generator(3000, 1, 0, 0)).a
         x = CenteredMatrix.from_graph(host, params)
-        expected = generated_engine(8).w_all_shapes(host, x.nonedge_value, x.slope)
+        expected = {aleph: generated_engine(aleph).w_all_shapes(host, x.nonedge_value, x.slope)
+                    for aleph in range(1, 9)}
 
         def generate(*args):
             raise AssertionError("the engine build ran the generator")
@@ -957,12 +973,16 @@ class TestHomBasis:
         monkeypatch.setattr(counting, "_quotient_counts", generate)
         monkeypatch.setattr(counting._Algebra, "expansion", generate)
         monkeypatch.setattr(counting, "canonical_form", generate)
+        for aleph in range(1, 11):
+            eng = counting.CountingEngine(aleph)
+            w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
+            assert len(w) == len(enumerate_trees(aleph))
+            if aleph in expected:
+                assert w.tolist() == expected[aleph].tolist(), aleph
         eng = counting.CountingEngine(8)
         assert len(eng.algebra.patterns) == 177
         assert len(eng.cyclic_keys) == 83
         assert len(eng.forest_defs) == 153
-        w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
-        assert w.tolist() == expected.tolist()
 
     def test_written_table_loads_back(self, tmp_path, monkeypatch):
         # the writer is the only way to regenerate a committed table; check
@@ -977,17 +997,21 @@ class TestHomBasis:
         (tmp_path / "quotients5.json").rename(tmp_path / "quotients6.json")
         with pytest.raises(RuntimeError, match="holds the table of aleph=5"):
             load_quotient_table(6)
+        # a missing table is refused, never generated
+        with pytest.raises(ValueError, match=r"write_quotient_table\(5\)"):
+            load_quotient_table(5)
 
-    def test_aleph_nine_forest_record(self):
+    @pytest.mark.parametrize("aleph", [9, 10])
+    def test_deep_forest_record(self, aleph):
         # too slow to regenerate here, so check its structure: indices in
-        # range, factors with at most 9 edges, each forest's leading term
-        # itself, each shape's 2^9 edge subsets, and (v, e) of every forest
-        graphs, _, record = load_quotient_table(9)
+        # range, factors with at most aleph edges, each forest's leading term
+        # itself, and each shape's 2^aleph edge subsets
+        graphs, _, record = load_quotient_table(aleph)
         forests = record["forests"]
 
         def pattern(i: int) -> Graph:
             assert 0 <= i < len(graphs)
-            assert graphs[i].n_edges <= 9
+            assert graphs[i].n_edges <= aleph
             return graphs[i]
 
         for comps, terms in forests:
@@ -996,18 +1020,17 @@ class TestHomBasis:
                     pattern(i)
             assert [1, comps] in terms
         assert [edges for edges, _ in record["shapes"]] == [
-            [list(e) for e in shape.canonical_edges] for shape in enumerate_trees(9)]
+            [list(e) for e in shape.canonical_edges] for shape in enumerate_trees(aleph)]
         for _, terms in record["shapes"]:
-            assert sum(mult for _, mult, _, _ in terms) == 2 ** 9
-            for f, _, v, e in terms:
+            assert sum(mult for _, mult in terms) == 2 ** aleph
+            for f, _ in terms:
                 assert 0 <= f < len(forests)
-                comps = [pattern(i) for i in forests[f][0]]
-                assert (v, e) == (sum(g.n_vertices for g in comps),
-                                  sum(g.n_edges for g in comps))
 
-    def test_aleph_nine_table(self):
-        graphs, rows, _ = load_quotient_table(9)
-        assert len(graphs) == 1068  # connected graphs with at most 9 edges
+    @pytest.mark.parametrize("aleph", [9, 10])
+    def test_deep_table(self, aleph):
+        graphs, rows, _ = load_quotient_table(aleph)
+        # connected graphs with at most aleph edges (OEIS A002905, summed)
+        assert len(graphs) == {9: 1068, 10: 3390}[aleph]
         for g, row in zip(graphs, rows):
             assert all(graphs[j].n_vertices < g.n_vertices for j, _ in row)
             if g.n_edges == g.n_vertices - 1:
@@ -1070,6 +1093,17 @@ generated_table = lru_cache(maxsize=None)(quotient_table)
 def forest_record(aleph: int) -> dict:
     """The forest record `CountingEngine(aleph)` is built from."""
     return load_quotient_table(aleph)[2]
+
+
+@lru_cache(maxsize=None)
+def shape_terms(aleph: int) -> list[list[tuple[int, int, int, int]]]:
+    """Per catalog shape, the terms ``(forest, mult, v, e)`` of the forest
+    record `CountingEngine(aleph)` is built from, with each forest's vertex
+    and edge counts summed over its component patterns."""
+    graphs, record = load_quotient_table(aleph)[0], forest_record(aleph)
+    size = [(sum(graphs[i].n_vertices for i in comps), sum(graphs[i].n_edges for i in comps))
+            for comps, _ in record["forests"]]
+    return [[(f, mult, *size[f]) for f, mult in terms] for _, terms in record["shapes"]]
 
 
 def table_index(eng) -> dict[tuple, int]:

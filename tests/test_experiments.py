@@ -288,9 +288,12 @@ class TestOutputPin:
         assert w == pinned
         forests = eng.forest_counts(host)
         c0, c1, n = Fraction(x.nonedge_value), Fraction(x.slope), host.n_vertices
-        shapes = load_quotient_table(aleph)[2]["shapes"]
-        for value, shape, (_, terms) in zip(pinned, eng.catalog, shapes):
+        graphs, _, record = load_quotient_table(aleph)
+        # a forest's vertex and edge counts are its components'
+        size = [(sum(graphs[i].n_vertices for i in comps), sum(graphs[i].n_edges for i in comps))
+                for comps, _ in record["forests"]]
+        for value, shape, (_, terms) in zip(pinned, eng.catalog, record["shapes"]):
             exact = sum(mult * c0 ** (aleph - e) * c1 ** e * forests[fkey]
                         * falling_factorial(n - v, aleph + 1 - v)
-                        for fkey, mult, v, e in terms)
+                        for fkey, mult in terms for v, e in [size[fkey]])
             assert value == float(exact / shape.aut)
