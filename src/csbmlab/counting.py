@@ -32,8 +32,11 @@ rooted-subtree vectors h = Π_children A·h_child, each message A·h one int64
 CSR matvec over the host's non-isolated vertices (one `add.reduceat` over
 the neighbour segments for Python-integer vectors); P of a cyclic pattern sums
 products of its pendant trees' vectors over the injective maps of K into
-the host's 2-core. Those maps are found by one search pruned by degree and
-host distance, over a tree of placement steps built once per ℵ: cores whose
+the host's 2-core. A map keeps K's closed non-backtracking walks so, as K
+has at most ℵ edges, its image lies on the host 2-core's edges that close
+such a walk within L(ℵ) = max(ℵ, 2ℵ-6) steps; a sparse host keeps few of
+them. The maps are found there by one search pruned by degree and host
+distance, over a tree of placement steps built once per ℵ: cores whose
 placement orders begin alike share a node, and its rows, per host. Solving
 the system in order of vertex count gives every injective count.
 
@@ -339,6 +342,97 @@ def _code_size(code: tuple) -> int:
     return 1 + sum(_code_size(c) for c in code)
 
 
+def _two_cores(graphs: list[Graph]) -> list[Graph]:
+    """`two_core` of each graph, from one peel of their disjoint union, in
+    which each graph's labels are shifted past those of the graphs before it."""
+    shift = np.cumsum([0] + [g._label_stop for g in graphs])
+    union = two_core(Graph.build(np.array(
+        [(u + s, v + s) for g, s in zip(graphs, shift.tolist()) for u, v in g.edges],
+        dtype=np.int64).reshape(-1, 2)))
+    owner = np.searchsorted(shift, union.edge_array[:, 0], side="right") - 1
+    edge_cuts = np.searchsorted(owner, np.arange(len(graphs) + 1))
+    verts = np.array(union.vertices, dtype=np.int64)
+    vert_cuts = np.searchsorted(verts, shift)
+    cores = []
+    for i, s in enumerate(shift[:-1].tolist()):
+        edges = union.edge_array[edge_cuts[i]:edge_cuts[i + 1]] - s
+        cores.append(Graph(tuple((verts[vert_cuts[i]:vert_cuts[i + 1]] - s).tolist()),
+                           tuple(map(tuple, edges.tolist()))))
+    return cores
+
+
+def _arcs(core: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A graph's sorted labels and its directed edges (arcs) on their
+    positions: the sorted keys ``src * k + dst`` of both directions of every
+    edge, their `src` and `dst`, and where each position's arcs start."""
+    labels = np.array(core.vertices, dtype=np.int64)
+    k = len(labels)
+    ends = np.searchsorted(labels, core.edge_array)
+    keys = np.sort(np.concatenate([ends[:, 0] * k + ends[:, 1],
+                                   ends[:, 1] * k + ends[:, 0]]))
+    src, dst = np.divmod(keys, k)
+    return labels, keys, src, dst, np.searchsorted(src, np.arange(k + 1))
+
+
+class _PastCap(Exception):
+    """A sparse product that could hold more than MAX_CORE_ROWS entries."""
+
+
+def _support_product(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
+    """x·y of two boolean CSR matrices. It has at most one entry per entry
+    (i, j) of x and entry of row j of y, and raises _PastCap before it is
+    formed when that bound passes MAX_CORE_ROWS."""
+    if int(np.diff(y.indptr)[x.indices].sum()) > MAX_CORE_ROWS:
+        raise _PastCap
+    return x @ y
+
+
+def _short_walk_core(core: Graph, length: int) -> Graph:
+    """The edges of the 2-core `core` that lie on a closed, cyclically
+    non-backtracking walk of at most `length` steps, as a graph; `core`
+    itself when B or a walk set below could pass MAX_CORE_ROWS entries.
+
+    Such a walk is a closed walk of the non-backtracking matrix B, whose
+    step from arc (u→v) goes to each arc (v→w) with w ≠ u. With R_a the pairs
+    of arcs (d, f) joined by 1..a steps of B, the support of (I + B)^(a-1)·B,
+    d lies on a closed walk of ℓ <= length steps iff some f has (d, f) in
+    R_⌈length/2⌉ and (f, d) in R_⌊length/2⌋: split the walk after ⌈ℓ/2⌉
+    steps. A walk reversed runs through the reverse arcs, so both arcs of an
+    edge agree. Every vertex of a closed walk meets two distinct edges of
+    it, so the result is its own 2-core."""
+    if core.n_edges == 0:  # most hosts at low s: skip the matrices' fixed cost
+        return core
+    _, _, src, dst, indptr = _arcs(core)
+    arcs = len(src)
+    # B's row of arc j: the arcs out of dst[j] but the one back to src[j]
+    d = np.diff(indptr)[dst]
+    total = int(d.sum())
+    if total > MAX_CORE_ROWS:
+        return core
+    col = np.repeat(indptr[dst] - np.cumsum(d) + d, d) + np.arange(total)
+    step = sp.csr_matrix((np.ones(total - arcs, dtype=bool),
+                          col[dst[col] != np.repeat(src, d)], np.append(0, np.cumsum(d - 1))),
+                         shape=(arcs, arcs))
+    wide = step + sp.identity(arcs, dtype=bool, format="csr")
+    lo, hi = length // 2, length - length // 2
+    # R_lo by repeated squaring of I + B, then R_hi
+    short = step if lo else sp.csr_matrix((arcs, arcs), dtype=bool)
+    base, m = wide, lo - 1
+    try:
+        while m > 0:
+            if m & 1:
+                short = _support_product(base, short)
+            m >>= 1
+            if m:
+                base = _support_product(base, base)
+        walks = short if hi == lo else _support_product(short, wide)
+    except _PastCap:
+        return core
+    closed = np.diff(walks.multiply(short.T.tocsr()).indptr) > 0
+    # the arcs with src < dst run in the order of the edges
+    return core if closed.all() else Graph.build(core.edge_array[closed[src < dst]])
+
+
 class _HomPlan:
     """Per-ℵ plan that counts every connected pattern with at most ℵ edges.
 
@@ -360,6 +454,7 @@ class _HomPlan:
     def __init__(self, aleph: int, graphs: list[Graph], rows: list[list[tuple[int, int]]],
                  cyclic_out: list[int]) -> None:
         self.aleph = aleph
+        self.walk_bound = max(aleph, 2 * aleph - 6)
         self.size = len(graphs)
         self.levels = _quotient_levels(graphs, rows)
         self.cyclic_out = cyclic_out
@@ -368,14 +463,16 @@ class _HomPlan:
         core_index: dict[tuple, tuple[int, list[int]]] = {}  # core code -> slot, canonical order
         self.cores: list[tuple[Graph, list[int], list[tuple]]] = []  # core, order, steps
         self.cyclic: list[tuple[int, int, list[tuple[int, tuple]]]] = []
+        cyclic = [i for i, g in enumerate(graphs) if g.n_edges >= g.n_vertices]
+        core_of = dict(zip(cyclic, _two_cores([graphs[i] for i in cyclic])))
         for i, g in enumerate(graphs):
             adj = g.adjacency
-            if g.n_edges == g.n_vertices - 1:
+            if i not in core_of:
                 self.tree_out.append(i)
                 center = _tree_centers(adj, g.vertices)[0]
                 roots.setdefault(_tree_rooted_code(adj, center, -1), []).append(i)
                 continue
-            core = two_core(g)
+            core = core_of[i]
             ckey, canon, _ = _general_canonical_code(core)
             if ckey not in core_index:
                 core_index[ckey] = (len(self.cores), canon)
@@ -428,22 +525,31 @@ class _HomPlan:
                      for j, code in enumerate(order)]
 
     def core_embeddings(self, core: Graph) -> tuple[np.ndarray, list]:
-        """The host 2-core's labels and, per pattern core, its injective maps
-        into the host 2-core as rows of positions in those labels (None when
-        the search ran dry). Each node of `search_tree` is expanded once, from
-        its parent's rows, and the cores ending at it all get its rows; a
-        node without rows prunes its subtree. Partial maps are pruned by
-        degree and by host distance; a node whose expansion would exceed
-        MAX_CORE_ROWS candidates raises MemoryError."""
-        labels = np.array(core.vertices, dtype=np.int64)
+        """The labels of the searched part of the host 2-core `core` and, per
+        pattern core, its injective maps into the host 2-core as rows of
+        positions in those labels (None when the search ran dry).
+
+        The search runs on `_short_walk_core(core, walk_bound)`, the edges on
+        closed cyclically non-backtracking walks of at most L(ℵ) =
+        max(ℵ, 2ℵ-6) steps. That loses no map: a pattern core K has at most
+        ℵ edges, so each edge of a cycle of K lies on a cycle of at most
+        |V(K)| <= ℵ edges, and a bridge of K on the closed walk that goes
+        round the cycles c1, c2 at its two ends and twice along the path
+        between them, of at most 2ℵ - c1 - c2 <= 2ℵ-6 steps. An injective map
+        sends these walks to host walks that are still non-backtracking, so
+        its image keeps every edge, and its paths, which bound the distance
+        pruning, lie in the reduced core. When the reduction's sets would
+        pass MAX_CORE_ROWS entries, the whole core is searched.
+
+        Each node of `search_tree` is expanded once, from its parent's rows,
+        and the cores ending at it all get its rows; a node without rows
+        prunes its subtree. Partial maps are pruned by degree and by host
+        distance; a node whose expansion would exceed MAX_CORE_ROWS
+        candidates raises MemoryError."""
+        labels, keys, src, dst, indptr = _arcs(_short_walk_core(core, self.walk_bound))
         k = len(labels)
         if k == 0:
             return labels, [None] * len(self.cores)
-        ends = np.searchsorted(labels, core.edge_array)
-        keys = np.sort(np.concatenate([ends[:, 0] * k + ends[:, 1],
-                                       ends[:, 1] * k + ends[:, 0]]))
-        src, dst = np.divmod(keys, k)
-        indptr = np.searchsorted(src, np.arange(k + 1))
         deg = np.diff(indptr)
         step = sp.csr_matrix((np.ones(len(keys), dtype=bool), (src, dst)), shape=(k, k))
         step = step + sp.identity(k, dtype=bool, format="csr")

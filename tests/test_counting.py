@@ -708,6 +708,78 @@ def steps_tree_size(tree: dict) -> tuple[int, int, list[int]]:
     return len(tree), nodes, ends
 
 
+def host_maps(labels: np.ndarray, rows) -> list[tuple]:
+    """A core's maps, rows of positions in `labels` or None, as sorted
+    tuples of host labels."""
+    return [] if rows is None else sorted(map(tuple, labels[rows].tolist()))
+
+
+class TestShortWalkCore:
+    """The host 2-core reduced to the edges on closed non-backtracking walks
+    of at most L(ℵ) = max(ℵ, 2ℵ-6) steps before the core search."""
+
+    @pytest.mark.parametrize("aleph", range(3, 11))
+    def test_bound_keeps_every_pattern_core(self, aleph):
+        # L(ℵ) keeps each pattern core whole, so an injective map's image
+        # survives the reduction; it is the least bound that does
+        plan = counting_engine(aleph).plan
+        assert plan.walk_bound == max(aleph, 2 * aleph - 6)
+        for core, _, _ in plan.cores:
+            assert counting._short_walk_core(core, plan.walk_bound) == core
+        assert any(counting._short_walk_core(core, plan.walk_bound - 1) != core
+                   for core, _, _ in plan.cores)
+
+    def test_barbell_keeps_its_bridge(self):
+        # two triangles joined by a 2-edge path: the closed walk around both
+        # triangles and twice along the path has 10 steps, L(8)
+        barbell = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
+        host = Graph.build(barbell + [(6, 7), (7, 8)], n=12)
+        plan = counting_engine(8).plan
+        labels, rows = plan.core_embeddings(two_core(host))
+        assert labels.tolist() == list(range(7))
+        slot = [canonical_form(core) for core, _, _ in plan.cores].index(
+            canonical_form(Graph.build(barbell)))
+        assert len(rows[slot]) == 8  # |Aut| of the barbell
+        assert counting._short_walk_core(Graph.build(barbell), 9) == Graph.build(
+            barbell[:3] + barbell[-3:])
+
+    def test_lone_long_cycle_reduces_to_nothing(self):
+        plan = counting_engine(8).plan
+        host = Graph.cycle(12, offset=3)
+        assert counting._short_walk_core(host, plan.walk_bound).n_vertices == 0
+        labels, rows = plan.core_embeddings(host)
+        assert len(labels) == 0 and rows == [None] * len(plan.cores)
+        assert counting._short_walk_core(host, 12) == host
+
+    @pytest.mark.parametrize("n, lam, seed", [(3000, 3.0, 3000), (100_000, 2.0, 1)],
+                             ids=["lam3", "n1e5-lam2"])
+    def test_w_equals_the_unreduced_search(self, n, lam, seed, monkeypatch):
+        params = ModelParams(n=n, lam=lam, k=2, eps=0.3, s=0.8)
+        host = sample_correlated(params, trial_generator(seed, 0, 0, 0)).a
+        x = CenteredMatrix.from_graph(host, params)
+        eng = counting_engine(8)
+        core = two_core(host)
+        assert len(eng.plan.core_embeddings(core)[0]) < core.n_vertices
+        w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
+        monkeypatch.setattr(counting, "_short_walk_core", lambda core, length: core)
+        assert eng.w_all_shapes(host, x.nonedge_value, x.slope).tobytes() == w.tobytes()
+
+    def test_reduced_core_is_a_two_core(self):
+        core = two_core(sampled_host(3000, 2.0, 0.8, 3000))
+        reduced = counting._short_walk_core(core, 10)
+        assert 0 < reduced.n_vertices < core.n_vertices
+        assert two_core(reduced) == reduced
+        assert reduced.edge_set <= core.edge_set
+
+    @pytest.mark.parametrize("aleph", range(3, 11))
+    def test_batched_pattern_cores(self, aleph):
+        graphs = [g for g in load_quotient_table(aleph)[0] if g.n_edges >= g.n_vertices]
+        # and a tree, an isolated vertex and labels that start past 0
+        graphs += [Graph.path(4), Graph.build([(5, 6), (6, 7), (5, 7), (7, 9)],
+                                              vertices=[2, 5, 6, 7, 9])]
+        assert counting._two_cores(graphs) == [two_core(g) for g in graphs]
+
+
 class TestSharedCoreSearch:
     """The pattern cores searched as one prefix tree against the per-core
     search oracle."""
@@ -727,12 +799,27 @@ class TestSharedCoreSearch:
         pytest.param(lambda: Graph.empty(5), id="empty"),
     ])
     def test_rows_equal_the_per_core_search(self, host):
+        # the shared search runs on the reduced core, so its rows are
+        # positions among fewer labels: compare the maps as host labels
         plan = counting_engine(8).plan
         core = two_core(host())
         labels, got = plan.core_embeddings(core)
         want_labels, want = per_core_embeddings(plan, core)
-        assert np.array_equal(labels, want_labels)
         assert len(got) == len(want) == len(plan.cores)
+        for a, b in zip(got, want):
+            assert host_maps(labels, a) == host_maps(want_labels, b)
+
+    def test_cap_falls_back_to_the_unreduced_search(self, monkeypatch):
+        # on this host the reduction needs a cap of 49,082 entries and the
+        # unreduced search one of 19,166 candidate rows: between the two,
+        # the reduction gives up and the whole core is searched
+        plan = counting_engine(8).plan
+        core = two_core(sampled_host(3000, 2.0, 0.8, 3000))
+        assert len(plan.core_embeddings(core)[0]) < core.n_vertices
+        monkeypatch.setattr(counting, "MAX_CORE_ROWS", 30_000)
+        labels, got = plan.core_embeddings(core)
+        want_labels, want = per_core_embeddings(plan, core)
+        assert np.array_equal(labels, want_labels)
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b)
 
