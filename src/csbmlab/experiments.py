@@ -95,6 +95,8 @@ class SweepConfig:
             raise ValueError("C must lie in (0, 1)")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}")
+        if self.reps is not None and self.reps < 1:
+            raise ValueError("reps must be >= 1")
         object.__setattr__(self, "s_grid", grid)
 
     def params_at(self, s: float) -> ModelParams:

@@ -372,6 +372,8 @@ class TreeCountingDetector:
             raise ValueError("C must lie in (0, 1)")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}")
+        if self.reps is not None and self.reps < 1:
+            raise ValueError("reps must be >= 1")
         self.params_ = ModelParams(n=self.n, lam=self.lam, k=self.k,
                                    eps=self.eps, s=self.s)
         self.catalog_ = enumerate_trees(self.aleph)

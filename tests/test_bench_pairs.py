@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -48,7 +50,8 @@ def test_series_are_appended(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 7, "end_to_end": [{"name": "rate", "better": "higher"}]}))
+            {"run_seconds": 7, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "rate", "better": "higher"}]}))
     seen = []
 
     def fake_run(checkout, workload, seed, seconds, trace):
@@ -105,7 +108,7 @@ def test_bounds_come_from_end_to_end_metrics(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 1,
+            {"run_seconds": 1, "workloads": [{"name": "w"}],
              "end_to_end": [{"name": "rate", "better": "higher", "bound": 0.1}],
              "per_layer": [{"name": "time", "better": "lower"}]}))
     rates = {"parent": 1.0, "change": 0.5}
@@ -141,7 +144,8 @@ def test_finished_pairs_are_kept_when_a_run_fails(tmp_path):
     for side, rate, fail_at in (("parent", 1.0, 0), ("change", 2.0, 2)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 1, "end_to_end": [{"name": "rate", "better": "higher"}]}))
+            {"run_seconds": 1, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "rate", "better": "higher"}]}))
         (tmp_path / side / "perfbench" / "run.py").write_text(
             FAKE_RUN.format(fail_at=fail_at, rate=rate))
     out = tmp_path / "bench.json"
@@ -158,3 +162,23 @@ def test_finished_pairs_are_kept_when_a_run_fails(tmp_path):
     assert done["pairs"] == 1 and [p["seed"] for p in done["runs"]] == [40]
     assert done["runs"][0]["change"]["metrics"] == {"rate": 2.0}
     assert done["summary"]["rate"]["change_wins"] == 1 and done["all_correct"]
+
+
+def test_unknown_workload_is_refused_before_any_run(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "workloads": [{"name": "dense_host"}],
+             "end_to_end": [{"name": "rate", "better": "higher"}]}))
+
+    def fake_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "dense_hots",
+                          "--pairs", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()

@@ -107,12 +107,12 @@ class TestDetect:
     def test_aleph_without_a_table_is_refused(self, tmp_path, capsys, monkeypatch):
         # ℵ=11 has no committed table: the engine refuses it at once, naming
         # the writer, and never starts the generator
-        from csbmlab import counting
+        from csbmlab import tablegen
 
         def generate(*args):
             raise AssertionError("detect ran the generator")
 
-        monkeypatch.setattr(counting, "_quotient_counts", generate)
+        monkeypatch.setattr(tablegen, "_quotient_counts", generate)
         path = tmp_path / "g.json"
         path.write_text(Graph.build([(0, 1), (1, 2)], n=4).to_json())
         code = run(["detect", "--input-a", str(path), "--input-b", str(path),

@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from csbmlab import counting
+from csbmlab import counting, tablegen
 from csbmlab.counting import (MAX_CORE_ROWS, counting_engine, falling_factorial,
-                              load_quotient_table, quotient_table, write_quotient_table)
+                              load_quotient_table, write_quotient_table)
 from csbmlab.experiments import trial_generator
 from csbmlab.graphs import Graph, _has, canonical_form, two_core
 from csbmlab.models import ModelParams, sample_correlated, sample_null
 from csbmlab.statistics import CenteredMatrix, w_exact
+from csbmlab.tablegen import quotient_table
 from csbmlab.trees import enumerate_trees
 
 # ---------------------------------------------------------------------------
@@ -998,9 +999,11 @@ class TestHomBasis:
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_shape_guard_survives_optimize(self, flags, tmp_path):
         # a table file whose shapes are out of catalog order would pair each
-        # shape with another's terms, and a factor index of -1 or a shape's
-        # forest index past the forests would read another slot; the
-        # explicit raises must refuse each, with asserts stripped too
+        # shape with another's terms, and a factor index of -1, a shape's
+        # forest index past the forests or a quotient column of -(len - 1)
+        # would read another slot; the explicit raises must refuse each, and
+        # a quotient column past the end or a count of 0, with asserts
+        # stripped too
         text = counting._table_path(7).read_text()
 
         def swap_shapes(table):
@@ -1013,10 +1016,22 @@ class TestHomBasis:
         def forest_past_the_end(table):
             table["shapes"][0][1][0][0] = len(table["forests"])
 
+        def column_wraps_to_one(table):
+            table["patterns"][-1][1][0][0] = 1 - len(table["patterns"])
+
+        def column_past_the_end(table):
+            table["patterns"][-1][1][0][0] = len(table["patterns"])
+
+        def count_zero(table):
+            table["patterns"][-1][1][0][1] = 0
+
         for corrupt, message in (
                 (swap_shapes, "forest record's shapes are not the catalog's"),
                 (factor_minus_one, "names a pattern or a forest its table does not hold"),
-                (forest_past_the_end, "names a pattern or a forest its table does not hold")):
+                (forest_past_the_end, "names a pattern or a forest its table does not hold"),
+                (column_wraps_to_one, "quotient row names a pattern its table does not hold"),
+                (column_past_the_end, "quotient row names a pattern its table does not hold"),
+                (count_zero, "or a count below 1")):
             table = json.loads(text)
             corrupt(table)
             (tmp_path / corrupt.__name__).mkdir()
@@ -1033,6 +1048,16 @@ class TestHomBasis:
             assert (graphs, rows) == generated_table(aleph)[:2]
             assert record == generated_table(aleph)[2]
 
+    def test_writer_rewrites_the_committed_files(self, tmp_path, monkeypatch):
+        # byte for byte, not only as parsed objects: the file format is pinned
+        monkeypatch.setattr(counting, "_table_path",
+                            lambda aleph: tmp_path / f"quotients{aleph}.json")
+        monkeypatch.setattr(tablegen, "quotient_table", generated_table)
+        committed = Path(counting.__file__).with_name("tables")
+        for aleph in range(1, 9):
+            assert (write_quotient_table(aleph).read_bytes()
+                    == (committed / f"quotients{aleph}.json").read_bytes()), aleph
+
     @pytest.mark.parametrize("aleph", [7, 8])
     def test_loaded_engine_equals_the_generated(self, aleph):
         loaded, built = counting_engine(aleph), generated_engine(aleph)
@@ -1043,33 +1068,25 @@ class TestHomBasis:
             assert ([a.tolist() for a in getattr(loaded, name)]
                     == [a.tolist() for a in getattr(built, name)])
 
-    def test_build_generates_nothing(self, monkeypatch):
-        # with the generator and the pattern keying disabled every engine
-        # from ℵ=1 to ℵ=10 still builds, from its committed table alone, and
-        # scores a host; as the generated one does where generating takes
-        # seconds
+    def test_build_generates_nothing(self):
+        # a fresh interpreter builds every engine from ℵ=1 to ℵ=10 from its
+        # committed table alone and scores a host, and the generator module
+        # is never imported; W is the generated engine's where generating
+        # takes seconds
+        done = run_python([], BUILD_EVERY_ENGINE)
+        assert done.returncode == 0, done.stdout + done.stderr
+        out = json.loads(done.stdout)
+        assert out["generator_imported"] is False
         params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
         host = sample_correlated(params, trial_generator(3000, 1, 0, 0)).a
         x = CenteredMatrix.from_graph(host, params)
-        expected = {aleph: generated_engine(aleph).w_all_shapes(host, x.nonedge_value, x.slope)
-                    for aleph in range(1, 9)}
-
-        def generate(*args):
-            raise AssertionError("the engine build ran the generator")
-
-        monkeypatch.setattr(counting, "_quotient_counts", generate)
-        monkeypatch.setattr(counting._Algebra, "expansion", generate)
-        monkeypatch.setattr(counting, "canonical_form", generate)
         for aleph in range(1, 11):
-            eng = counting.CountingEngine(aleph)
-            w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
+            w = out["w"][str(aleph)]
             assert len(w) == len(enumerate_trees(aleph))
-            if aleph in expected:
-                assert w.tolist() == expected[aleph].tolist(), aleph
-        eng = counting.CountingEngine(8)
-        assert len(eng.algebra.patterns) == 177
-        assert len(eng.cyclic_keys) == 83
-        assert len(eng.forest_defs) == 153
+            if aleph <= 8:
+                expected = generated_engine(aleph).w_all_shapes(host, x.nonedge_value, x.slope)
+                assert w == expected.tolist(), aleph
+        assert out["sizes"] == [177, 83, 153]
 
     def test_written_table_loads_back(self, tmp_path, monkeypatch):
         # the writer is the only way to regenerate a committed table; check
@@ -1147,6 +1164,23 @@ except RuntimeError as exc:
     print(exc)
 else:
     raise SystemExit("no RuntimeError")
+"""
+
+BUILD_EVERY_ENGINE = """
+import json, sys
+import csbmlab
+from csbmlab import counting
+from csbmlab.experiments import trial_generator
+params = csbmlab.ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
+host = csbmlab.sample_correlated(params, trial_generator(3000, 1, 0, 0)).a
+x = csbmlab.CenteredMatrix.from_graph(host, params)
+engines = {aleph: counting.CountingEngine(aleph) for aleph in range(1, 11)}
+w = {aleph: eng.w_all_shapes(host, x.nonedge_value, x.slope).tolist()
+     for aleph, eng in engines.items()}
+eng = engines[8]
+print(json.dumps({"w": w, "generator_imported": "csbmlab.tablegen" in sys.modules,
+                  "sizes": [len(eng.algebra.patterns), len(eng.cyclic_keys),
+                            len(eng.forest_defs)]}))
 """
 
 LOAD_FROM_DIRECTORY = """

@@ -176,6 +176,13 @@ class TestSweep:
             SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
                         aleph=2, trials=2, seed=0, method=method, workers=2)
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_below_one_rejected_when_built(self, reps):
+        # as the method is: by the config, not by w_color_coding in a worker
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
+                        aleph=2, trials=2, seed=0, method="cc", reps=reps, workers=2)
+
     def test_default_method_written_to_config(self, tmp_path):
         cfg = SweepConfig(n=12, lam=1.5, k=2, eps=0.3, s_grid=(0.8,),
                           aleph=3, trials=2, seed=0)

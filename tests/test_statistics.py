@@ -414,6 +414,12 @@ class TestDetector:
         with pytest.raises(ValueError, match="method must be one of exact, sparse, cc"):
             TreeCountingDetector(n=12, aleph=3, method="auto").fit()
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_fit_rejects_reps_below_one(self, reps):
+        # caught at fit, not at the first scored pair
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            TreeCountingDetector(n=12, aleph=3, method="cc", reps=reps).fit()
+
     def test_separates_extreme_models(self):
         det = TreeCountingDetector(n=400, lam=4.0, k=2, eps=0.0, s=1.0,
                                    aleph=5, C=0.5).fit()

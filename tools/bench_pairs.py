@@ -11,7 +11,9 @@ first, odd pairs the change. Run from anywhere:
 The output file holds one list of series per workload (and per `--trace`
 setting), so runs of several workloads, and several series of one workload,
 go into one file; a new series is appended, never written over an earlier
-one. Each run lasts the `run_seconds` of the change's `BENCHMARK.json`.
+one. Each run lasts the `run_seconds` of the change's `BENCHMARK.json`,
+and `--workload` must name one of its `workloads`: another name is refused
+before any run, and nothing is written.
 Each series lists every run, each side's median and quartiles per metric,
 and, for the metrics whose direction `BENCHMARK.json` gives, how many pairs
 the change won (ties count for neither side) and whether a gain is shown:
@@ -60,15 +62,17 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def benchmark(checkout: str) -> tuple[float, dict[str, str], dict[str, float]]:
+def benchmark(checkout: str) -> tuple[float, dict[str, str], dict[str, float], list[str]]:
     """The checkout's BENCHMARK.json: run length in seconds, metric name ->
-    "higher" or "lower", and end-to-end metric name -> its bound."""
+    "higher" or "lower", end-to-end metric name -> its bound, and the
+    workload names."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     end_to_end = bench.get("end_to_end", [])
     return bench["run_seconds"], {
         m["name"]: m["better"] for m in end_to_end + bench.get("per_layer", [])
-    }, {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
+    }, {m["name"]: m["bound"] for m in end_to_end if "bound" in m}, [
+        w["name"] for w in bench.get("workloads", [])]
 
 
 def spread(xs: list[float]) -> dict:
@@ -129,7 +133,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    seconds, better, bounds = benchmark(sides["change"])
+    seconds, better, bounds, workloads = benchmark(sides["change"])
+    if args.workload not in workloads:
+        parser.error(f"--workload {args.workload!r} is not a workload of the change's "
+                     f"BENCHMARK.json ({', '.join(workloads)})")
     pairs, failure = [], None
     for i in range(args.pairs):
         seed = args.seed + i
