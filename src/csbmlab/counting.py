@@ -26,9 +26,9 @@ only loads them: each ℵ from 1 to 10 has its table file in the package's
 refused. They are generated by `tablegen`, which only
 `write_quotient_table(aleph)` imports. Per host graph, read through
 `Graph.csr`: P of a tree is a homomorphism count, summed from
-rooted-subtree vectors h = Π_children A·h_child, each message A·h one int64
-CSR matvec over the host's non-isolated vertices (one `add.reduceat` over
-the neighbour segments for Python-integer vectors); P of a cyclic pattern sums
+rooted-subtree vectors h = Π_children A·h_child, each message A·h one CSR
+matvec over the host's non-isolated vertices (one `add.reduceat` over the
+neighbour segments for Python-integer vectors); P of a cyclic pattern sums
 products of its pendant trees' vectors over the injective maps of K into
 the host's 2-core. A map keeps K's closed non-backtracking walks so, as K
 has at most ℵ edges, its image lies on the host 2-core's edges that close
@@ -38,10 +38,15 @@ distance, over a tree of placement steps built once per ℵ: cores whose
 placement orders begin alike share a node, and its rows, per host. Solving
 the system in order of vertex count gives every injective count.
 
-Everything is exact: counts are Python integers, vectors are int64 only
-while no entry can reach 2^62, and W is the correctly rounded float of the
-exact rational sum, combined in integers from the weights' exact binary
-values. The graph-independent algebra (the quotient solve, the forest
+Everything is exact: counts are Python integers, and W is the correctly
+rounded float of the exact rational sum, combined in integers from the
+weights' exact binary values. On a host of maximum degree Δ, a vector entry
+is at most Δ^ℵ and a sum at most n·Δ^ℵ, so vectors are int32 while
+Δ^ℵ < 2^31, int64 while n·Δ^ℵ < 2^62 and Python integers beyond; the sums,
+the pendant values and the cyclic weights are int64 under the second bound
+and Python integers beyond it. The benchmark's hosts (ℵ=8, Δ near 10) run
+int32 vectors; the int64 tier serves ℵ=10 hosts with Δ >= 9, such as those
+of n=3000, λ=3. The graph-independent algebra (the quotient solve, the forest
 products, the W terms) is compiled into index arrays once per ℵ, so a host
 costs a few array passes over it. The engine keys nothing at run time: a
 pattern is its table index from the loaded record to W."""
@@ -250,6 +255,16 @@ def _short_walk_core(core: Graph, length: int) -> Graph:
     return core if closed.all() else Graph.build(core.edge_array[closed[src < dst]])
 
 
+def _hom_dtypes(n: int, max_degree: int, aleph: int) -> tuple[type, type]:
+    """The dtypes of a host's hom vectors and of its sums (`_HomPlan.hom_counts`):
+    int32 vectors while Δ^ℵ < 2^31, and int64 sums while n·Δ^ℵ < 2^62;
+    Python integers for both past that."""
+    bound = max_degree ** aleph
+    if n * bound >= 2 ** 62:
+        return object, object
+    return np.int32 if bound < 2 ** 31 else np.int64, np.int64
+
+
 class _HomPlan:
     """Per-ℵ plan that counts every connected pattern with at most ℵ edges.
 
@@ -424,37 +439,42 @@ class _HomPlan:
                    core: tuple[np.ndarray, list]) -> np.ndarray:
         """P of every table pattern in the host whose `Graph.csr` is
         ``(indptr, indices)``; `core` is `core_embeddings` of the host's
-        2-core. Vectors, and the result, are int64 while every hom count they
-        hold is below n·Δ^ℵ < 2^62, and Python integers otherwise.
+        2-core. For the host's size n and maximum degree Δ, the vectors and
+        messages take the first dtype `_hom_dtypes` gives, and the sums, the
+        pendant values at the core, the cyclic weights and the result the
+        second.
 
-        The vectors run over the support, the non-isolated vertices relabelled
-        0..|S|-1 in order. That is exact: every table pattern has an edge, so
-        no map of one sends a vertex to an isolated host vertex, and an
-        isolated vertex sends no message. The support adjacency is built once
-        as an int64 CSR matrix, so a message A·h is one compiled CSR matvec,
-        exact in int64 under the same bound; Python-integer vectors, which
-        scipy has no kernel for, sum each neighbour segment with one
-        `add.reduceat` (no support vertex has an empty one). The host
-        2-core's vertices have degree >= 2, so all lie in the support."""
+        That is exact: every vector entry, every partial product and every
+        partial matvec sum counts the rooted homomorphisms of a tree with at
+        most ℵ edges, so it is at most Δ^ℵ, and a pattern's P is at most
+        n·Δ^ℵ. The vectors run over the support, the non-isolated vertices
+        relabelled 0..|S|-1 in order: every table pattern has an edge, so no
+        map of one sends a vertex to an isolated host vertex, and an isolated
+        vertex sends no message. The support adjacency is built once as a CSR
+        matrix of the vectors' dtype, so a message A·h is one compiled CSR
+        matvec; Python-integer vectors, which scipy has no kernel for, sum
+        each neighbour segment with one `add.reduceat` (no support vertex has
+        an empty one). The single vertex's message A·1 is the support's
+        degree vector, read off `indptr`. The host 2-core's vertices have
+        degree >= 2, so all lie in the support."""
         labels, embeddings = core
-        n = len(indptr) - 1
         deg = np.diff(indptr)
-        exact = n * int(deg.max(initial=0)) ** self.aleph < 2 ** 62
-        dtype = np.int64 if exact else object
-        pos = np.cumsum(deg > 0) - 1
+        vector, wide = _hom_dtypes(len(deg), int(deg.max(initial=0)), self.aleph)
+        live = deg > 0
+        pos = np.cumsum(live) - 1
         nbr = pos[indices]
-        starts = indptr[:-1][deg > 0]
+        starts = indptr[:-1][live]
         support = len(starts)
         at_labels = pos[labels]
-        if exact:
-            adj = sp.csr_matrix((np.ones(len(nbr), dtype=np.int64), nbr,
+        if vector is not object:
+            adj = sp.csr_matrix((np.ones(len(nbr), dtype=vector), nbr,
                                  np.append(starts, len(nbr))), shape=(support, support))
-        hom = np.zeros(self.size, dtype)
+        hom = np.zeros(self.size, wide)
         msg: dict[int, np.ndarray] = {}
         at_core: dict[int, np.ndarray] = {}
         for j, (children, spread, trees, pendant, done) in enumerate(self.jobs):
             if not children:
-                h = np.ones(support, dtype)
+                h = np.ones(support, vector)
             elif len(children) == 1:
                 h = msg[children[0]]
             else:  # a fresh product, so later factors never touch a message
@@ -462,18 +482,23 @@ class _HomPlan:
                 for c in children[2:]:
                     np.multiply(h, msg[c], out=h)
             if trees:
-                hom[trees] = h.sum()
+                hom[trees] = h.sum(dtype=wide)
             if pendant and len(labels):
-                at_core[j] = h[at_labels]
+                at_core[j] = h[at_labels].astype(wide)
             if spread:
-                msg[j] = adj @ h if exact else np.add.reduceat(h[nbr], starts)
+                if not children:
+                    msg[j] = deg[live].astype(vector)
+                elif vector is object:
+                    msg[j] = np.add.reduceat(h[nbr], starts)
+                else:
+                    msg[j] = adj @ h
             for c in done:
                 del msg[c]
         for i, r, pendants in self.cyclic:
             rows = embeddings[r]
             if rows is None:
                 continue
-            weight = np.ones(len(rows), dtype)
+            weight = np.ones(len(rows), wide)
             for col, j in pendants:
                 weight = weight * at_core[j][rows[:, col]]
             hom[i] = weight.sum()

@@ -139,19 +139,21 @@ class Graph:
             ends = ends.reshape(0, 2)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValueError(f"edge array must have shape (m, 2), got {ends.shape}")
-        ends = np.sort(ends.astype(np.int64, copy=False), axis=1)
-        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        ends = ends.astype(np.int64, copy=False)
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        loops = np.flatnonzero(lo == hi)
         if len(loops):
-            raise ValueError(f"self-loop at vertex {int(ends[loops[0], 0])}")
+            raise ValueError(f"self-loop at vertex {int(lo[loops[0]])}")
         if n is not None:
             n = max(operator.index(n), 0)  # as tuple(range(n)) would have it
             vts = None
             stop = n
-            inside = (ends[:, 0] >= 0) & (ends[:, 1] < n)
+            inside = (lo >= 0) & (hi < n)
         else:
             if vertices is not None:
                 vts = tuple(sorted(set(vertices)))
-                inside = np.isin(ends, np.array(vts, dtype=np.int64)).all(axis=1)
+                labels = np.array(vts, dtype=np.int64)
+                inside = np.isin(lo, labels) & np.isin(hi, labels)
             else:
                 vts = tuple(np.unique(ends).tolist())
                 inside = np.ones(len(ends), dtype=bool)
@@ -160,12 +162,12 @@ class Graph:
             stop = vts[-1] + 1 if vts else 0
         if not inside.all():
             # the first offending edge in sorted order, as __post_init__ reports
-            u, v = min(map(tuple, ends[~inside].tolist()))
+            u, v = min(zip(lo[~inside].tolist(), hi[~inside].tolist()))
             raise ValueError(f"edge ({u},{v}) endpoint outside vertex set")
         base = max(stop, 1)
         if base > _MAX_KEY_BASE:
             raise ValueError(f"vertex label {stop - 1} too large for an edge array")
-        keys = np.sort(ends[:, 0] * base + ends[:, 1])
+        keys = np.sort(lo * base + hi)
         u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], base)
         edge_array = np.column_stack([u, v])
         edge_array.flags.writeable = False
@@ -252,8 +254,10 @@ class Graph:
         if not self._dense:
             raise ValueError("host graphs must use the dense universe 0..n-1")
         u, v = self.edge_array.T
-        src, dst = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
-        return np.searchsorted(src, np.arange(n + 1)), dst.astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edge_array.ravel(), minlength=n), out=indptr[1:])
+        dst = np.sort(np.concatenate([u * n + v, v * n + u])) % max(n, 1)
+        return indptr, dst.astype(np.int32)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -440,22 +444,38 @@ def independent_cycles(g: Graph, m: int) -> list[Graph]:
 
 def two_core(g: Graph) -> Graph:
     """Strip degree-<=1 vertices, all at once in each round, until min
-    degree >= 2 (or empty)."""
-    n = g.n_vertices
+    degree >= 2 (or empty).
+
+    A round costs O(k + edges left) over the k labels it tracks. Once fewer
+    than k/8 edges are left, their endpoints are relabelled 0..k'-1 and the
+    other labels dropped: they have degree 0, so the next round would drop
+    them. After a relabelling k' <= 2·edges, so the relabellings cost
+    O(n + m) in all, and a near-tree host's many late rounds cost what is
+    left of it, not O(n) each."""
     if g._dense:  # labels are positions
         labels, ends = None, g.edge_array
     else:  # edge endpoints as positions in the sorted label tuple
         labels = np.array(g.vertices, dtype=np.int64)
         ends = np.searchsorted(labels, g.edge_array)
+    u, v = ends[:, 0], ends[:, 1]
     kept = np.arange(len(ends))
-    alive = np.ones(n, dtype=bool)
+    k = g.n_vertices
+    alive = np.ones(k, dtype=bool)
     while True:
-        drop = alive & (np.bincount(ends.ravel(), minlength=n) <= 1)
+        if 8 * len(kept) < k:
+            used = np.zeros(k, dtype=bool)
+            used[u] = used[v] = True
+            at = np.cumsum(used) - 1
+            u, v = at[u], at[v]
+            labels = np.flatnonzero(used) if labels is None else labels[used]
+            k = len(labels)
+            alive = np.ones(k, dtype=bool)
+        drop = alive & (np.bincount(u, minlength=k) + np.bincount(v, minlength=k) <= 1)
         if not drop.any():
             break
         alive &= ~drop
-        inner = alive[ends].all(axis=1)
-        ends, kept = ends[inner], kept[inner]
+        inner = alive[u] & alive[v]
+        u, v, kept = u[inner], v[inner], kept[inner]
     core = np.flatnonzero(alive) if labels is None else labels[alive]
     return Graph.build(g.edge_array[kept], vertices=core.tolist())
 

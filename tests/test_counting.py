@@ -656,6 +656,13 @@ class TestSupportCounting:
         yield Graph.build([(5, 9), (9, 12), (5, 12), (12, 20), (20, 31), (31, 40)],
                           n=50)
         yield Graph.empty(10)
+        # the stars either side of Δ^8 < 2^31: K_{1,14} takes int32 vectors and
+        # K_{1,15}, whose centre sums 15^8 > 2^31 hom maps, int64 ones
+        yield Graph.build([(0, i) for i in range(1, 15)], n=15)
+        yield Graph.build([(0, i) for i in range(1, 16)], n=16)
+        # a triangle whose vertex 2 is the centre of a pendant K_{1,12}, so
+        # that int32 vectors feed the pendant values and the cyclic weights
+        yield Graph.build([(0, 1), (1, 2), (0, 2)] + [(2, i) for i in range(3, 15)], n=15)
         # the stars either side of n·Δ^8 < 2^62: K_{1,118} is the largest that
         # stays int64 (119·118^8 < 2^62), so the CSR matvec runs at its
         # largest admissible values, and K_{1,119} is counted in Python ints
@@ -665,7 +672,7 @@ class TestSupportCounting:
 
     def test_equals_the_full_n_vectors(self):
         plan = counting_engine(8).plan
-        dtypes = []
+        dtypes, vectors, homs = [], [], []
         for host in self.hosts():
             core = plan.core_embeddings(two_core(host))
             got = plan.hom_counts(*host.csr, core)
@@ -673,9 +680,18 @@ class TestSupportCounting:
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
             dtypes.append(got.dtype)
+            homs.append(got)
+            vectors.append(counting._hom_dtypes(
+                host.n_vertices, int(np.diff(host.csr[0]).max(initial=0)), 8)[0])
+        assert 14 ** 8 < 2 ** 31 < 15 ** 8
         assert 119 * 118 ** 8 < 2 ** 62 <= 120 * 119 ** 8
-        assert dtypes[0] == np.int64
+        assert vectors[0] is np.int32 and dtypes[0] == np.int64
+        assert vectors[4:7] == [np.int32, np.int64, np.int32]
+        assert dtypes[4:7] == [np.int64] * 3
+        # on the triangle, the pendant K_{1,12} reaches the cyclic weights
+        assert max(homs[6][i] for i, _, pendants in plan.cyclic if pendants) > 12 ** 4
         assert dtypes[-3:] == [np.int64, object, object]
+        assert vectors[-3:] == [np.int64, object, object]
 
     def test_relabelled_core_is_counted(self):
         # the triangle host's cyclic patterns count through the relabelled core

@@ -4,11 +4,13 @@ import itertools
 import math
 import pickle
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from csbmlab import graphs
+from csbmlab.experiments import trial_generator
 from csbmlab.graphs import (
     Graph,
     automorphism_count,
@@ -26,6 +28,7 @@ from csbmlab.graphs import (
     leaves,
     two_core,
 )
+from csbmlab.models import ModelParams, sample_correlated
 
 TRIANGLE = Graph.build([(0, 1), (1, 2), (0, 2)])
 P3 = Graph.path(3)
@@ -42,6 +45,14 @@ def apply_permutation(g: Graph, image) -> Graph:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.build(edges, n=n)
+
+
+@lru_cache(maxsize=1)
+def sampled_host() -> Graph:
+    """A sampled n=1e5 host of the `sparse_large` benchmark's model: about
+    48k edges, most components trees, a 2-core of a few dozen vertices."""
+    params = ModelParams(n=100_000, lam=1.2, k=2, eps=0.3, s=0.8)
+    return sample_correlated(params, trial_generator(1, 0, 0, 0)).a
 
 
 def random_subgraph(rng: random.Random, g: Graph) -> Graph:
@@ -276,6 +287,22 @@ class TestTwoCore:
             g = random_graph(rng, rng.randint(0, 15), rng.choice([0.1, 0.2, 0.4]))
             assert two_core(g) == two_core_by_queue(g), g
 
+    def test_large_sparse_hosts_match_queue_oracle(self):
+        # a 5-cycle with a 200-vertex pendant path, among 1,000 isolated
+        # vertices, on labels 3, 10, 17, ...: the path peels one vertex a
+        # round, and the later rounds run on relabelled endpoints
+        label = [7 * i + 3 for i in range(1205)]
+        edges = [(label[i], label[(i + 1) % 5]) for i in range(5)]
+        edges += [(label[i], label[i + 1]) for i in range(4, 204)]
+        path = Graph.build(edges, vertices=label)
+        for g in (sampled_host(), path):
+            core = two_core(g)
+            assert core == two_core_by_queue(g)
+            assert core.n_vertices > 0
+            # the last round had fewer than n/8 edges left, so the relabelling ran
+            assert 8 * core.n_edges < g.n_vertices
+        assert two_core(path).vertices == tuple(label[:5])
+
     def test_tree_strips_to_empty(self):
         tree = Graph.build([(0, 1), (1, 2), (1, 3)])
         assert two_core(tree).n_vertices == 0
@@ -319,6 +346,11 @@ class TestArrayBuild:
                 assert all(type(w) is int for w in g.vertices + sum(g.edges, ()))
                 assert np.array_equal(g.edge_array, np.array(g.edges, dtype=np.int64).reshape(-1, 2))
                 assert np.array_equal(ref.edge_array, g.edge_array)
+        host = sampled_host()
+        ends = np.concatenate([host.edge_array[::2], host.edge_array[1::2, ::-1]])
+        g = Graph.build(ends, n=host.n_vertices)
+        assert g == Graph.build(ends.tolist(), n=host.n_vertices) == host
+        assert np.array_equal(g.edge_array, host.edge_array)
         empty = np.empty((0, 2), dtype=np.int64)
         assert Graph.build(empty, n=4) == Graph.build([], n=4) == Graph.empty(4)
         assert Graph.build(empty, vertices=[3, 8]) == Graph.build([], vertices=[3, 8])
@@ -327,7 +359,9 @@ class TestArrayBuild:
 
     @pytest.mark.parametrize("edges, kw", [
         ([(0, 1), (2, 2), (3, 3)], {"n": 4}),        # self-loop
+        ([(3, 1), (2, 2)], {"vertices": [1, 2, 3]}),  # self-loop after a reversed pair
         ([(0, 1), (5, 2), (1, 4)], {"n": 4}),        # endpoint >= n
+        ([(6, 0), (5, 1), (0, 1)], {"n": 4}),        # the least pair, as sorted, is named
         ([(0, 1), (-1, 2)], {"n": 4}),               # negative endpoint
         ([(0, 1), (-1, 2)], {}),                     # negative label
         ([(2, 7), (7, 9), (3, 2)], {"vertices": [2, 5, 7]}),  # outside `vertices`
@@ -405,11 +439,12 @@ class TestArrayBuild:
 class TestCsr:
     def test_matches_adjacency(self):
         rng = random.Random(8)
-        for n in (0, 1, 5, 30):
-            g = random_graph(rng, n, 0.3)
+        for g in [random_graph(rng, n, 0.3) for n in (0, 1, 5, 30)] + [sampled_host()]:
+            n = g.n_vertices
             indptr, indices = g.csr
             assert [tuple(indices[indptr[v]:indptr[v + 1]].tolist())
                     for v in range(n)] == [g.adjacency[v] for v in range(n)]
+            assert indptr.dtype == np.int64 and indices.dtype == np.int32
 
 
 class TestIsomorphism:
