@@ -27,8 +27,11 @@ refused. They are generated by `tablegen`, which only
 `write_quotient_table(aleph)` imports. Per host graph, read through
 `Graph.csr`: P of a tree is a homomorphism count, summed from
 rooted-subtree vectors h = Π_children A·h_child, each message A·h one CSR
-matvec over the host's non-isolated vertices (one `add.reduceat` over the
-neighbour segments for Python-integer vectors); P of a cyclic pattern sums
+matvec over the host's non-isolated vertices, relabelled by int32 positions
+(one `add.reduceat` over the neighbour segments for Python-integer
+vectors). The rooted codes run in an order fixed once per ℵ that frees
+messages early, so at ℵ=8 at most 7 are held at once, not 20, and each is
+dropped after its last consumer; P of a cyclic pattern sums
 products of its pendant trees' vectors over the injective maps of K into
 the host's 2-core. A map keeps K's closed non-backtracking walks so, as K
 has at most ℵ edges, its image lies on the host 2-core's edges that close
@@ -265,6 +268,35 @@ def _hom_dtypes(n: int, max_degree: int, aleph: int) -> tuple[type, type]:
     return np.int32 if bound < 2 ** 31 else np.int64, np.int64
 
 
+def _freeing_order(children: list[list[int]]) -> list[int]:
+    """An order of the jobs 0..J-1, where job j needs the messages of the
+    jobs `children[j]`, that runs every child before its job: at each step
+    the ready job that frees the most messages (those of its children whose
+    other consumers have all run) net of the one it creates (when some job
+    consumes it), the lower index on ties. A message is held from its job to
+    its last consumer, so this keeps few of them alive at once."""
+    users: list[set[int]] = [set() for _ in children]
+    for j, kids in enumerate(children):
+        for c in kids:
+            users[c].add(j)
+    unrun_users = [len(u) for u in users]
+    unrun_kids = [len(set(kids)) for kids in children]
+    ready = {j for j, n in enumerate(unrun_kids) if not n}
+    order = []
+    while ready:
+        j = max(ready, key=lambda j: (sum(unrun_users[c] == 1 for c in set(children[j]))
+                                      - bool(users[j]), -j))
+        ready.remove(j)
+        order.append(j)
+        for c in set(children[j]):
+            unrun_users[c] -= 1
+        for u in users[j]:
+            unrun_kids[u] -= 1
+            if not unrun_kids[u]:
+                ready.add(u)
+    return order
+
+
 class _HomPlan:
     """Per-ℵ plan that counts every connected pattern with at most ℵ edges.
 
@@ -281,7 +313,18 @@ class _HomPlan:
     position. The per-core step lists are merged, so a node stands for a
     distinct step prefix, and a core's maps are the rows of the node where
     its steps end (at ℵ=8: 4 roots and 133 nodes for the 40 cores' 233
-    steps)."""
+    steps).
+
+    `jobs` computes one rooted code's vector each, in `_freeing_order`: a
+    message is held from its job to its last consumer, and at each step the
+    ready job runs that frees the most messages net of the one it creates.
+    So at most 7, 10 and 19 messages are alive at once at ℵ=8, 9, 10, where
+    the (code size, code) order held 20, 42 and 86. A job is
+    ``(children, spread, trees, pendant, done)``: the jobs whose messages it
+    multiplies, whether its own message A·h is used, the tree patterns it
+    roots, whether its vector is a pendant's (`cyclic` names it by job id),
+    and the messages it is the last to use. `hom_counts` runs them over the
+    host's support, relabelled by int32 positions."""
 
     def __init__(self, aleph: int, graphs: list[Graph], rows: list[list[tuple[int, int]]],
                  cyclic_out: list[int]) -> None:
@@ -335,7 +378,8 @@ class _HomPlan:
                 slots, children = children.setdefault(step, ([], {}))
             slots.append(slot)
 
-        # every rooted code a root or a pendant needs, children before parents
+        # every rooted code a root or a pendant needs; `_freeing_order` breaks
+        # its ties by the (code size, code) order
         codes: set[tuple] = set()
         stack = list(roots) + [code for *_, ps in self.cyclic for _, code in ps]
         while stack:
@@ -343,14 +387,15 @@ class _HomPlan:
             if code not in codes:
                 codes.add(code)
                 stack.extend(code)
-        order = sorted(codes, key=lambda c: (_code_size(c), c))
+        by_size = sorted(codes, key=lambda c: (_code_size(c), c))
+        index = {code: j for j, code in enumerate(by_size)}
+        order = [by_size[j] for j in
+                 _freeing_order([[index[c] for c in code] for code in by_size])]
         job = {code: j for j, code in enumerate(order)}
         last_use = {job[c]: j for j, code in enumerate(order) for c in code}
         pendant_codes = {code for *_, ps in self.cyclic for _, code in ps}
         self.cyclic = [(i, r, [(col, job[code]) for col, code in ps])
                        for i, r, ps in self.cyclic]
-        # per job: children, whether its message A·h is used, the trees it
-        # roots, whether it is a pendant, and the messages it uses last
         self.jobs = [([job[c] for c in code], j in last_use, roots.get(code, []),
                       code in pendant_codes,
                       [c for c, last in last_use.items() if last == j])
@@ -452,23 +497,28 @@ class _HomPlan:
         map of one sends a vertex to an isolated host vertex, and an isolated
         vertex sends no message. The support adjacency is built once as a CSR
         matrix of the vectors' dtype, so a message A·h is one compiled CSR
-        matvec; Python-integer vectors, which scipy has no kernel for, sum
-        each neighbour segment with one `add.reduceat` (no support vertex has
-        an empty one). The single vertex's message A·1 is the support's
-        degree vector, read off `indptr`. The host 2-core's vertices have
-        degree >= 2, so all lie in the support."""
+        matvec; its positions and offsets are int32, as `Graph.csr`'s indices
+        are (offsets int64 from 2^31 arcs), so scipy keeps them uncopied.
+        Python-integer vectors, which scipy has no kernel for, sum each
+        neighbour segment with one `add.reduceat` (no support vertex has an
+        empty one). The single vertex's message A·1 is the support's degree
+        vector, read off `indptr`. The host 2-core's vertices have degree
+        >= 2, so all lie in the support. The jobs run in the plan's order, and
+        each message is dropped after its last consumer."""
         labels, embeddings = core
         deg = np.diff(indptr)
         vector, wide = _hom_dtypes(len(deg), int(deg.max(initial=0)), self.aleph)
         live = deg > 0
-        pos = np.cumsum(live) - 1
+        pos = np.cumsum(live, dtype=np.int32) - 1
         nbr = pos[indices]
-        starts = indptr[:-1][live]
+        span = np.int32 if len(nbr) < 2 ** 31 else np.int64
+        offsets = np.append(indptr[:-1][live].astype(span), span(len(nbr)))
+        starts = offsets[:-1]
         support = len(starts)
         at_labels = pos[labels]
         if vector is not object:
-            adj = sp.csr_matrix((np.ones(len(nbr), dtype=vector), nbr,
-                                 np.append(starts, len(nbr))), shape=(support, support))
+            adj = sp.csr_matrix((np.ones(len(nbr), dtype=vector), nbr, offsets),
+                                shape=(support, support))
         hom = np.zeros(self.size, wide)
         msg: dict[int, np.ndarray] = {}
         at_core: dict[int, np.ndarray] = {}

@@ -709,6 +709,54 @@ class TestSupportCounting:
         assert hom.dtype == np.int64 and not hom.any()
 
 
+class TestJobSchedule:
+    """The hom pass's job order, read off `plan.jobs` alone, and the ℵ=10
+    plan's counts against the ℵ=8 plan's on hosts with cycles."""
+
+    # the (code size, code) order held 20, 42 and 86 messages at once
+    @pytest.mark.parametrize("aleph, peak", [(8, 7), (9, 10), (10, 19)])
+    def test_messages_are_freed_early(self, aleph, peak):
+        plan = counting_engine(aleph).plan
+        last_user: dict[int, int] = {}
+        freed: list[int] = []
+        live: set[int] = set()
+        most = 0
+        for j, (children, spread, _, _, done) in enumerate(plan.jobs):
+            assert all(c in live for c in children), j  # run, and not yet freed
+            last_user.update((c, j) for c in children)
+            if spread:
+                live.add(j)
+            most = max(most, len(live))
+            assert set(done) <= live
+            live -= set(done)
+            freed += done
+        assert not live
+        # each message is freed once, in its last consumer's list
+        assert sorted(freed) == sorted(last_user)
+        assert all(j in plan.jobs[last_user[j]][4] for j in last_user)
+        assert [spread for _, spread, *_ in plan.jobs] == [
+            j in last_user for j in range(len(plan.jobs))]
+        assert all(plan.jobs[j][3] for _, _, pendants in plan.cyclic for _, j in pendants)
+        assert most <= peak
+
+    def test_aleph_ten_counts_equal_aleph_eight(self):
+        params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
+        # trial 1's B: 20 of the ℵ=8 cyclic patterns occur in it
+        crit12 = sample_correlated(params, trial_generator(12, 0, 1, 0)).b
+        # a triangle whose vertices carry a path, a star and a branching tree
+        triangle = Graph.build([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5),
+                                (1, 6), (1, 7), (1, 8), (2, 9), (9, 10), (9, 11),
+                                (11, 12)], n=13)
+        eight, ten = counting_engine(8), counting_engine(10)
+        index = table_index(ten)  # the two tables index apart
+        for host in (crit12, triangle):
+            small = eight.pattern_counts(host)
+            assert any(small[key] for key in eight.cyclic_keys)
+            counts = ten.pattern_counts(host)
+            assert all(counts[index[canonical_form(eight.algebra.patterns[key])]] == value
+                       for key, value in small.items())
+
+
 def sampled_host(n: int, lam: float, s: float, seed: int, trial: int = 0) -> Graph:
     params = ModelParams(n=n, lam=lam, k=2, eps=0.3, s=s)
     return sample_correlated(params, trial_generator(seed, 0, trial, 0)).a
