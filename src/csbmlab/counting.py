@@ -25,7 +25,7 @@ only loads them: each ℵ from 1 to 10 has its table file in the package's
 `tables/` (`CountingEngine(10)` loads in about 2 s), and an ℵ without one is
 refused. They are generated by `tablegen`, which only
 `write_quotient_table(aleph)` imports. Per host graph, read through
-`Graph.csr`: P of a tree is a homomorphism count, summed from
+`Graph.csr`, which each pass builds once and drops: P of a tree is a homomorphism count, summed from
 rooted-subtree vectors h = Π_children A·h_child, each message A·h one CSR
 matvec over the host's non-isolated vertices, relabelled by int32 positions
 (one `add.reduceat` over the neighbour segments for Python-integer
@@ -502,20 +502,24 @@ class _HomPlan:
         Python-integer vectors, which scipy has no kernel for, sum each
         neighbour segment with one `add.reduceat` (no support vertex has an
         empty one). The single vertex's message A·1 is the support's degree
-        vector, read off `indptr`. The host 2-core's vertices have degree
-        >= 2, so all lie in the support. The jobs run in the plan's order, and
-        each message is dropped after its last consumer."""
+        vector, read off its offsets, so no n-length array outlives the
+        relabelling. The host 2-core's vertices have degree >= 2, so all lie
+        in the support. The jobs run in the plan's order, and each message is
+        dropped after its last consumer."""
         labels, embeddings = core
-        deg = np.diff(indptr)
+        deg = np.empty(len(indptr) - 1, dtype=np.int32)
+        np.subtract(indptr[1:], indptr[:-1], out=deg)
         vector, wide = _hom_dtypes(len(deg), int(deg.max(initial=0)), self.aleph)
         live = deg > 0
-        pos = np.cumsum(live, dtype=np.int32) - 1
+        pos = np.cumsum(live, dtype=np.int32)
+        pos -= 1
         nbr = pos[indices]
         span = np.int32 if len(nbr) < 2 ** 31 else np.int64
         offsets = np.append(indptr[:-1][live].astype(span), span(len(nbr)))
+        at_labels = pos[labels]
+        del deg, live, pos
         starts = offsets[:-1]
         support = len(starts)
-        at_labels = pos[labels]
         if vector is not object:
             adj = sp.csr_matrix((np.ones(len(nbr), dtype=vector), nbr, offsets),
                                 shape=(support, support))
@@ -537,7 +541,7 @@ class _HomPlan:
                 at_core[j] = h[at_labels].astype(wide)
             if spread:
                 if not children:
-                    msg[j] = deg[live].astype(vector)
+                    msg[j] = np.diff(offsets).astype(vector, copy=False)
                 elif vector is object:
                     msg[j] = np.add.reduceat(h[nbr], starts)
                 else:
@@ -663,11 +667,13 @@ class CountingEngine:
 
     def pattern_counts(self, graph: Graph) -> dict[int, int]:
         """inj of every tree with 1..ℵ edges and of every needed cyclic
-        pattern in the host, as Python integers, by table index."""
-        indptr, indices = graph.csr
+        pattern in the host, as Python integers, by table index. The host's
+        `Graph.csr` is built once, after its 2-core is searched, so the two
+        are never held at once, and dropped on return: the host keeps only
+        its edge array."""
         core = self.plan.core_embeddings(two_core(graph))
         cyclic: dict[int, int] = {}
-        counts = self.plan.count_embeddings(indptr, indices, core, cyclic)
+        counts = self.plan.count_embeddings(*graph.csr, core, cyclic)
         counts.update(cyclic)
         return counts
 

@@ -150,6 +150,7 @@ def _one_trial(args) -> tuple[int, int, float, float]:
     smp = sample_correlated(params, rng_p)
     f_p = f_tree_stat(smp.a, smp.b, params, aleph, method=method, reps=reps,
                       rng=rng_p).value
+    del smp  # hold one pair, not two, while the null pair is scored
     rng_q = trial_generator(master_seed, s_index, trial, 1)
     qa, qb = sample_null(params, rng_q)
     f_q = f_tree_stat(qa, qb, params, aleph, method=method, reps=reps,

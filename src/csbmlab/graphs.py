@@ -4,9 +4,10 @@ Graphs are immutable: an explicit sorted vertex tuple plus a sorted tuple of
 undirected edges. Pattern graphs may live on a sparse subset of labels; big
 host graphs use the dense universe {0..n-1}. A host is built once from an
 ``(m, 2)`` edge array and keeps it as `Graph.edge_array`; the evaluators read
-it through that array and the CSR view `Graph.csr` built from it. An
-array-built graph derives its `edges` tuple, and its `vertices` tuple when
-built with ``n=``, on first read, so scoring a host builds neither.
+it through that array and the CSR view `Graph.csr`, which is built from it on
+each read and not stored. An array-built graph derives its `edges` tuple, and
+its `vertices` tuple when built with ``n=``, on first read, so scoring a host
+builds neither and stores nothing on it.
 Equality is label-sensitive; isomorphism is a separate query
 (`canonical_form`).
 """
@@ -167,9 +168,16 @@ class Graph:
         base = max(stop, 1)
         if base > _MAX_KEY_BASE:
             raise ValueError(f"vertex label {stop - 1} too large for an edge array")
-        keys = np.sort(lo * base + hi)
-        u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], base)
-        edge_array = np.column_stack([u, v])
+        keys = lo * base
+        keys += hi
+        del lo, hi, inside
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)  # the first of each run of equal keys
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        edge_array = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, base, out=(edge_array[:, 0], edge_array[:, 1]))
         edge_array.flags.writeable = False
         g = object.__new__(Graph)
         g.__dict__.update({"_n": n} if vts is None else {"vertices": vts},
@@ -246,10 +254,14 @@ class Graph:
         ends.flags.writeable = False
         return ends
 
-    @cached_property
+    @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Host adjacency ``(indptr, indices)`` of a graph on 0..n-1: vertex v's
-        neighbours are ``indices[indptr[v]:indptr[v + 1]]``, increasing."""
+        neighbours are ``indices[indptr[v]:indptr[v + 1]]``, increasing.
+
+        It is built from `edge_array` on each read and not stored, so a
+        scored host keeps only its edge array: a caller reads it once per
+        pass and drops it."""
         n = self.n_vertices
         if not self._dense:
             raise ValueError("host graphs must use the dense universe 0..n-1")

@@ -506,26 +506,40 @@ class TestForestCounts:
         eng = counting_engine(4)
         assert eng.pattern_counts(host) == eng.pattern_counts(small)
 
-    def test_host_is_read_through_csr_only(self):
+    def test_host_is_read_through_csr_only(self, monkeypatch):
+        # each pass reads the host's adjacency once, through `Graph.csr`,
+        # which is built on each read, and stores nothing on the host
+        reads = []
+        build_csr = Graph.csr.fget
+
+        def counted_csr(g):
+            reads.append(g)
+            return build_csr(g)
+
+        monkeypatch.setattr(Graph, "csr", property(counted_csr))
         host = Graph.build([(0, 1), (1, 2), (0, 2), (2, 3)], n=5)
         eng = counting_engine(4)
         assert eng.cyclic_keys
         eng.w_all_shapes(host, -0.1, 2.0)
-        assert "csr" in host.__dict__
-        assert "adjacency" not in host.__dict__
+        assert len(reads) == 1 and reads[0] is host
+        # a tuple-built host derives its edge array, and keeps nothing else
+        assert set(host.__dict__) == {"vertices", "edges", "edge_array"}
         # sampled hosts: built from arrays, checked and scored without the
         # per-edge set or adjacency views
         params = ModelParams(n=400, lam=2.0, k=2, eps=0.3, s=0.8)
         sample = sample_correlated(params, np.random.default_rng(3))
-        for g in (sample.a, sample.b):
-            eng.w_all_shapes(g, -0.1, 2.0)
-            assert "csr" in g.__dict__
         a, b = sample_null(params, np.random.default_rng(4))
-        for g in (a, b):
+        hosts = (sample.a, sample.b, a, b)
+        assert all(set(g.__dict__) == {"_n", "edge_array"} for g in hosts)
+        reads.clear()
+        for g in hosts:
             eng.w_all_shapes(g, -0.1, 2.0)
+        assert len(reads) == len(hosts)
+        assert all(r is g for r, g in zip(reads, hosts))
+        assert all(set(g.__dict__) == {"_n", "edge_array"} for g in hosts)
         # nor the edge and vertex tuples, which array-built hosts derive on
         # first read
-        for g in (sample.a, sample.b, sample.parent, a, b):
+        for g in hosts + (sample.parent,):
             for view in ("edge_set", "adjacency", "edges", "vertices"):
                 assert view not in g.__dict__, view
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,31 @@ class TestRunDetection:
         row2 = run_detection(params, aleph=2, trials=4, seed=2, method="cc",
                              reps=60)
         assert row1 == row2  # cc draws come from the per-trial streams
+
+
+class TestOneTrial:
+    def test_planted_sample_is_released_before_the_null_pair(self, monkeypatch):
+        # a trial holds one pair at a time: the planted sample, and so its
+        # hosts, are gone when the null pair is drawn
+        draw_correlated, draw_null = experiments.sample_correlated, experiments.sample_null
+        planted, alive_at_null = [], []
+
+        def correlated(params, rng):
+            smp = draw_correlated(params, rng)
+            planted.extend(weakref.ref(x) for x in (smp, smp.a, smp.b))
+            return smp
+
+        def null(params, rng):
+            alive_at_null.append([ref() is not None for ref in planted])
+            return draw_null(params, rng)
+
+        params = ModelParams(n=200, lam=1.5, k=2, eps=0.3, s=0.9)
+        args = (3, 0, 1, params, 4, "sparse", None)
+        want = experiments._one_trial(args)
+        monkeypatch.setattr(experiments, "sample_correlated", correlated)
+        monkeypatch.setattr(experiments, "sample_null", null)
+        assert experiments._one_trial(args) == want
+        assert alive_at_null == [[False, False, False]]
 
 
 class TestSweep:

@@ -210,6 +210,16 @@ class TestTreeStat:
             res = f_tree_stat(a, b, params, aleph, method="exact")
             assert res.value == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
+    def test_sparse_scoring_stores_nothing_on_the_hosts(self):
+        # a host keeps only its edge array: the CSR a pass builds is dropped
+        params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
+        smp = sample_correlated(params, np.random.default_rng(5))
+        null = sample_null(params, np.random.default_rng(6))
+        for a, b in ((smp.a, smp.b), null):
+            before = (set(a.__dict__), set(b.__dict__))
+            f_tree_stat(a, b, params, 8)
+            assert (set(a.__dict__), set(b.__dict__)) == before
+
     def test_exact_and_sparse_agree(self):
         rng = random.Random(41)
         for aleph in (2, 3, 4):
