@@ -24,40 +24,43 @@ coefficients, which the table holds with the forest expansions. An engine
 only loads them: each ℵ from 1 to 10 has its table file in the package's
 `tables/` (`CountingEngine(10)` loads in about 2 s), and an ℵ without one is
 refused. They are generated by `tablegen`, which only
-`write_quotient_table(aleph)` imports. Per host graph, read through
-`Graph.csr`, which each pass builds once and drops: P of a tree is a homomorphism count, summed from
-rooted-subtree vectors h = Π_children A·h_child, each message A·h one CSR
-matvec over the host's non-isolated vertices, relabelled by int32 positions
-(one `add.reduceat` over the neighbour segments for Python-integer
-vectors). The rooted codes run in an order fixed once per ℵ that frees
-messages early, so at ℵ=8 at most 7 are held at once, not 20, and each is
-dropped after its last consumer; P of a cyclic pattern sums
-products of its pendant trees' vectors over the injective maps of K into
-the host's 2-core. A map keeps K's closed non-backtracking walks so, as K
-has at most ℵ edges, its image lies on the host 2-core's edges that close
-such a walk within L(ℵ) = max(ℵ, 2ℵ-6) steps; a sparse host keeps few of
-them. The maps are found there by one search pruned by degree and host
+`write_quotient_table(aleph)` imports.
+
+Per host graph, `_arcs` lays out the host's edge array, its 2-core's and
+the reduced core's once each, as arcs on int32 positions. P of a tree is a
+homomorphism count, summed from rooted-subtree vectors h = Π_children
+A·h_child, each message A·h one CSR matvec over the host's arcs (one
+`add.reduceat` over the neighbour segments for Python-integer vectors). The
+rooted codes run in an order fixed once per ℵ that frees messages early, so
+at ℵ=8 at most 7 are held at once, not 20, and each is dropped after its
+last consumer; P of a cyclic pattern sums products of its pendant trees'
+vectors over the injective maps of K into the host's 2-core. A map keeps
+K's closed non-backtracking walks so, as K has at most ℵ edges, its image
+lies on the host 2-core's edges that close such a walk within L(ℵ) =
+max(ℵ, 2ℵ-6) steps; a sparse host keeps few of them. The maps are found there by one search pruned by degree and host
 distance, over a tree of placement steps built once per ℵ: cores whose
 placement orders begin alike share a node, and its rows, per host. Solving
 the system in order of vertex count gives every injective count.
 
 Everything is exact: counts are Python integers, and W is the correctly
 rounded float of the exact rational sum, combined in integers from the
-weights' exact binary values. On a host of maximum degree Δ, a vector entry
-is at most Δ^ℵ and a sum at most n·Δ^ℵ, so vectors are int32 while
-Δ^ℵ < 2^31, int64 while n·Δ^ℵ < 2^62 and Python integers beyond; the sums,
-the pendant values and the cyclic weights are int64 under the second bound
-and Python integers beyond it. The benchmark's hosts (ℵ=8, Δ near 10) run
+weights' exact binary values. On a host of maximum degree Δ and n
+non-isolated vertices, a vector entry is at most Δ^ℵ and a sum at most
+n·Δ^ℵ, so vectors are int32 while Δ^ℵ < 2^31, int64 while n·Δ^ℵ < 2^62 and
+Python integers beyond; the sums, the pendant values and the cyclic weights
+are int64 under the second bound and Python integers beyond it. The benchmark's hosts (ℵ=8, Δ near 10) run
 int32 vectors; the int64 tier serves ℵ=10 hosts with Δ >= 9, such as those
 of n=3000, λ=3. The graph-independent algebra (the quotient solve, the forest
 products, the W terms) is compiled into index arrays once per ℵ, so a host
-costs a few array passes over it. The engine keys nothing at run time: a
-pattern is its table index from the loaded record to W."""
+costs a few array passes over it. Scoring keys nothing; building an engine
+keys each cyclic pattern's 2-core by `_general_canonical_code`, so isomorphic
+cores share a search plan (264 cores, 40 distinct, at ℵ=8)."""
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,17 +189,32 @@ def _two_cores(graphs: list[Graph]) -> list[Graph]:
     return cores
 
 
-def _arcs(core: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A graph's sorted labels and its directed edges (arcs) on their
-    positions: the sorted keys ``src * k + dst`` of both directions of every
-    edge, their `src` and `dst`, and where each position's arcs start."""
-    labels = np.array(core.vertices, dtype=np.int64)
+def _arcs(edges: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The graph of the distinct edges `edges` laid out on the positions
+    0..k-1 of its sorted endpoint labels: the labels, the sorted int64 keys
+    ``src * k + dst`` of both directions (arcs) of every edge, their int64
+    `src`, their `dst` and `indptr`, where each position's arcs start (int32
+    below 2^31 arcs). Endpoints are numbered by a running sum of their marks,
+    and `indptr` counts the writable `src` (`bincount` copies a read-only one)."""
+    index = np.int32 if 2 * len(edges) < 2 ** 31 else np.int64
+    live = np.zeros(int(edges.max(initial=-1)) + 1, dtype=bool)
+    live[edges] = True
+    labels = np.flatnonzero(live)
     k = len(labels)
-    ends = np.searchsorted(labels, core.edge_array)
-    keys = np.sort(np.concatenate([ends[:, 0] * k + ends[:, 1],
-                                   ends[:, 1] * k + ends[:, 0]]))
-    src, dst = np.divmod(keys, k)
-    return labels, keys, src, dst, np.searchsorted(src, np.arange(k + 1))
+    ends = np.cumsum(live, dtype=index)[edges] - 1
+    del live
+    keys = np.concatenate([ends[:, 0], ends[:, 1]], dtype=np.int64)
+    keys *= k
+    keys += np.concatenate([ends[:, 1], ends[:, 0]])
+    del ends
+    keys.sort()
+    src = keys // max(k, 1)
+    degree = np.bincount(src, minlength=k)
+    indptr = np.zeros(k + 1, dtype=index)
+    indptr[1:] = np.cumsum(degree, out=degree)
+    del degree
+    dst = np.remainder(keys, max(k, 1), out=np.empty(len(keys), index), casting="unsafe")
+    return labels, keys, src, dst, indptr
 
 
 class _PastCap(Exception):
@@ -212,9 +230,9 @@ def _support_product(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
     return x @ y
 
 
-def _short_walk_core(core: Graph, length: int) -> Graph:
-    """The edges of the 2-core `core` that lie on a closed, cyclically
-    non-backtracking walk of at most `length` steps, as a graph; `core`
+def _short_walk_core(edges: np.ndarray, length: int) -> np.ndarray:
+    """The rows of a 2-core's sorted edge array that lie on a closed,
+    cyclically non-backtracking walk of at most `length` steps; `edges`
     itself when B or a walk set below could pass MAX_CORE_ROWS entries.
 
     Such a walk is a closed walk of the non-backtracking matrix B, whose
@@ -225,15 +243,15 @@ def _short_walk_core(core: Graph, length: int) -> Graph:
     steps. A walk reversed runs through the reverse arcs, so both arcs of an
     edge agree. Every vertex of a closed walk meets two distinct edges of
     it, so the result is its own 2-core."""
-    if core.n_edges == 0:  # most hosts at low s: skip the matrices' fixed cost
-        return core
-    _, _, src, dst, indptr = _arcs(core)
+    if len(edges) == 0:  # most hosts at low s: skip the matrices' fixed cost
+        return edges
+    _, _, src, dst, indptr = _arcs(edges)
     arcs = len(src)
     # B's row of arc j: the arcs out of dst[j] but the one back to src[j]
     d = np.diff(indptr)[dst]
     total = int(d.sum())
     if total > MAX_CORE_ROWS:
-        return core
+        return edges
     col = np.repeat(indptr[dst] - np.cumsum(d) + d, d) + np.arange(total)
     step = sp.csr_matrix((np.ones(total - arcs, dtype=bool),
                           col[dst[col] != np.repeat(src, d)], np.append(0, np.cumsum(d - 1))),
@@ -252,16 +270,16 @@ def _short_walk_core(core: Graph, length: int) -> Graph:
                 base = _support_product(base, base)
         walks = short if hi == lo else _support_product(short, wide)
     except _PastCap:
-        return core
+        return edges
     closed = np.diff(walks.multiply(short.T.tocsr()).indptr) > 0
     # the arcs with src < dst run in the order of the edges
-    return core if closed.all() else Graph.build(core.edge_array[closed[src < dst]])
+    return edges if closed.all() else edges[closed[src < dst]]
 
 
 def _hom_dtypes(n: int, max_degree: int, aleph: int) -> tuple[type, type]:
-    """The dtypes of a host's hom vectors and of its sums (`_HomPlan.hom_counts`):
-    int32 vectors while Δ^ℵ < 2^31, and int64 sums while n·Δ^ℵ < 2^62;
-    Python integers for both past that."""
+    """The dtypes of hom vectors over n support vertices of maximum degree Δ,
+    and of their sums (`_HomPlan.hom_counts`): int32 vectors while Δ^ℵ < 2^31,
+    and int64 sums while n·Δ^ℵ < 2^62; Python integers for both past that."""
     bound = max_degree ** aleph
     if n * bound >= 2 ** 62:
         return object, object
@@ -324,7 +342,7 @@ class _HomPlan:
     multiplies, whether its own message A·h is used, the tree patterns it
     roots, whether its vector is a pendant's (`cyclic` names it by job id),
     and the messages it is the last to use. `hom_counts` runs them over the
-    host's support, relabelled by int32 positions."""
+    host's support arcs."""
 
     def __init__(self, aleph: int, graphs: list[Graph], rows: list[list[tuple[int, int]]],
                  cyclic_out: list[int]) -> None:
@@ -423,12 +441,13 @@ class _HomPlan:
         prunes its subtree. Partial maps are pruned by degree and by host
         distance; a node whose expansion would exceed MAX_CORE_ROWS
         candidates raises MemoryError."""
-        labels, keys, src, dst, indptr = _arcs(_short_walk_core(core, self.walk_bound))
+        labels, keys, _, dst, indptr = _arcs(_short_walk_core(core.edge_array,
+                                                              self.walk_bound))
         k = len(labels)
         if k == 0:
             return labels, [None] * len(self.cores)
         deg = np.diff(indptr)
-        step = sp.csr_matrix((np.ones(len(keys), dtype=bool), (src, dst)), shape=(k, k))
+        step = sp.csr_matrix((np.ones(len(keys), dtype=bool), dst, indptr), shape=(k, k))
         step = step + sp.identity(k, dtype=bool, format="csr")
         balls = [None, keys]  # balls[r]: sorted keys of the pairs at distance <= r
         reach = step
@@ -480,11 +499,12 @@ class _HomPlan:
                 stack.extend((key, node, rows) for key, node in children.items())
         return labels, out
 
-    def hom_counts(self, indptr: np.ndarray, indices: np.ndarray,
+    def hom_counts(self, labels: np.ndarray, dst: np.ndarray, indptr: np.ndarray,
                    core: tuple[np.ndarray, list]) -> np.ndarray:
-        """P of every table pattern in the host whose `Graph.csr` is
-        ``(indptr, indices)``; `core` is `core_embeddings` of the host's
-        2-core. For the host's size n and maximum degree Δ, the vectors and
+        """P of every table pattern in the host whose support arcs, `_arcs`
+        of its edge array, are ``(labels, dst, indptr)``; `core` is
+        `core_embeddings` of the host's 2-core. For the support S (the
+        non-isolated vertices) and the maximum degree Δ, the vectors and
         messages take the first dtype `_hom_dtypes` gives, and the sums, the
         pendant values at the core, the cyclic weights and the result the
         second.
@@ -492,36 +512,24 @@ class _HomPlan:
         That is exact: every vector entry, every partial product and every
         partial matvec sum counts the rooted homomorphisms of a tree with at
         most ℵ edges, so it is at most Δ^ℵ, and a pattern's P is at most
-        n·Δ^ℵ. The vectors run over the support, the non-isolated vertices
-        relabelled 0..|S|-1 in order: every table pattern has an edge, so no
-        map of one sends a vertex to an isolated host vertex, and an isolated
-        vertex sends no message. The support adjacency is built once as a CSR
-        matrix of the vectors' dtype, so a message A·h is one compiled CSR
-        matvec; its positions and offsets are int32, as `Graph.csr`'s indices
-        are (offsets int64 from 2^31 arcs), so scipy keeps them uncopied.
-        Python-integer vectors, which scipy has no kernel for, sum each
-        neighbour segment with one `add.reduceat` (no support vertex has an
-        empty one). The single vertex's message A·1 is the support's degree
-        vector, read off its offsets, so no n-length array outlives the
-        relabelling. The host 2-core's vertices have degree >= 2, so all lie
-        in the support. The jobs run in the plan's order, and each message is
-        dropped after its last consumer."""
-        labels, embeddings = core
-        deg = np.empty(len(indptr) - 1, dtype=np.int32)
-        np.subtract(indptr[1:], indptr[:-1], out=deg)
-        vector, wide = _hom_dtypes(len(deg), int(deg.max(initial=0)), self.aleph)
-        live = deg > 0
-        pos = np.cumsum(live, dtype=np.int32)
-        pos -= 1
-        nbr = pos[indices]
-        span = np.int32 if len(nbr) < 2 ** 31 else np.int64
-        offsets = np.append(indptr[:-1][live].astype(span), span(len(nbr)))
-        at_labels = pos[labels]
-        del deg, live, pos
-        starts = offsets[:-1]
-        support = len(starts)
+        |S|·Δ^ℵ. The vectors run over S alone: every table pattern has an
+        edge, so no map of one sends a vertex to an isolated host vertex, and
+        an isolated vertex sends no message. The support adjacency is built
+        once as a CSR matrix of the vectors' dtype on the int32 ``(dst,
+        indptr)``, which scipy keeps uncopied, so a message A·h is one
+        compiled CSR matvec. Python-integer vectors, which scipy has no kernel
+        for, sum each neighbour segment with one `add.reduceat` (no support
+        vertex has an empty one). The single vertex's message A·1 is the support's degree
+        vector, read off `indptr`. The host 2-core's vertices have degree
+        >= 2, so all lie in the support. The jobs run in the plan's order,
+        and each message is dropped after its last consumer."""
+        core_labels, embeddings = core
+        support = len(labels)
+        vector, wide = _hom_dtypes(support, int(np.diff(indptr).max(initial=0)),
+                                   self.aleph)
+        at_labels = np.searchsorted(labels, core_labels)
         if vector is not object:
-            adj = sp.csr_matrix((np.ones(len(nbr), dtype=vector), nbr, offsets),
+            adj = sp.csr_matrix((np.ones(len(dst), dtype=vector), dst, indptr),
                                 shape=(support, support))
         hom = np.zeros(self.size, wide)
         msg: dict[int, np.ndarray] = {}
@@ -537,13 +545,13 @@ class _HomPlan:
                     np.multiply(h, msg[c], out=h)
             if trees:
                 hom[trees] = h.sum(dtype=wide)
-            if pendant and len(labels):
+            if pendant:
                 at_core[j] = h[at_labels].astype(wide)
             if spread:
                 if not children:
-                    msg[j] = np.diff(offsets).astype(vector, copy=False)
+                    msg[j] = np.diff(indptr).astype(vector, copy=False)
                 elif vector is object:
-                    msg[j] = np.add.reduceat(h[nbr], starts)
+                    msg[j] = np.add.reduceat(h[dst], indptr[:-1])
                 else:
                     msg[j] = adj @ h
             for c in done:
@@ -568,15 +576,15 @@ class _HomPlan:
             inj[at] -= np.add.reduceat(coeffs * inj[cols], starts)
         return inj.tolist()
 
-    def count_embeddings(self, indptr: np.ndarray, indices: np.ndarray,
+    def count_embeddings(self, labels: np.ndarray, dst: np.ndarray, indptr: np.ndarray,
                          core: tuple[np.ndarray, list],
                          cyclic: dict[int, int]) -> dict[int, int]:
         """Ordered injective-map counts, as Python integers by table index,
-        of every tree with 1..ℵ edges in the host whose `Graph.csr` is
-        ``(indptr, indices)``; the `cyclic_out` patterns' counts go into
-        `cyclic`. `core` is `core_embeddings` of the host's 2-core.
-        `hom_counts` gives P, and `solve` turns it into inj."""
-        inj = self.solve(self.hom_counts(indptr, indices, core))
+        of every tree with 1..ℵ edges in the host whose support arcs are
+        ``(labels, dst, indptr)`` (`hom_counts`); the `cyclic_out` patterns'
+        counts go into `cyclic`. `core` is `core_embeddings` of the host's
+        2-core. `hom_counts` gives P, and `solve` turns it into inj."""
+        inj = self.solve(self.hom_counts(labels, dst, indptr, core))
         cyclic.update((i, inj[i]) for i in self.cyclic_out)
         return {i: inj[i] for i in self.tree_out}
 
@@ -614,7 +622,8 @@ class CountingEngine:
     """Per-ℵ tables: the forests spanned by edge subsets of every catalog
     shape, their expansions into connected pattern counts, and the counting
     plan. Construction is graph-independent: it reads the quotient table and
-    its forest record (`load_quotient_table`) and keys nothing."""
+    its forest record (`load_quotient_table`), and keys only the cyclic
+    patterns' 2-cores (`_HomPlan`)."""
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph
@@ -668,12 +677,13 @@ class CountingEngine:
     def pattern_counts(self, graph: Graph) -> dict[int, int]:
         """inj of every tree with 1..ℵ edges and of every needed cyclic
         pattern in the host, as Python integers, by table index. The host's
-        `Graph.csr` is built once, after its 2-core is searched, so the two
-        are never held at once, and dropped on return: the host keeps only
+        edge array is laid out once by `_arcs`, after its 2-core is searched,
+        and all but the support arcs are dropped at once: the host keeps only
         its edge array."""
         core = self.plan.core_embeddings(two_core(graph))
+        labels, dst, indptr = itemgetter(0, 3, 4)(_arcs(graph.edge_array))
         cyclic: dict[int, int] = {}
-        counts = self.plan.count_embeddings(*graph.csr, core, cyclic)
+        counts = self.plan.count_embeddings(labels, dst, indptr, core, cyclic)
         counts.update(cyclic)
         return counts
 

@@ -83,7 +83,9 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         grid = tuple(self.s_grid)
-        if not grid or any(not 0 < s <= 1 for s in grid):
+        if not grid:
+            raise ValueError("s_grid must hold at least one value")
+        if any(not 0 < s <= 1 for s in grid):
             raise ValueError("s_grid values must lie in (0, 1]")
         if list(grid) != sorted(set(grid)):
             raise ValueError("s_grid must be strictly increasing")

@@ -1,13 +1,13 @@
 """Value-semantic graphs over integer vertex labels.
 
 Graphs are immutable: an explicit sorted vertex tuple plus a sorted tuple of
-undirected edges. Pattern graphs may live on a sparse subset of labels; big
-host graphs use the dense universe {0..n-1}. A host is built once from an
-``(m, 2)`` edge array and keeps it as `Graph.edge_array`; the evaluators read
-it through that array and the CSR view `Graph.csr`, which is built from it on
-each read and not stored. An array-built graph derives its `edges` tuple, and
-its `vertices` tuple when built with ``n=``, on first read, so scoring a host
-builds neither and stores nothing on it.
+undirected edges. Pattern graphs may live on a sparse subset of labels; the
+statistic's hosts use the dense universe {0..n-1}. A host is built once from
+an ``(m, 2)`` edge array and keeps only that array, `Graph.edge_array`, and
+no adjacency layout: each scoring pass lays it out once, through
+`counting._arcs`, and drops the layout. An array-built graph derives its
+`edges` tuple, and its `vertices` tuple when built with ``n=``, on first
+read, so scoring a host builds neither and stores nothing on it.
 Equality is label-sensitive; isomorphism is a separate query
 (`canonical_form`).
 """
@@ -72,7 +72,7 @@ class Graph:
     set. Two graphs are equal iff both tuples match exactly. A graph built
     from an edge array stores the array, and its ``n`` when built with
     ``n=``, and derives `edges` (and `vertices`, if built with ``n=``) on
-    first read; `n_vertices`, `n_edges` and `csr` need neither tuple.
+    first read; `n_vertices` and `n_edges` need neither tuple.
     """
 
     vertices: tuple[int, ...]
@@ -253,23 +253,6 @@ class Graph:
         ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         ends.flags.writeable = False
         return ends
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Host adjacency ``(indptr, indices)`` of a graph on 0..n-1: vertex v's
-        neighbours are ``indices[indptr[v]:indptr[v + 1]]``, increasing.
-
-        It is built from `edge_array` on each read and not stored, so a
-        scored host keeps only its edge array: a caller reads it once per
-        pass and drops it."""
-        n = self.n_vertices
-        if not self._dense:
-            raise ValueError("host graphs must use the dense universe 0..n-1")
-        u, v = self.edge_array.T
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edge_array.ravel(), minlength=n), out=indptr[1:])
-        dst = np.sort(np.concatenate([u * n + v, v * n + u])) % max(n, 1)
-        return indptr, dst.astype(np.int32)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

@@ -59,6 +59,8 @@ class CenteredMatrix:
 
     @staticmethod
     def from_graph(graph: Graph, params: ModelParams) -> "CenteredMatrix":
+        if not graph._dense:
+            raise ValueError("host graphs must use the dense universe 0..n-1")
         p = params.null_density
         scale = math.sqrt(p * (1 - p))
         return CenteredMatrix(n=graph.n_vertices, base_graph=graph,
@@ -82,8 +84,8 @@ class CenteredMatrix:
         return out
 
     def sparse_adjacency(self) -> sp.csr_matrix:
-        indptr, indices = self.base_graph.csr
-        return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+        u, v = self.base_graph.edge_array.T
+        return sp.csr_matrix((np.ones(2 * len(u)), (np.append(u, v), np.append(v, u))),
                              shape=(self.n, self.n))
 
 

@@ -133,6 +133,15 @@ class TestSweep:
         assert lines[0].startswith("# schema=")
         assert any(l.startswith("s,") for l in lines)
 
+    @pytest.mark.parametrize("grid", [",", ",,"])
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys, grid):
+        # no value at all is told apart from a value outside (0, 1]
+        code = run(["sweep", "--n", "100", "--lambda", "2.0", "--s-grid", grid,
+                    "--aleph", "2", "--trials", "4", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: s_grid must hold at least one value\n"
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestVerify:
     def test_verify_passes(self, tmp_path):

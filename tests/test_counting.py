@@ -24,7 +24,7 @@ from csbmlab.counting import (MAX_CORE_ROWS, counting_engine, falling_factorial,
 from csbmlab.experiments import trial_generator
 from csbmlab.graphs import Graph, _has, canonical_form, two_core
 from csbmlab.models import ModelParams, sample_correlated, sample_null
-from csbmlab.statistics import CenteredMatrix, w_exact
+from csbmlab.statistics import CenteredMatrix, f_tree_stat, w_exact
 from csbmlab.tablegen import quotient_table
 from csbmlab.trees import enumerate_trees
 
@@ -80,7 +80,7 @@ class _GrowthPlan:
     def count_embeddings(self, indptr: np.ndarray,
                          indices: np.ndarray) -> dict[tuple, int]:
         """Ordered injective-map counts for every target tree shape in the
-        host whose `Graph.csr` is ``(indptr, indices)``."""
+        host whose full-n CSR adjacency (`full_csr`) is ``(indptr, indices)``."""
         n = len(indptr) - 1
         dtype = np.int16 if n < 2 ** 15 else np.int32
         frontiers: dict[int, np.ndarray] = {
@@ -186,11 +186,30 @@ def _growth_plan(aleph: int) -> _GrowthPlan:
     return _GrowthPlan(aleph)
 
 
+def full_csr(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency of a host on 0..n-1 over all n vertices, as scipy lays it
+    out: vertex v's neighbours are ``indices[indptr[v]:indptr[v + 1]]``,
+    increasing."""
+    u, v = graph.edge_array.T
+    n = graph.n_vertices
+    adj = sp.csr_matrix((np.ones(2 * len(u), dtype=np.int8),
+                         (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
+    adj.sort_indices()
+    return adj.indptr, adj.indices
+
+
+def support_arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The host's support arcs ``(labels, dst, indptr)``, as
+    `CountingEngine.pattern_counts` passes them to the hom pass."""
+    labels, _, _, dst, indptr = counting._arcs(graph.edge_array)
+    return labels, dst, indptr
+
+
 def frontier_pattern_counts(aleph: int, graph: Graph) -> dict[int, int]:
     """What `CountingEngine(aleph).pattern_counts(graph)` returned before,
     keyed by table index."""
     eng = counting_engine(aleph)
-    indptr, indices = graph.csr
+    indptr, indices = full_csr(graph)
     index = table_index(eng)
     counts = {index[key]: value for key, value
               in _growth_plan(aleph).count_embeddings(indptr, indices).items()}
@@ -507,21 +526,22 @@ class TestForestCounts:
         assert eng.pattern_counts(host) == eng.pattern_counts(small)
 
     def test_host_is_read_through_csr_only(self, monkeypatch):
-        # each pass reads the host's adjacency once, through `Graph.csr`,
-        # which is built on each read, and stores nothing on the host
+        # each pass lays the host's edge array out once, through `_arcs`
+        # (its other calls lay out the 2-core and the reduced core), and
+        # stores nothing on the host
         reads = []
-        build_csr = Graph.csr.fget
+        arcs = counting._arcs
 
-        def counted_csr(g):
-            reads.append(g)
-            return build_csr(g)
+        def counted_arcs(edges):
+            reads.append(edges)
+            return arcs(edges)
 
-        monkeypatch.setattr(Graph, "csr", property(counted_csr))
+        monkeypatch.setattr(counting, "_arcs", counted_arcs)
         host = Graph.build([(0, 1), (1, 2), (0, 2), (2, 3)], n=5)
         eng = counting_engine(4)
         assert eng.cyclic_keys
         eng.w_all_shapes(host, -0.1, 2.0)
-        assert len(reads) == 1 and reads[0] is host
+        assert [e is host.edge_array for e in reads] == [False, False, True]
         # a tuple-built host derives its edge array, and keeps nothing else
         assert set(host.__dict__) == {"vertices", "edges", "edge_array"}
         # sampled hosts: built from arrays, checked and scored without the
@@ -531,11 +551,10 @@ class TestForestCounts:
         a, b = sample_null(params, np.random.default_rng(4))
         hosts = (sample.a, sample.b, a, b)
         assert all(set(g.__dict__) == {"_n", "edge_array"} for g in hosts)
-        reads.clear()
         for g in hosts:
+            reads.clear()
             eng.w_all_shapes(g, -0.1, 2.0)
-        assert len(reads) == len(hosts)
-        assert all(r is g for r, g in zip(reads, hosts))
+            assert sum(e is g.edge_array for e in reads) == 1
         assert all(set(g.__dict__) == {"_n", "edge_array"} for g in hosts)
         # nor the edge and vertex tuples, which array-built hosts derive on
         # first read
@@ -594,9 +613,14 @@ class TestWAssembly:
                                                  rel=1e-9, abs=1e-9)
 
     def test_rejects_sparse_labels(self):
-        eng = counting_engine(2)
-        with pytest.raises(ValueError):
-            eng.w_all_shapes(Graph.build([(3, 5)], vertices=[3, 5, 7]), -0.1, 2.0)
+        # the engine counts any labels (`test_host_with_label_gaps`); the
+        # statistic's entry, `CenteredMatrix.from_graph`, takes only 0..n-1
+        host = Graph.build([(3, 5)], vertices=[3, 5, 7])
+        params = ModelParams(n=3, lam=1.0, k=2, eps=0.0, s=0.5)
+        with pytest.raises(ValueError, match="dense universe 0..n-1"):
+            CenteredMatrix.from_graph(host, params)
+        with pytest.raises(ValueError, match="dense universe 0..n-1"):
+            f_tree_stat(host, host, params, 2)
 
     def test_dense_host_hits_row_budget(self):
         # the engine is built for sparse hosts; a dense one must fail fast
@@ -627,7 +651,7 @@ class TestArrayPasses:
         dtypes = []
         for host in self.hosts():
             core = plan.core_embeddings(two_core(host))
-            hom = plan.hom_counts(*host.csr, core)
+            hom = plan.hom_counts(*support_arcs(host), core)
             dtypes.append(hom.dtype)
             inj = plan.solve(hom)
             assert inj == solve_by_rows(rows, hom.tolist())
@@ -689,14 +713,15 @@ class TestSupportCounting:
         dtypes, vectors, homs = [], [], []
         for host in self.hosts():
             core = plan.core_embeddings(two_core(host))
-            got = plan.hom_counts(*host.csr, core)
-            want = full_n_hom_counts(plan, *host.csr, core)
+            labels, dst, indptr = support_arcs(host)
+            got = plan.hom_counts(labels, dst, indptr, core)
+            want = full_n_hom_counts(plan, *full_csr(host), core)
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
             dtypes.append(got.dtype)
             homs.append(got)
             vectors.append(counting._hom_dtypes(
-                host.n_vertices, int(np.diff(host.csr[0]).max(initial=0)), 8)[0])
+                len(labels), int(np.diff(indptr).max(initial=0)), 8)[0])
         assert 14 ** 8 < 2 ** 31 < 15 ** 8
         assert 119 * 118 ** 8 < 2 ** 62 <= 120 * 119 ** 8
         assert vectors[0] is np.int32 and dtypes[0] == np.int64
@@ -713,14 +738,58 @@ class TestSupportCounting:
         host = list(self.hosts())[2]
         labels, _ = core = plan.core_embeddings(two_core(host))
         assert labels.tolist() == [5, 9, 12]
-        hom = plan.hom_counts(*host.csr, core)
+        hom = plan.hom_counts(*support_arcs(host), core)
         assert any(hom[i] for i, _, _ in plan.cyclic)
 
     def test_edgeless_host_counts_nothing(self):
         plan = counting_engine(8).plan
         host = Graph.empty(10)
-        hom = plan.hom_counts(*host.csr, plan.core_embeddings(two_core(host)))
+        hom = plan.hom_counts(*support_arcs(host), plan.core_embeddings(two_core(host)))
         assert hom.dtype == np.int64 and not hom.any()
+
+    def test_host_with_label_gaps(self):
+        # the engine reads a host through its edge array's labels alone, so
+        # a copy relabelled onto labels with gaps, in another order, counts
+        # as the dense host does
+        params = ModelParams(n=3000, lam=2.0, k=2, eps=0.3, s=0.8)
+        host = sample_correlated(params, trial_generator(3000, 0, 0, 0)).a
+        rng = np.random.default_rng(25)
+        image = rng.permutation(np.sort(rng.choice(5 * host.n_vertices, host.n_vertices,
+                                                   replace=False)))
+        copy = Graph.build(image[host.edge_array], vertices=image.tolist())
+        assert copy.n_vertices == host.n_vertices and not copy._dense
+        assert two_core(copy).n_edges > 0  # the cyclic patterns are counted too
+        eng = counting_engine(8)
+        assert eng.pattern_counts(copy) == eng.pattern_counts(host)
+        x = CenteredMatrix.from_graph(host, params)
+        w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
+        assert eng.w_all_shapes(copy, x.nonedge_value, x.slope).tobytes() == w.tobytes()
+
+
+class TestArcs:
+    """`_arcs`, the one layout of an edge array as arcs on positions."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(8)
+        yield from (random_graph(rng, n, 0.3) for n in (0, 1, 5, 30))
+        yield sampled_host(100_000, 1.2, 0.8, 1)
+        # isolated vertices around and between the edges, and a label gap
+        yield Graph.build([(2, 5), (5, 6), (2, 6), (6, 9)], n=12)
+        yield Graph.build([(0, 1), (1, 7), (7, 40), (1, 40)], vertices=[0, 1, 7, 40, 41])
+
+    def test_matches_adjacency(self):
+        for g in self.graphs():
+            labels, keys, src, dst, indptr = counting._arcs(g.edge_array)
+            k = len(labels)
+            assert labels.tolist() == [v for v in g.vertices if g.adjacency[v]]
+            assert [tuple(labels[dst[indptr[i]:indptr[i + 1]]].tolist())
+                    for i in range(k)] == [g.adjacency[v] for v in labels.tolist()]
+            assert indptr[0] == 0 and indptr[-1] == len(dst) == 2 * g.n_edges
+            assert np.array_equal(src, np.repeat(np.arange(k), np.diff(indptr)))
+            assert np.array_equal(keys, src * k + dst) and (np.diff(keys) > 0).all()
+            assert (labels.dtype, keys.dtype, src.dtype, dst.dtype, indptr.dtype) == (
+                np.int64, np.int64, np.int64, np.int32, np.int32)
 
 
 class TestJobSchedule:
@@ -804,9 +873,9 @@ class TestShortWalkCore:
         plan = counting_engine(aleph).plan
         assert plan.walk_bound == max(aleph, 2 * aleph - 6)
         for core, _, _ in plan.cores:
-            assert counting._short_walk_core(core, plan.walk_bound) == core
-        assert any(counting._short_walk_core(core, plan.walk_bound - 1) != core
-                   for core, _, _ in plan.cores)
+            assert counting._short_walk_core(core.edge_array, plan.walk_bound) is core.edge_array
+        assert any(len(counting._short_walk_core(core.edge_array, plan.walk_bound - 1))
+                   < core.n_edges for core, _, _ in plan.cores)
 
     def test_barbell_keeps_its_bridge(self):
         # two triangles joined by a 2-edge path: the closed walk around both
@@ -819,16 +888,16 @@ class TestShortWalkCore:
         slot = [canonical_form(core) for core, _, _ in plan.cores].index(
             canonical_form(Graph.build(barbell)))
         assert len(rows[slot]) == 8  # |Aut| of the barbell
-        assert counting._short_walk_core(Graph.build(barbell), 9) == Graph.build(
-            barbell[:3] + barbell[-3:])
+        reduced = counting._short_walk_core(Graph.build(barbell).edge_array, 9)
+        assert Graph.build(reduced) == Graph.build(barbell[:3] + barbell[-3:])
 
     def test_lone_long_cycle_reduces_to_nothing(self):
         plan = counting_engine(8).plan
         host = Graph.cycle(12, offset=3)
-        assert counting._short_walk_core(host, plan.walk_bound).n_vertices == 0
+        assert len(counting._short_walk_core(host.edge_array, plan.walk_bound)) == 0
         labels, rows = plan.core_embeddings(host)
         assert len(labels) == 0 and rows == [None] * len(plan.cores)
-        assert counting._short_walk_core(host, 12) == host
+        assert counting._short_walk_core(host.edge_array, 12) is host.edge_array
 
     @pytest.mark.parametrize("n, lam, seed", [(3000, 3.0, 3000), (100_000, 2.0, 1)],
                              ids=["lam3", "n1e5-lam2"])
@@ -845,7 +914,7 @@ class TestShortWalkCore:
 
     def test_reduced_core_is_a_two_core(self):
         core = two_core(sampled_host(3000, 2.0, 0.8, 3000))
-        reduced = counting._short_walk_core(core, 10)
+        reduced = Graph.build(counting._short_walk_core(core.edge_array, 10))
         assert 0 < reduced.n_vertices < core.n_vertices
         assert two_core(reduced) == reduced
         assert reduced.edge_set <= core.edge_set

@@ -187,6 +187,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.9, 0.4),
                         aleph=2, trials=4, seed=0)
+        with pytest.raises(ValueError, match="s_grid must hold at least one value"):
+            SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(),
+                        aleph=2, trials=4, seed=0)
         with pytest.raises(ValueError):
             SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
                         aleph=2, trials=1, seed=0)

@@ -29,11 +29,13 @@ from csbmlab.graphs import (
     two_core,
 )
 from csbmlab.models import ModelParams, sample_correlated
+from csbmlab.statistics import CenteredMatrix
 
 TRIANGLE = Graph.build([(0, 1), (1, 2), (0, 2)])
 P3 = Graph.path(3)
 K4 = Graph.complete(4)
 STAR3 = Graph.build([(0, 1), (0, 2), (0, 3)])
+PARAMS = ModelParams(n=3, lam=1.0, k=2, eps=0.0, s=0.5)
 
 
 def apply_permutation(g: Graph, image) -> Graph:
@@ -428,23 +430,13 @@ class TestArrayBuild:
         for g in (Graph.build(edges, vertices=labels),
                   Graph.build(np.array(edges), vertices=labels)):
             with pytest.raises(ValueError, match="dense universe"):
-                g.csr
+                CenteredMatrix.from_graph(g, PARAMS)
             assert two_core(g) == by_label
             assert "v=" in g.to_text() and '"vertices"' in g.to_json()
         dense = Graph.build(np.array([(0, 1), (1, 2)]), vertices=(0, 1, 2))
-        assert dense.csr[1].tolist() == [1, 0, 2, 1]
+        adj = CenteredMatrix.from_graph(dense, PARAMS).sparse_adjacency()
+        assert adj.indices.tolist() == [1, 0, 2, 1]
         assert "v=" not in dense.to_text() and '"vertices"' not in dense.to_json()
-
-
-class TestCsr:
-    def test_matches_adjacency(self):
-        rng = random.Random(8)
-        for g in [random_graph(rng, n, 0.3) for n in (0, 1, 5, 30)] + [sampled_host()]:
-            n = g.n_vertices
-            indptr, indices = g.csr
-            assert [tuple(indices[indptr[v]:indptr[v + 1]].tolist())
-                    for v in range(n)] == [g.adjacency[v] for v in range(n)]
-            assert indptr.dtype == np.int64 and indices.dtype == np.int32
 
 
 class TestIsomorphism:

@@ -9,7 +9,7 @@ spec = importlib.util.spec_from_file_location(
 phase_memory = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(phase_memory)
 
-HOST_PHASES = ("two_core", "core_embeddings", "Graph.csr", "hom_counts",
+HOST_PHASES = ("two_core", "core_embeddings", "host_arcs", "hom_counts",
                "forest/W", "w_all_shapes")
 
 

@@ -5,7 +5,8 @@ Draws trial 0 of grid point 0 at the given model (k=2, ε=0.3) with
 pair under tag 1, releasing the planted sample first as a sweep trial does.
 Each host is scored by the sparse engine one phase at a time, in the order
 of `CountingEngine.pattern_counts`: `two_core`, `core_embeddings`,
-`Graph.csr`, `hom_counts`, then the forest products and `W` from those
+`host_arcs` (`counting._arcs` of the host's edge array, less the keys and
+`src` it drops), `hom_counts`, then the forest products and `W` from those
 counts (`forest/W`), and last the whole `w_all_shapes` pass. Per phase it
 prints the `tracemalloc` peak above the phase's start and what the phase
 left allocated (its result included), in MB, then the process's
@@ -24,9 +25,10 @@ from __future__ import annotations
 import argparse
 import resource
 import tracemalloc
+from operator import itemgetter
 
 from csbmlab import experiments
-from csbmlab.counting import CountingEngine, counting_engine
+from csbmlab.counting import CountingEngine, _arcs, counting_engine
 from csbmlab.graphs import two_core
 from csbmlab.models import ModelParams, sample_correlated, sample_null
 from csbmlab.statistics import CenteredMatrix
@@ -55,9 +57,9 @@ def score_phases(engine: CountingEngine, host, who: str, params: ModelParams) ->
     core = measure("two_core", who, lambda: two_core(host))
     embeddings = measure("core_embeddings", who, lambda: plan.core_embeddings(core))
     del core
-    csr = measure("Graph.csr", who, lambda: host.csr)
-    hom = measure("hom_counts", who, lambda: plan.hom_counts(*csr, embeddings))
-    del csr, embeddings
+    arcs = measure("host_arcs", who, lambda: itemgetter(0, 3, 4)(_arcs(host.edge_array)))
+    hom = measure("hom_counts", who, lambda: plan.hom_counts(*arcs, embeddings))
+    del arcs, embeddings
     inj = plan.solve(hom)
     counts = {i: inj[i] for i in plan.tree_out + plan.cyclic_out}
     engine.pattern_counts = lambda graph: counts  # this engine is the tool's own
