@@ -1,9 +1,10 @@
 """Detection laboratory for correlated stochastic block models.
 
 Samplers for the planted, null and truncated graph-pair models; the
-tree-counting detection statistic with exact and color-coding evaluators;
-exact small-instance moment oracles; and a reproducible Monte Carlo harness
-for mapping the easy/hard detection transition in the subsampling rate.
+tree-counting detection statistic, scored by the exact counting engine by
+default, with a brute-force reference and a color-coding estimator; exact
+small-instance moment oracles; and a reproducible Monte Carlo harness for
+mapping the easy/hard detection transition in the subsampling rate.
 """
 
 from .density import (
@@ -20,7 +21,6 @@ from .density import (
 from .experiments import (
     ExperimentResult,
     SweepConfig,
-    run_detection,
     run_verification_suite,
     sweep,
 )
@@ -37,7 +37,6 @@ from .models import (
 )
 from .statistics import (
     CenteredMatrix,
-    TreeCountingDetector,
     TreeStatResult,
     cycle_count_test,
     f_tree_stat,
@@ -78,10 +77,8 @@ __all__ = [
     "cycle_count_test",
     "w_exact",
     "w_color_coding",
-    "TreeCountingDetector",
     "SweepConfig",
     "ExperimentResult",
-    "run_detection",
     "sweep",
     "run_verification_suite",
 ]

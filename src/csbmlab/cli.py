@@ -19,7 +19,6 @@ import numpy as np
 from .density import DensityParams, is_admissible, is_bad, is_self_bad, phi_log
 from .graphs import Graph, cycles_up_to
 from .models import ModelParams, sample_correlated, sample_null, sample_truncated_pair
-from .moments import predicted_f_mean
 from .experiments import (
     SweepConfig,
     run_verification_suite,
@@ -172,11 +171,11 @@ def _cmd_detect(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     res = f_tree_stat(a, b, params, args.aleph, method=args.method,
                       reps=args.reps, rng=rng)
-    tau = args.C * predicted_f_mean(params, args.aleph)
+    decision, tau = threshold_test(res.value, params, args.aleph, args.C)
     payload = {
         "f_value": res.value,
         "tau": tau,
-        "decision": threshold_test(res.value, params, args.aleph, args.C),
+        "decision": decision,
         "method": res.method,
         "reps": res.reps,
         "per_shape": [{"shape": i, "w_a": wa, "w_b": wb}

@@ -40,6 +40,7 @@ from .moments import (
 )
 from .statistics import METHODS, CenteredMatrix, f_tree_stat, w_color_coding, w_exact
 from .trees import (
+    MAX_ALEPH,
     OTTER_ALPHA,
     a_coefficient,
     enumerate_trees,
@@ -52,7 +53,6 @@ __all__ = [
     "DetectionRow",
     "ExperimentResult",
     "trial_generator",
-    "run_detection",
     "sweep",
     "write_csv",
     "write_json",
@@ -89,6 +89,8 @@ class SweepConfig:
             raise ValueError("s_grid values must lie in (0, 1]")
         if list(grid) != sorted(set(grid)):
             raise ValueError("s_grid must be strictly increasing")
+        if not 1 <= self.aleph <= MAX_ALEPH:
+            raise ValueError(f"aleph must be in 1..{MAX_ALEPH}, got {self.aleph}")
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
         if self.workers < 1:
@@ -181,17 +183,6 @@ def _row_from_samples(s: float, f_p: np.ndarray, f_q: np.ndarray,
         type_II=float((f_p < tau).mean()),
         degenerate=degenerate,
     )
-
-
-def run_detection(params: ModelParams, aleph: int, trials: int, seed: int,
-                  method: str = "sparse", reps: int | None = None, C: float = 0.5,
-                  workers: int = 1) -> DetectionRow:
-    """Empirical moments, z-separation and both error rates for one grid
-    point: the one row of a sweep over ``s_grid=(params.s,)``."""
-    cfg = SweepConfig(n=params.n, lam=params.lam, k=params.k, eps=params.eps,
-                      s_grid=(params.s,), aleph=aleph, trials=trials, seed=seed,
-                      method=method, reps=reps, C=C, workers=workers)
-    return sweep(cfg).rows[0]
 
 
 def sweep(cfg: SweepConfig) -> ExperimentResult:

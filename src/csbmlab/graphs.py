@@ -281,6 +281,8 @@ class Graph:
         if not fields[0].startswith("n="):
             raise ValueError(f"malformed graph line: {line!r}")
         n = int(fields[0][2:])
+        if n < 0:
+            raise ValueError(f"malformed graph line: n must be >= 0 in {line!r}")
         vertices: list[int] | None = None
         if len(fields) > 1 and fields[1].startswith("v="):
             vertices = [int(x) for x in fields.pop(1)[2:].split(",") if x]
@@ -312,6 +314,8 @@ class Graph:
             labels += [obj["n"]] if "n" in obj or "vertices" not in obj else []
             if not all(type(w) is int for w in labels):  # no bools, no floats
                 raise TypeError("labels and n must be integers")
+            if obj.get("n", 0) < 0:
+                raise TypeError("n must be >= 0")
             if "vertices" in obj:
                 if "n" in obj and obj["n"] != len(set(obj["vertices"])):
                     raise TypeError("n is not the number of vertices")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +39,6 @@ __all__ = [
     "f_tree_stat",
     "threshold_test",
     "cycle_count_test",
-    "TreeCountingDetector",
 ]
 
 EXACT_BUDGET_N = 40
@@ -284,6 +282,8 @@ def f_tree_stat(a: Graph, b: Graph, params: ModelParams, aleph: int,
         raise ValueError("graphs must live on the model's vertex set")
     if reps is None:
         reps = default_reps(params, aleph) if method == "cc" else 0
+    elif reps < 1:
+        raise ValueError("reps must be >= 1")
     w_a = _w_all(a, params, aleph, method, reps, rng)
     w_b = _w_all(b, params, aleph, method, reps, rng)
     catalog = enumerate_trees(aleph)
@@ -296,12 +296,13 @@ def f_tree_stat(a: Graph, b: Graph, params: ModelParams, aleph: int,
 
 
 def threshold_test(value: float, params: ModelParams, aleph: int,
-                   C: float) -> str:
-    """Decide planted/null at τ = C · predicted planted mean (ties planted)."""
+                   C: float) -> tuple[str, float]:
+    """Decide planted/null at τ = C · predicted planted mean (ties planted);
+    returns the decision and τ."""
     if not 0 < C < 1:
         raise ValueError("C must lie in (0, 1)")
     tau = C * predicted_f_mean(params, aleph)
-    return "planted" if value >= tau else "null"
+    return ("planted" if value >= tau else "null"), tau
 
 
 def cycle_count_test(a: Graph, ell: int, params: ModelParams) -> float:
@@ -312,92 +313,3 @@ def cycle_count_test(a: Graph, ell: int, params: ModelParams) -> float:
     m0 = (params.lam * params.s) ** ell / (2 * ell)
     observed = count_cycles(a, ell)
     return (observed - m0) / math.sqrt(m0)
-
-
-# ---------------------------------------------------------------------------
-# Estimator-style wrapper
-# ---------------------------------------------------------------------------
-
-def _validate_pair(pair: Sequence, n: int) -> tuple[Graph, Graph]:
-    if len(pair) != 2 or not all(isinstance(g, Graph) for g in pair):
-        raise TypeError("each sample must be a (Graph, Graph) pair")
-    a, b = pair
-    if a.n_vertices != n or b.n_vertices != n:
-        raise ValueError(f"graphs must have exactly n={n} vertices")
-    return a, b
-
-
-class TreeCountingDetector:
-    """Detector with an estimator-style interface over graph pairs.
-
-    Parameters mirror the model; `fit` freezes the shape catalog and the
-    decision threshold, `decision_function` returns the statistic per pair
-    and `predict` returns 1 for planted, 0 for null.
-    """
-
-    def __init__(self, n: int = 1000, lam: float = 1.0, k: int = 2,
-                 eps: float = 0.0, s: float = 0.8, aleph: int = 4,
-                 method: str = "sparse", reps: int | None = None,
-                 C: float = 0.5, seed: int = 0):
-        self.n = n
-        self.lam = lam
-        self.k = k
-        self.eps = eps
-        self.s = s
-        self.aleph = aleph
-        self.method = method
-        self.reps = reps
-        self.C = C
-        self.seed = seed
-
-    # sklearn-style parameter plumbing
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name)
-                for name in ("n", "lam", "k", "eps", "s", "aleph", "method",
-                             "reps", "C", "seed")}
-
-    def set_params(self, **params) -> "TreeCountingDetector":
-        """Set parameters and discard the fitted state, which they shaped:
-        scoring raises until `fit` runs again."""
-        known = self.get_params()
-        for name in params:
-            if name not in known:
-                raise ValueError(f"unknown parameter {name!r}")
-        for name, value in params.items():
-            setattr(self, name, value)
-        for name in ("params_", "catalog_", "tau_", "_rng"):
-            vars(self).pop(name, None)
-        return self
-
-    def fit(self, X=None, y=None) -> "TreeCountingDetector":
-        if not 0 < self.C < 1:
-            raise ValueError("C must lie in (0, 1)")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}")
-        if self.reps is not None and self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        self.params_ = ModelParams(n=self.n, lam=self.lam, k=self.k,
-                                   eps=self.eps, s=self.s)
-        self.catalog_ = enumerate_trees(self.aleph)
-        self.tau_ = self.C * predicted_f_mean(self.params_, self.aleph)
-        self._rng = np.random.default_rng(self.seed)
-        return self
-
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "tau_"):
-            raise RuntimeError("call fit() before using the detector")
-
-    def decision_function(self, pairs: Iterable[Sequence]) -> np.ndarray:
-        self._check_fitted()
-        out = []
-        for pair in pairs:
-            a, b = _validate_pair(pair, self.n)
-            res = f_tree_stat(a, b, self.params_, self.aleph,
-                              method=self.method, reps=self.reps,
-                              rng=self._rng)
-            out.append(res.value)
-        return np.array(out)
-
-    def predict(self, pairs: Iterable[Sequence]) -> np.ndarray:
-        scores = self.decision_function(pairs)
-        return (scores >= self.tau_).astype(int)

@@ -104,6 +104,17 @@ class TestDetect:
                     "--aleph", "2", "--lambda", "1.0", "--s", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["exact", "sparse", "cc"])
+    @pytest.mark.parametrize("reps", ["0", "-4"])
+    def test_reps_below_one_is_usage_error(self, tmp_path, capsys, method, reps):
+        # the engine reads no reps, but a count it would refuse is not echoed
+        path = tmp_path / "g.json"
+        path.write_text(Graph.build([(0, 1), (1, 2)], n=6).to_json())
+        code = run(["detect", "--input-a", str(path), "--input-b", str(path),
+                    "--aleph", "2", "--lambda", "1.0", "--s", "0.5",
+                    "--method", method, "--reps", reps])
+        assert (code, capsys.readouterr()) == (2, ("", "error: reps must be >= 1\n"))
+
     def test_aleph_without_a_table_is_refused(self, tmp_path, capsys, monkeypatch):
         # ℵ=11 has no committed table: the engine refuses it at once, naming
         # the writer, and never starts the generator
@@ -141,6 +152,17 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == "error: s_grid must hold at least one value\n"
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("aleph", ["0", "15"])
+    def test_aleph_out_of_range(self, tmp_path, capsys, aleph):
+        # refused by the config, as `detect` and `trees` refuse it, not by
+        # a missing quotient table
+        out = tmp_path / "s.json"
+        code = run(["sweep", "--n", "50", "--lambda", "1", "--s-grid", "0.5",
+                    "--aleph", aleph, "--trials", "2", "--out", str(out)])
+        assert (code, capsys.readouterr()) == (
+            2, ("", f"error: aleph must be in 1..14, got {aleph}\n"))
+        assert not out.exists()
 
 
 class TestVerify:
@@ -253,6 +275,16 @@ class TestAnalyze:
                         "--phi-n", phi_n]) == 0
             json.loads(capsys.readouterr().out)
             assert calls.count(False) == 1
+
+    @pytest.mark.parametrize("text", ["n=-2; ", '{"n": -2, "edges": []}'])
+    def test_negative_n_is_usage_error(self, tmp_path, capsys, text):
+        # it was read as the empty graph and reported
+        path = tmp_path / "g.txt"
+        path.write_text(text + "\n")
+        assert run(["analyze", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "n must be >= 0" in err
 
 
 class TestQuickstart:

@@ -1,5 +1,6 @@
 """Harness: reproducibility, sweep mechanics, verification suite."""
 
+import dataclasses
 import json
 import math
 import weakref
@@ -14,7 +15,6 @@ from csbmlab.experiments import (
     DetectionRow,
     ExperimentResult,
     SweepConfig,
-    run_detection,
     run_verification_suite,
     sweep,
     trial_generator,
@@ -41,36 +41,40 @@ class TestSeeding:
 
 
 class TestRunDetection:
+    """Detection at one grid point: the one row of a sweep over ``(s,)``."""
+
     def test_basic_row(self):
-        params = ModelParams(n=120, lam=2.0, k=2, eps=0.0, s=0.9)
-        row = run_detection(params, aleph=3, trials=8, seed=3, method="sparse")
+        cfg = SweepConfig(n=120, lam=2.0, k=2, eps=0.0, s_grid=(0.9,), aleph=3,
+                          trials=8, seed=3, method="sparse")
+        (row,) = sweep(cfg).rows
         assert row.s == 0.9
         assert 0 <= row.type_I <= 1 and 0 <= row.type_II <= 1
         assert row.type_I + row.type_II <= 1 + 2 / math.sqrt(8)
         assert not row.degenerate
 
     def test_reproducible(self):
-        params = ModelParams(n=100, lam=1.5, k=2, eps=0.2, s=0.8)
-        r1 = run_detection(params, aleph=2, trials=5, seed=9)
-        r2 = run_detection(params, aleph=2, trials=5, seed=9)
-        assert r1 == r2
+        cfg = SweepConfig(n=100, lam=1.5, k=2, eps=0.2, s_grid=(0.8,), aleph=2,
+                          trials=5, seed=9)
+        assert sweep(cfg).rows == sweep(cfg).rows
 
     def test_worker_count_invariance(self):
-        params = ModelParams(n=100, lam=1.5, k=2, eps=0.2, s=0.8)
-        serial = run_detection(params, aleph=2, trials=6, seed=4, workers=1)
-        parallel = run_detection(params, aleph=2, trials=6, seed=4, workers=2)
-        assert serial == parallel
+        cfg = SweepConfig(n=100, lam=1.5, k=2, eps=0.2, s_grid=(0.8,), aleph=2,
+                          trials=6, seed=4, workers=1)
+        parallel = dataclasses.replace(cfg, workers=2)
+        assert sweep(cfg).rows == sweep(parallel).rows
 
     def test_minimal_trials_flagged_when_degenerate(self):
         # two trials run fine; degenerate flag only fires on zero spread
-        params = ModelParams(n=80, lam=1.0, k=2, eps=0.0, s=0.5)
-        row = run_detection(params, aleph=2, trials=2, seed=1)
+        cfg = SweepConfig(n=80, lam=1.0, k=2, eps=0.0, s_grid=(0.5,), aleph=2,
+                          trials=2, seed=1)
+        (row,) = sweep(cfg).rows
         assert isinstance(row.degenerate, bool)
 
     def test_zero_spread_with_equal_means_is_not_separated(self):
         # λ=0.01 leaves every host edgeless, so all statistics coincide
-        params = ModelParams(n=50, lam=0.01, k=2, eps=0.0, s=0.1)
-        row = run_detection(params, aleph=2, trials=3, seed=0)
+        cfg = SweepConfig(n=50, lam=0.01, k=2, eps=0.0, s_grid=(0.1,), aleph=2,
+                          trials=3, seed=0)
+        (row,) = sweep(cfg).rows
         assert row.degenerate and row.sd_P == row.sd_Q == 0.0
         assert row.mean_P == row.mean_Q and row.z_separation == 0.0
 
@@ -84,30 +88,30 @@ class TestRunDetection:
     @pytest.mark.parametrize("trials,workers", [(1, 1), (4, 0), (4, -4)])
     def test_rejects_one_trial_and_no_workers(self, trials, workers):
         # a single trial has no spread; no worker count below 1 runs serially
-        params = ModelParams(n=80, lam=1.0, k=2, eps=0.0, s=0.5)
         with pytest.raises(ValueError):
-            run_detection(params, aleph=2, trials=trials, seed=1, workers=workers)
+            SweepConfig(n=80, lam=1.0, k=2, eps=0.0, s_grid=(0.5,), aleph=2,
+                        trials=trials, seed=1, workers=workers)
 
     def test_detection_quality_at_maximal_signal(self):
         # s=1 gives the strongest signal; both error rates stay small and the
         # planted mean dominates (band from the Monte Carlo oracle itself)
-        params = ModelParams(n=800, lam=2.0, k=2, eps=0.0, s=1.0)
-        row = run_detection(params, aleph=5, trials=60, seed=21, workers=2)
+        cfg = SweepConfig(n=800, lam=2.0, k=2, eps=0.0, s_grid=(1.0,), aleph=5,
+                          trials=60, seed=21, workers=2)
+        (row,) = sweep(cfg).rows
         assert row.mean_P > row.mean_Q + 2 * row.sd_Q
         assert row.type_I + row.type_II <= 0.5
 
     def test_no_signal_deep_in_the_hard_phase(self):
-        params = ModelParams(n=800, lam=2.0, k=2, eps=0.0, s=0.2)
-        row = run_detection(params, aleph=5, trials=60, seed=21, workers=2)
+        cfg = SweepConfig(n=800, lam=2.0, k=2, eps=0.0, s_grid=(0.2,), aleph=5,
+                          trials=60, seed=21, workers=2)
+        (row,) = sweep(cfg).rows
         assert abs(row.z_separation) <= 0.5
 
     def test_color_coding_method_through_harness(self):
-        params = ModelParams(n=60, lam=2.0, k=2, eps=0.0, s=0.9)
-        row1 = run_detection(params, aleph=2, trials=4, seed=2, method="cc",
-                             reps=60)
-        row2 = run_detection(params, aleph=2, trials=4, seed=2, method="cc",
-                             reps=60)
-        assert row1 == row2  # cc draws come from the per-trial streams
+        cfg = SweepConfig(n=60, lam=2.0, k=2, eps=0.0, s_grid=(0.9,), aleph=2,
+                          trials=4, seed=2, method="cc", reps=60)
+        # cc draws come from the per-trial streams
+        assert sweep(cfg).rows == sweep(cfg).rows
 
 
 class TestOneTrial:
@@ -197,6 +201,10 @@ class TestSweep:
             with pytest.raises(ValueError, match=r"C must lie in \(0, 1\)"):
                 SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
                             aleph=2, trials=2, seed=0, C=C)
+        for aleph in (0, -1, 15):
+            with pytest.raises(ValueError, match=r"aleph must be in 1\.\.14"):
+                SweepConfig(n=100, lam=1.0, k=2, eps=0.0, s_grid=(0.5,),
+                            aleph=aleph, trials=2, seed=0)
 
     @pytest.mark.parametrize("method", ["auto", "brute", ""])
     def test_unknown_method_rejected_when_built(self, method):

@@ -543,6 +543,15 @@ class TestSerialization:
         for g in (TRIANGLE, K4, Graph.build([(0, 1)], n=5), Graph.empty(0)):
             assert Graph.from_json(g.to_json()) == g
 
+    @pytest.mark.parametrize("parse, text", [
+        (Graph.from_text, "n=-2; "),
+        (Graph.from_json, '{"n": -2, "edges": []}'),
+    ])
+    def test_negative_n_is_refused(self, parse, text):
+        # `Graph.build(..., n=-2)` is the empty graph; a file saying so is wrong
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            parse(text)
+
     def test_text_format(self):
         assert Graph.build([(0, 1), (1, 2)], n=3).to_text() == "n=3; 0-1,1-2"
 

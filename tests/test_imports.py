@@ -1,6 +1,6 @@
 """Static checks: no module of the package imports a name it never uses,
-every name in a module's ``__all__`` is bound in that module, and no
-module-level private helper is left without a caller.
+every name in a module's ``__all__`` is bound in that module and has a
+caller, and no module-level private helper is left without a caller.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module or listed in
@@ -16,6 +16,22 @@ import pytest
 import csbmlab
 
 MODULES = sorted(Path(csbmlab.__file__).parent.glob("*.py"))
+ROOT = Path(csbmlab.__file__).parents[2]
+# Code outside the package that calls for a public name: the scripts, and
+# the acceptance suite, which reads the package as a user would.
+READERS = sorted((ROOT / "tools").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+# Public names that nothing in the package, the scripts or the acceptance
+# suite reads, kept on purpose.
+UNCALLED_EXPORTS = {
+    "counting.py: write_quotient_table":
+        "run by hand to write a table; README gives the command",
+    "density.py: choose_N":
+        "the paper's cutoff N(delta), pinned by test_density",
+    "graphs.py: intersection":
+        "the vertex-and-edge meet read by test_cycle_count_supermodularity",
+    "statistics.py: cycle_count_test":
+        "the single-graph cycle baseline, until ROADMAP item 9 replaces it",
+}
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -84,7 +100,8 @@ def test_check_finds_an_unbound_export():
 def _names(node: ast.AST) -> Counter:
     """Every identifier read in `node`: plain names and attribute names."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
 
 
 def orphaned_helpers(sources: dict[str, str]) -> list[str]:
@@ -112,3 +129,39 @@ def test_check_finds_an_orphaned_helper():
         "b.py": "from a import _used\n\n_used()\n",
     }
     assert orphaned_helpers(sources) == ["a.py: _Lone", "a.py: _recursive"]
+
+
+def uncalled_exports(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Names in a module's ``__all__`` that no code of the modules or of the
+    readers reads outside the name's own definition, as ``"module: name"``.
+    An import binds a name without reading it, so a re-export is no caller."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    names = sum((_names(ast.parse(source)) for source in readers.values()),
+                sum((_names(tree) for tree in trees.values()), Counter()))
+    out = []
+    for module, tree in trees.items():
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for name in _exports(tree):
+            own = _names(defs[name])[name] if name in defs else 0
+            if names[name] == own:
+                out.append(f"{module}: {name}")
+    return sorted(out)
+
+
+def test_every_public_name_has_a_caller():
+    modules = {p.name: p.read_text() for p in MODULES if p.name != "__init__.py"}
+    readers = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
+    assert uncalled_exports(modules, readers) == sorted(UNCALLED_EXPORTS)
+
+
+def test_check_finds_an_uncalled_export():
+    modules = {
+        "a.py": ("LIMIT = 3\n\ndef used():\n    return LIMIT\n\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n\n"
+                 "class Lone:\n    pass\n\n"
+                 "__all__ = ['LIMIT', 'used', 'recursive', 'Lone', 'by_tool']\n"),
+        "b.py": "from a import Lone, used\n\nused()\n",
+    }
+    readers = {"tool.py": "import a\n\na.by_tool()\n"}
+    assert uncalled_exports(modules, readers) == ["a.py: Lone", "a.py: recursive"]

@@ -13,7 +13,6 @@ from csbmlab.graphs import Graph
 from csbmlab.models import ModelParams, sample_correlated, sample_null
 from csbmlab.statistics import (
     CenteredMatrix,
-    TreeCountingDetector,
     cycle_count_test,
     default_reps,
     f_tree_stat,
@@ -267,12 +266,25 @@ class TestTreeStat:
         assert default.method == "sparse"
         assert default.value == sparse.value
         assert default.per_shape == sparse.per_shape
-        assert TreeCountingDetector().method == "sparse"
 
     def test_auto_method_is_rejected(self):
         a = Graph.empty(12)
         with pytest.raises(ValueError, match="unknown method 'auto'"):
             f_tree_stat(a, a, PARAMS_SMALL, 3, method="auto")
+
+    def test_pair_off_the_model_vertex_set_is_rejected(self):
+        with pytest.raises(ValueError, match="model's vertex set"):
+            f_tree_stat(Graph.empty(10), Graph.empty(12), PARAMS_SMALL, 3)
+
+    @pytest.mark.parametrize("method", ["exact", "sparse", "cc"])
+    @pytest.mark.parametrize("reps", [0, -4])
+    def test_reps_below_one_rejected_for_every_method(self, method, reps):
+        # not only where color coding reads them: no method reports a
+        # repetition count it would refuse
+        a = Graph.empty(12)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            f_tree_stat(a, a, PARAMS_SMALL, 3, method=method, reps=reps,
+                        rng=np.random.default_rng(0))
 
     def test_w_orthonormality_consequence(self):
         # under the null, per-shape W sums have variance equal to the labeled
@@ -327,13 +339,15 @@ class TestTreeStat:
 class TestThreshold:
     def test_decisions(self):
         params = ModelParams(n=100, lam=1.0, k=2, eps=0.2, s=0.8)
-        assert threshold_test(0.0, params, 4, 0.5) == "null"
+        tau = 0.5 * predicted_f_mean(params, 4)
+        assert threshold_test(0.0, params, 4, 0.5) == ("null", tau)
         mean = 0.8 ** 8 * tree_count(4)
-        assert threshold_test(mean, params, 4, 0.5) == "planted"
+        assert threshold_test(mean, params, 4, 0.5) == ("planted", tau)
         # boundary is inclusive
-        assert threshold_test(0.5 * mean, params, 4, 0.5) == "planted"
-        with pytest.raises(ValueError):
-            threshold_test(1.0, params, 4, 1.5)
+        assert threshold_test(0.5 * mean, params, 4, 0.5) == ("planted", tau)
+        for C in (0.0, 1.0, 1.5, 5.0, -1.0):
+            with pytest.raises(ValueError, match=r"C must lie in \(0, 1\)"):
+                threshold_test(1.0, params, 4, C)
 
 
 class TestCycleCountTest:
@@ -368,80 +382,21 @@ class TestCycleCountTest:
 
 
 class TestDetector:
-    def test_params_roundtrip(self):
-        det = TreeCountingDetector(n=50, aleph=3)
-        params = det.get_params()
-        det2 = TreeCountingDetector().set_params(**params)
-        assert det2.get_params() == params
-        with pytest.raises(ValueError):
-            det.set_params(bogus=1)
-
-    def test_set_params_takes_only_parameters(self):
-        # methods and fitted state are attributes too, but not parameters
-        det = TreeCountingDetector(n=20, aleph=2)
-        with pytest.raises(ValueError, match="'fit'"):
-            det.set_params(fit=3)
-        det.fit()
-        tau = det.tau_
-        with pytest.raises(ValueError, match="'tau_'"):
-            det.set_params(tau_=0.0)
-        assert det.tau_ == tau
-
-    def test_set_params_discards_the_fit(self):
-        # a fitted threshold or model belongs to the parameters it was fitted
-        # with: after a change, scoring waits for the next fit
-        det = TreeCountingDetector(n=20, aleph=4).fit()
-        det.set_params(aleph=2)
-        for score in (det.decision_function, det.predict):
-            with pytest.raises(RuntimeError, match="call fit"):
-                score([])
-        det.fit()
-        assert det.tau_ == det.C * predicted_f_mean(det.params_, 2)
-        det.set_params(s=0.5)
-        with pytest.raises(RuntimeError, match="call fit"):
-            det.predict([])
-        assert det.fit().params_.s == 0.5
-
-    def test_requires_fit(self):
-        det = TreeCountingDetector(n=20, aleph=2)
-        with pytest.raises(RuntimeError):
-            det.decision_function([])
-
-    def test_validation(self):
-        det = TreeCountingDetector(n=20, lam=2.0, s=0.9, aleph=2).fit()
-        with pytest.raises(ValueError):
-            det.decision_function([(Graph.empty(10), Graph.empty(20))])
-        with pytest.raises(TypeError):
-            det.decision_function([("x", "y")])
-
-    @pytest.mark.parametrize("C", (0.0, 1.0, 5.0, -1.0))
-    def test_fit_rejects_threshold_scale(self, C):
-        with pytest.raises(ValueError, match=r"C must lie in \(0, 1\)"):
-            TreeCountingDetector(n=20, aleph=2, C=C).fit()
-
-    def test_fit_rejects_unknown_method(self):
-        # caught at fit, not at the first scored pair
-        with pytest.raises(ValueError, match="method must be one of exact, sparse, cc"):
-            TreeCountingDetector(n=12, aleph=3, method="auto").fit()
-
-    @pytest.mark.parametrize("reps", [0, -1])
-    def test_fit_rejects_reps_below_one(self, reps):
-        # caught at fit, not at the first scored pair
-        with pytest.raises(ValueError, match="reps must be >= 1"):
-            TreeCountingDetector(n=12, aleph=3, method="cc", reps=reps).fit()
+    """The statistic and its threshold together: score a pair with
+    `f_tree_stat`, decide it with `threshold_test`."""
 
     def test_separates_extreme_models(self):
-        det = TreeCountingDetector(n=400, lam=4.0, k=2, eps=0.0, s=1.0,
-                                   aleph=5, C=0.5).fit()
-        params = det.params_
+        params = ModelParams(n=400, lam=4.0, k=2, eps=0.0, s=1.0)
         rng = np.random.default_rng(8)
         planted, null = [], []
         for _ in range(8):
             smp = sample_correlated(params, rng)
             planted.append((smp.a, smp.b))
             null.append(sample_null(params, rng))
-        p_scores = det.decision_function(planted)
-        q_scores = det.decision_function(null)
+        p_scores = np.array([f_tree_stat(a, b, params, 5).value for a, b in planted])
+        q_scores = np.array([f_tree_stat(a, b, params, 5).value for a, b in null])
         assert p_scores.mean() > q_scores.mean()
-        assert det.predict(planted).mean() >= 0.5
-        assert det.predict(null).mean() <= 0.5
+        p_planted = [threshold_test(f, params, 5, 0.5)[0] == "planted" for f in p_scores]
+        q_planted = [threshold_test(f, params, 5, 0.5)[0] == "planted" for f in q_scores]
+        assert np.mean(p_planted) >= 0.5
+        assert np.mean(q_planted) <= 0.5
