@@ -40,7 +40,8 @@ from .statistics import (
     TreeStatResult,
     cycle_count_test,
     f_tree_stat,
-    threshold_test,
+    is_planted,
+    threshold,
     w_color_coding,
     w_exact,
 )
@@ -73,7 +74,8 @@ __all__ = [
     "CenteredMatrix",
     "f_tree_stat",
     "TreeStatResult",
-    "threshold_test",
+    "threshold",
+    "is_planted",
     "cycle_count_test",
     "w_exact",
     "w_color_coding",

@@ -26,7 +26,7 @@ from .experiments import (
     write_csv,
     write_json,
 )
-from .statistics import METHODS, f_tree_stat, threshold_test
+from .statistics import METHODS, f_tree_stat, is_planted, threshold
 from .trees import enumerate_trees, tree_count
 
 __all__ = ["main", "build_parser"]
@@ -67,62 +67,55 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", help="output path or prefix")
     common.add_argument("--format", choices=("csv", "json"), default="json")
+    # flags that several verbs share, each declared once: the block count,
+    # the rest of the model, and the statistic's settings
+    blocks = argparse.ArgumentParser(add_help=False)
+    blocks.add_argument("--k", type=int, default=2)
+    model = argparse.ArgumentParser(add_help=False, parents=[blocks])
+    model.add_argument("--lambda", dest="lam", type=float, required=True)
+    model.add_argument("--eps", type=float, default=0.0)
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--aleph", type=int, required=True)
+    scoring.add_argument("--method", choices=METHODS, default="sparse")
+    scoring.add_argument("--reps", type=int)
+    scoring.add_argument("--C", type=float, default=0.5)
 
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_sample = sub.add_parser("sample", parents=[common], allow_abbrev=False,
-                              help="draw graphs from P, Q or the truncated model")
+    def verb(name: str, summary: str, *shared: argparse.ArgumentParser):
+        return sub.add_parser(name, parents=[common, *shared], allow_abbrev=False,
+                              help=summary)
+
+    p_sample = verb("sample", "draw graphs from P, Q or the truncated model", model)
     p_sample.add_argument("--model", choices=("P", "Q", "Pprime"), required=True)
     p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_sample.add_argument("--k", type=int, default=2)
-    p_sample.add_argument("--eps", type=float, default=0.0)
     p_sample.add_argument("--s", type=float, required=True)
     p_sample.add_argument("--N", type=int, default=5,
                           help="short-cycle cutoff for the truncated model")
     p_sample.add_argument("--vertex-cap", type=int, default=30)
 
-    p_detect = sub.add_parser("detect", parents=[common], allow_abbrev=False,
-                              help="run the tree statistic on a graph pair")
+    p_detect = verb("detect", "run the tree statistic on a graph pair", model, scoring)
     p_detect.add_argument("--input-a", required=True)
     p_detect.add_argument("--input-b", required=True)
-    p_detect.add_argument("--aleph", type=int, required=True)
-    p_detect.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_detect.add_argument("--k", type=int, default=2)
-    p_detect.add_argument("--eps", type=float, default=0.0)
     p_detect.add_argument("--s", type=float, required=True)
-    p_detect.add_argument("--method", choices=METHODS, default="sparse")
-    p_detect.add_argument("--reps", type=int)
-    p_detect.add_argument("--C", type=float, default=0.5)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
-                             help="phase sweep over the subsampling probability")
+    p_sweep = verb("sweep", "phase sweep over the subsampling probability",
+                   model, scoring)
     p_sweep.add_argument("--n", type=int, required=True)
-    p_sweep.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_sweep.add_argument("--k", type=int, default=2)
-    p_sweep.add_argument("--eps", type=float, default=0.0)
     p_sweep.add_argument("--s-grid", required=True,
                          help="comma-separated increasing values in (0,1]")
-    p_sweep.add_argument("--aleph", type=int, required=True)
     p_sweep.add_argument("--trials", type=int, default=200)
-    p_sweep.add_argument("--method", choices=METHODS, default="sparse")
-    p_sweep.add_argument("--reps", type=int)
-    p_sweep.add_argument("--C", type=float, default=0.5)
     p_sweep.add_argument("--workers", type=int, default=1)
 
-    sub.add_parser("verify", parents=[common], allow_abbrev=False,
-                   help="run the cross-module verification suite")
+    verb("verify", "run the cross-module verification suite")
 
-    p_trees = sub.add_parser("trees", parents=[common], allow_abbrev=False,
-                             help="list the unlabeled tree catalog")
+    p_trees = verb("trees", "list the unlabeled tree catalog")
     p_trees.add_argument("--aleph", type=int, required=True)
 
-    p_analyze = sub.add_parser("analyze", parents=[common], allow_abbrev=False,
-                               help="density/admissibility report for a graph")
+    p_analyze = verb("analyze", "density/admissibility report for a graph", blocks)
     p_analyze.add_argument("--input", required=True)
     p_analyze.add_argument("--D", type=int, default=100)
     p_analyze.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_analyze.add_argument("--k", type=int, default=2)
     p_analyze.add_argument("--N", type=int, default=5)
     p_analyze.add_argument("--phi-n", type=float, default=None,
                            help="override the n used inside the density score")
@@ -168,14 +161,14 @@ def _cmd_detect(args) -> int:
         return 2
     params = ModelParams(n=a.n_vertices, lam=args.lam, k=args.k,
                          eps=args.eps, s=args.s)
+    tau = threshold(params, args.aleph, args.C)  # refuses a bad C before scoring
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     res = f_tree_stat(a, b, params, args.aleph, method=args.method,
                       reps=args.reps, rng=rng)
-    decision, tau = threshold_test(res.value, params, args.aleph, args.C)
     payload = {
         "f_value": res.value,
         "tau": tau,
-        "decision": decision,
+        "decision": "planted" if is_planted(res.value, tau) else "null",
         "method": res.method,
         "reps": res.reps,
         "per_shape": [{"shape": i, "w_a": wa, "w_b": wb}

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from .moments import (
     exact_phi_expectation_P,
     exact_phi_expectation_Q,
     moment_closed_form,
-    predicted_f_mean,
 )
-from .statistics import METHODS, CenteredMatrix, f_tree_stat, w_color_coding, w_exact
+from .statistics import (METHODS, CenteredMatrix, f_tree_stat, is_planted, threshold,
+                         w_color_coding, w_exact)
 from .trees import (
     MAX_ALEPH,
     OTTER_ALPHA,
@@ -82,7 +83,11 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        grid = tuple(self.s_grid)
+        # Python numbers, not numpy scalars, reach the writers
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
+        grid = tuple(float(s) for s in self.s_grid)
         if not grid:
             raise ValueError("s_grid must hold at least one value")
         if any(not 0 < s <= 1 for s in grid):
@@ -105,10 +110,6 @@ class SweepConfig:
 
     def params_at(self, s: float) -> ModelParams:
         return ModelParams(n=self.n, lam=self.lam, k=self.k, eps=self.eps, s=s)
-
-    @property
-    def sqrt_alpha(self) -> float:
-        return math.sqrt(OTTER_ALPHA)
 
     @property
     def ks_s(self) -> float:
@@ -164,7 +165,7 @@ def _one_trial(args) -> tuple[int, int, float, float]:
 
 def _row_from_samples(s: float, f_p: np.ndarray, f_q: np.ndarray,
                       params: ModelParams, aleph: int, C: float) -> DetectionRow:
-    tau = C * predicted_f_mean(params, aleph)
+    tau = threshold(params, aleph, C)
     sd_p = float(f_p.std(ddof=1))
     sd_q = float(f_q.std(ddof=1))
     mean_p, mean_q = float(f_p.mean()), float(f_q.mean())
@@ -179,8 +180,8 @@ def _row_from_samples(s: float, f_p: np.ndarray, f_q: np.ndarray,
         mean_P=mean_p, sd_P=sd_p,
         mean_Q=mean_q, sd_Q=sd_q,
         z_separation=z,
-        type_I=float((f_q >= tau).mean()),
-        type_II=float((f_p < tau).mean()),
+        type_I=float(is_planted(f_q, tau).mean()),
+        type_II=float((~is_planted(f_p, tau)).mean()),
         degenerate=degenerate,
     )
 
@@ -202,18 +203,15 @@ def sweep(cfg: SweepConfig) -> ExperimentResult:
         with multiprocessing.Pool(cfg.workers) as pool:
             results = list(pool.imap_unordered(_one_trial, tasks, chunksize=4))
     results.sort(key=lambda r: (r[0], r[1]))
-    rows = []
-    for s_index, s in enumerate(cfg.s_grid):
-        chunk = [r for r in results if r[0] == s_index]
-        f_p = np.array([r[2] for r in chunk])
-        f_q = np.array([r[3] for r in chunk])
-        rows.append(_row_from_samples(s, f_p, f_q, cfg.params_at(s),
-                                      cfg.aleph, cfg.C))
-    reference = {"sqrt_alpha": cfg.sqrt_alpha, "ks_s": cfg.ks_s}
-    config = {"n": cfg.n, "lam": cfg.lam, "k": cfg.k, "eps": cfg.eps,
-              "aleph": cfg.aleph, "trials": cfg.trials, "seed": cfg.seed,
-              "method": cfg.method, "reps": cfg.reps, "C": cfg.C}
-    return ExperimentResult(rows=tuple(rows), reference=reference, config=config)
+    shape = (len(cfg.s_grid), cfg.trials)  # one row of trials per grid point
+    _, _, f_p, f_q = (np.reshape(col, shape) for col in zip(*results))
+    rows = tuple(_row_from_samples(s, f_p[i], f_q[i], cfg.params_at(s),
+                                   cfg.aleph, cfg.C)
+                 for i, s in enumerate(cfg.s_grid))
+    reference = {"sqrt_alpha": math.sqrt(OTTER_ALPHA), "ks_s": cfg.ks_s}
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+              if f.name not in ("s_grid", "workers")}
+    return ExperimentResult(rows=rows, reference=reference, config=config)
 
 
 def write_csv(result: ExperimentResult, path: str) -> None:
@@ -223,8 +221,7 @@ def write_csv(result: ExperimentResult, path: str) -> None:
     lines.append(",".join(CSV_COLUMNS))
     for row in result.rows:
         lines.append(",".join(repr(getattr(row, c)) for c in CSV_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _json_number(value: float) -> float | None:
@@ -241,9 +238,9 @@ def write_json(result: ExperimentResult, path: str) -> None:
                       degenerate=row.degenerate)
                  for row in result.rows],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # built whole first, so a value JSON cannot hold leaves no partial file
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    Path(path).write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ over injective tree embeddings come from one of three ``METHODS``:
   a rank-one part plus a sparse part, so the n² entries are never materialised.
 
 The pair statistic is Σ_shapes a_shape · W_shape(A) · W_shape(B), thresholded
-at a fixed fraction of its predicted planted mean.
+at a fixed fraction of its predicted planted mean; `threshold` and
+`is_planted` are the one decision rule of the command line and the harness.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ __all__ = [
     "default_reps",
     "TreeStatResult",
     "f_tree_stat",
-    "threshold_test",
+    "threshold",
+    "is_planted",
     "cycle_count_test",
 ]
 
@@ -295,14 +297,19 @@ def f_tree_stat(a: Graph, b: Graph, params: ModelParams, aleph: int,
                           reps=reps if method == "cc" else 0)
 
 
-def threshold_test(value: float, params: ModelParams, aleph: int,
-                   C: float) -> tuple[str, float]:
-    """Decide planted/null at τ = C · predicted planted mean (ties planted);
-    returns the decision and τ."""
+def threshold(params: ModelParams, aleph: int, C: float) -> float:
+    """The detection threshold τ = C · predicted planted mean, for C in (0, 1).
+
+    A pair is called planted when its statistic f ≥ τ (ties planted) and
+    null otherwise; `is_planted` applies that rule."""
     if not 0 < C < 1:
         raise ValueError("C must lie in (0, 1)")
-    tau = C * predicted_f_mean(params, aleph)
-    return ("planted" if value >= tau else "null"), tau
+    return C * predicted_f_mean(params, aleph)
+
+
+def is_planted(f, tau: float):
+    """The decision at threshold τ, for one value or elementwise: f ≥ τ."""
+    return np.asarray(f) >= tau
 
 
 def cycle_count_test(a: Graph, ell: int, params: ModelParams) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, exit codes, config files."""
 
+import argparse
 import json
 import os
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from csbmlab.cli import main
+from csbmlab.cli import build_parser, main
 from csbmlab.graphs import Graph
 
 
@@ -131,6 +132,22 @@ class TestDetect:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert "write_quotient_table(11)" in err
+
+
+    @pytest.mark.parametrize("C", ["5", "-1"])
+    def test_threshold_scale_refused_before_scoring(self, tmp_path, capsys,
+                                                    monkeypatch, C):
+        from csbmlab import cli
+
+        def score(*args, **kwargs):
+            raise AssertionError("detect scored the pair")
+
+        monkeypatch.setattr(cli, "f_tree_stat", score)
+        path = tmp_path / "g.json"
+        path.write_text(Graph.build([(0, 1), (1, 2)], n=6).to_json())
+        code = run(["detect", "--input-a", str(path), "--input-b", str(path),
+                    "--aleph", "2", "--lambda", "1.0", "--s", "0.5", "--C", C])
+        assert (code, capsys.readouterr()) == (2, ("", "error: C must lie in (0, 1)\n"))
 
 
 class TestSweep:
@@ -409,3 +426,75 @@ class TestConfigAndErrors:
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: C must lie in (0, 1)\n"
         assert not out.exists()
+
+
+class TestFlagPin:
+    """Every flag of the verbs that share flags, as `build_parser()` declares
+    it: (dest, type, default, required, choices). A flag declared once for
+    several verbs must read the same on each."""
+
+    METHODS = ("exact", "sparse", "cc")
+    COMMON = {
+        "--seed": ("seed", int, 0, False, None),
+        "--out": ("out", None, None, False, None),
+        "--format": ("format", None, "json", False, ("csv", "json")),
+    }
+    FLAGS = {
+        "sample": {
+            "--model": ("model", None, None, True, ("P", "Q", "Pprime")),
+            "--n": ("n", int, None, True, None),
+            "--lambda": ("lam", float, None, True, None),
+            "--k": ("k", int, 2, False, None),
+            "--eps": ("eps", float, 0.0, False, None),
+            "--s": ("s", float, None, True, None),
+            "--N": ("N", int, 5, False, None),
+            "--vertex-cap": ("vertex_cap", int, 30, False, None),
+        },
+        "detect": {
+            "--input-a": ("input_a", None, None, True, None),
+            "--input-b": ("input_b", None, None, True, None),
+            "--aleph": ("aleph", int, None, True, None),
+            "--lambda": ("lam", float, None, True, None),
+            "--k": ("k", int, 2, False, None),
+            "--eps": ("eps", float, 0.0, False, None),
+            "--s": ("s", float, None, True, None),
+            "--method": ("method", None, "sparse", False, METHODS),
+            "--reps": ("reps", int, None, False, None),
+            "--C": ("C", float, 0.5, False, None),
+        },
+        "sweep": {
+            "--n": ("n", int, None, True, None),
+            "--lambda": ("lam", float, None, True, None),
+            "--k": ("k", int, 2, False, None),
+            "--eps": ("eps", float, 0.0, False, None),
+            "--s-grid": ("s_grid", None, None, True, None),
+            "--aleph": ("aleph", int, None, True, None),
+            "--trials": ("trials", int, 200, False, None),
+            "--method": ("method", None, "sparse", False, METHODS),
+            "--reps": ("reps", int, None, False, None),
+            "--C": ("C", float, 0.5, False, None),
+            "--workers": ("workers", int, 1, False, None),
+        },
+        "analyze": {
+            "--input": ("input", None, None, True, None),
+            "--D": ("D", int, 100, False, None),
+            "--lambda": ("lam", float, 1.0, False, None),
+            "--k": ("k", int, 2, False, None),
+            "--N": ("N", int, 5, False, None),
+            "--phi-n": ("phi_n", float, None, False, None),
+        },
+    }
+
+    @pytest.mark.parametrize("verb", sorted(FLAGS))
+    def test_flags(self, verb):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        got = {}
+        for action in sub.choices[verb]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (flag,) = action.option_strings
+            choices = None if action.choices is None else tuple(action.choices)
+            got[flag] = (action.dest, action.type, action.default,
+                         action.required, choices)
+        assert got == {**self.COMMON, **self.FLAGS[verb]}

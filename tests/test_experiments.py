@@ -22,7 +22,7 @@ from csbmlab.experiments import (
     write_json,
 )
 from csbmlab.models import ModelParams, sample_correlated
-from csbmlab.statistics import CenteredMatrix
+from csbmlab.statistics import CenteredMatrix, is_planted, threshold
 
 
 CFG = SweepConfig(n=150, lam=2.0, k=2, eps=0.0, s_grid=(0.4, 0.9),
@@ -84,6 +84,18 @@ class TestRunDetection:
         row = experiments._row_from_samples(0.5, np.full(3, gap), np.zeros(3),
                                             params, aleph=2, C=0.5)
         assert row.degenerate and row.z_separation == math.copysign(math.inf, gap)
+
+    def test_error_rates_read_the_statistics_rule(self):
+        # values exactly at τ count as planted, as `detect` calls them
+        params = ModelParams(n=50, lam=1.0, k=2, eps=0.0, s=0.5)
+        tau = threshold(params, 3, 0.5)
+        f_p = np.array([tau, tau, 2 * tau, 0.0, -tau])
+        f_q = np.array([tau, 0.0, 0.5 * tau, -tau, 3 * tau])
+        row = experiments._row_from_samples(0.5, f_p, f_q, params, aleph=3, C=0.5)
+        calls_p = [is_planted(f, tau) for f in f_p]
+        calls_q = [is_planted(f, tau) for f in f_q]
+        assert row.type_I == np.mean(calls_q) == 0.4
+        assert row.type_II == 1 - np.mean(calls_p) == 0.4
 
     @pytest.mark.parametrize("trials,workers", [(1, 1), (4, 0), (4, -4)])
     def test_rejects_one_trial_and_no_workers(self, trials, workers):
@@ -226,6 +238,32 @@ class TestSweep:
         write_json(sweep(cfg), tmp_path / "out.json")
         payload = json.loads((tmp_path / "out.json").read_text())
         assert payload["config"]["method"] == "sparse"
+
+    def test_numpy_numbers_are_written_as_python_numbers(self, tmp_path):
+        # a linspace grid and numpy integers are stored as Python numbers,
+        # so both writers give what the same config in Python numbers gives
+        plain = SweepConfig(n=60, lam=2.0, k=2, eps=0.0, s_grid=(0.5, 0.9),
+                            aleph=2, trials=2, seed=1)
+        cfg = SweepConfig(n=np.int64(60), lam=np.float64(2.0), k=np.int64(2),
+                          eps=0.0, s_grid=np.linspace(0.5, 0.9, 2),
+                          aleph=np.int64(2), trials=np.int64(2), seed=np.int64(1))
+        assert cfg == plain
+        assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == [
+            int, float, int, float, tuple, int, int, int, str, type(None), float, int]
+        assert {type(s) for s in cfg.s_grid} == {float}
+        for writer, name in ((write_csv, "out.csv"), (write_json, "out.json")):
+            writer(sweep(plain), tmp_path / f"plain_{name}")
+            writer(sweep(cfg), tmp_path / name)
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / f"plain_{name}").read_bytes()
+        assert (tmp_path / "out.csv").read_text().splitlines()[-2].startswith("0.5,")
+        assert json.loads((tmp_path / "out.json").read_text())["config"]["n"] == 60
+
+    def test_json_writer_leaves_no_partial_file(self, tmp_path):
+        res = ExperimentResult(rows=(), reference={}, config={"n": object()})
+        with pytest.raises(TypeError):
+            write_json(res, tmp_path / "out.json")
+        assert not (tmp_path / "out.json").exists()
 
     def test_non_finite_row_values(self, tmp_path):
         # JSON writes null where CSV keeps the float's repr

@@ -16,7 +16,8 @@ from csbmlab.statistics import (
     cycle_count_test,
     default_reps,
     f_tree_stat,
-    threshold_test,
+    is_planted,
+    threshold,
     w_color_coding,
     w_exact,
 )
@@ -339,15 +340,18 @@ class TestTreeStat:
 class TestThreshold:
     def test_decisions(self):
         params = ModelParams(n=100, lam=1.0, k=2, eps=0.2, s=0.8)
-        tau = 0.5 * predicted_f_mean(params, 4)
-        assert threshold_test(0.0, params, 4, 0.5) == ("null", tau)
+        tau = threshold(params, 4, 0.5)
+        assert tau == 0.5 * predicted_f_mean(params, 4)
+        assert not is_planted(0.0, tau)
         mean = 0.8 ** 8 * tree_count(4)
-        assert threshold_test(mean, params, 4, 0.5) == ("planted", tau)
+        assert is_planted(mean, tau)
         # boundary is inclusive
-        assert threshold_test(0.5 * mean, params, 4, 0.5) == ("planted", tau)
+        assert is_planted(0.5 * mean, tau)
+        assert is_planted(np.array([0.0, tau, mean]), tau).tolist() == [
+            False, True, True]
         for C in (0.0, 1.0, 1.5, 5.0, -1.0):
             with pytest.raises(ValueError, match=r"C must lie in \(0, 1\)"):
-                threshold_test(1.0, params, 4, C)
+                threshold(params, 4, C)
 
 
 class TestCycleCountTest:
@@ -383,7 +387,7 @@ class TestCycleCountTest:
 
 class TestDetector:
     """The statistic and its threshold together: score a pair with
-    `f_tree_stat`, decide it with `threshold_test`."""
+    `f_tree_stat`, decide it with `threshold` and `is_planted`."""
 
     def test_separates_extreme_models(self):
         params = ModelParams(n=400, lam=4.0, k=2, eps=0.0, s=1.0)
@@ -396,7 +400,6 @@ class TestDetector:
         p_scores = np.array([f_tree_stat(a, b, params, 5).value for a, b in planted])
         q_scores = np.array([f_tree_stat(a, b, params, 5).value for a, b in null])
         assert p_scores.mean() > q_scores.mean()
-        p_planted = [threshold_test(f, params, 5, 0.5)[0] == "planted" for f in p_scores]
-        q_planted = [threshold_test(f, params, 5, 0.5)[0] == "planted" for f in q_scores]
-        assert np.mean(p_planted) >= 0.5
-        assert np.mean(q_planted) <= 0.5
+        tau = threshold(params, 5, 0.5)
+        assert np.mean(is_planted(p_scores, tau)) >= 0.5
+        assert np.mean(is_planted(q_scores, tau)) <= 0.5
