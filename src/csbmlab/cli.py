@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .counting import counting_engine
 from .density import DensityParams, is_admissible, is_bad, is_self_bad, phi_log
 from .graphs import Graph, cycles_up_to
 from .models import ModelParams, sample_correlated, sample_null, sample_truncated_pair
@@ -161,6 +162,8 @@ def _cmd_detect(args) -> int:
         return 2
     params = ModelParams(n=a.n_vertices, lam=args.lam, k=args.k,
                          eps=args.eps, s=args.s)
+    if args.method == "sparse":  # refuses an aleph without a table before τ counts its catalog
+        counting_engine(args.aleph)
     tau = threshold(params, args.aleph, args.C)  # refuses a bad C before scoring
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     res = f_tree_stat(a, b, params, args.aleph, method=args.method,

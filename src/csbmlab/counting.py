@@ -29,17 +29,18 @@ refused. They are generated by `tablegen`, which only
 Per host graph, `_arcs` lays out the host's edge array, its 2-core's and
 the reduced core's once each, as arcs on int32 positions. P of a tree is a
 homomorphism count, summed from rooted-subtree vectors h = Π_children
-A·h_child, each message A·h one CSR matvec over the host's arcs (one
-`add.reduceat` over the neighbour segments for Python-integer vectors). The
-rooted codes run in an order fixed once per ℵ that frees messages early, so
-at ℵ=8 at most 7 are held at once, not 20, and each is dropped after its
-last consumer; P of a cyclic pattern sums products of its pendant trees'
+A·h_child, each message A·h summed over the host's arcs one neighbour
+rank at a time (Δ array passes at maximum degree Δ). The rooted codes run
+in an order fixed once per ℵ that frees messages early, so at ℵ=8 at most
+7 are held at once, not 20, and each is dropped after its last consumer; P of a cyclic pattern sums products of its pendant trees'
 vectors over the injective maps of K into the host's 2-core. A map keeps
 K's closed non-backtracking walks so, as K has at most ℵ edges, its image
 lies on the host 2-core's edges that close such a walk within L(ℵ) =
-max(ℵ, 2ℵ-6) steps; a sparse host keeps few of them. The maps are found there by one search pruned by degree and host
-distance, over a tree of placement steps built once per ℵ: cores whose
-placement orders begin alike share a node, and its rows, per host. Solving
+max(ℵ, 2ℵ-6) steps, found by enumerating the non-backtracking walks of
+⌈L/2⌉ steps or fewer; a sparse host keeps few of them. The maps are found
+there by one search pruned by degree and host distance, over a tree of
+placement steps built once per ℵ: cores whose placement orders begin alike
+share a node, and its rows, per host. Solving
 the system in order of vertex count gives every injective count.
 
 Everything is exact: counts are Python integers, and W is the correctly
@@ -65,7 +66,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import (Graph, _general_canonical_code, _has, _tree_centers,
                      _tree_rooted_code, two_core)
@@ -217,63 +217,108 @@ def _arcs(edges: np.ndarray) -> tuple[np.ndarray, ...]:
     return labels, keys, src, dst, indptr
 
 
-class _PastCap(Exception):
-    """A sparse product that could hold more than MAX_CORE_ROWS entries."""
-
-
-def _support_product(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
-    """x·y of two boolean CSR matrices. It has at most one entry per entry
-    (i, j) of x and entry of row j of y, and raises _PastCap before it is
-    formed when that bound passes MAX_CORE_ROWS."""
-    if int(np.diff(y.indptr)[x.indices].sum()) > MAX_CORE_ROWS:
-        raise _PastCap
-    return x @ y
-
-
 def _short_walk_core(edges: np.ndarray, length: int) -> np.ndarray:
     """The rows of a 2-core's sorted edge array that lie on a closed,
     cyclically non-backtracking walk of at most `length` steps; `edges`
-    itself when B or a walk set below could pass MAX_CORE_ROWS entries.
+    itself when the walks below number more than MAX_CORE_ROWS.
 
     Such a walk is a closed walk of the non-backtracking matrix B, whose
-    step from arc (u→v) goes to each arc (v→w) with w ≠ u. With R_a the pairs
-    of arcs (d, f) joined by 1..a steps of B, the support of (I + B)^(a-1)·B,
-    d lies on a closed walk of ℓ <= length steps iff some f has (d, f) in
-    R_⌈length/2⌉ and (f, d) in R_⌊length/2⌋: split the walk after ⌈ℓ/2⌉
-    steps. A walk reversed runs through the reverse arcs, so both arcs of an
-    edge agree. Every vertex of a closed walk meets two distinct edges of
-    it, so the result is its own 2-core."""
-    if len(edges) == 0:  # most hosts at low s: skip the matrices' fixed cost
+    step from arc (u→v) goes to each arc (v→w) with w ≠ u. With h =
+    ⌈length/2⌉, every walk of B of 1..h steps is enumerated from every arc.
+    Arcs d ≠ f lie on a closed walk of at most `length` steps iff walks run
+    from d to f and from f to d, not both of h steps when `length` is odd:
+    split the closed walk after ⌈ℓ/2⌉ of its ℓ steps. (A closed walk has at
+    least 3 steps, so it also pairs each of its arcs with the next.)
+
+    The walks of t steps are counted first, per first arc, by B·1, B·B·1,
+    ..., and held grouped by first arc: those of t + 1 steps from u are,
+    for each step u → w of B, the last arcs of the walks of t steps from w.
+    A walk is keyed by its pair, min·A + max over the A arcs, and a code
+    that sorts the pair's walks: 0 from the lower arc, 1 from it in h steps
+    at odd `length`, 2 to it in those steps, 3 to it. After one sort, a
+    pair qualifies iff its codes span at least 2. A walk reversed runs
+    through the reverse arcs, so both arcs of an edge agree. Every vertex
+    of a closed walk meets two distinct edges of it, so the result is its
+    own 2-core."""
+    if len(edges) == 0:  # most hosts at low s
         return edges
     _, _, src, dst, indptr = _arcs(edges)
     arcs = len(src)
-    # B's row of arc j: the arcs out of dst[j] but the one back to src[j]
-    d = np.diff(indptr)[dst]
-    total = int(d.sum())
+    # B's steps u → w in order of u: the arcs w out of dst[u] but the one
+    # back to src[u]
+    fan = np.diff(indptr)[dst]
+    total = int(fan.sum())
     if total > MAX_CORE_ROWS:
         return edges
-    col = np.repeat(indptr[dst] - np.cumsum(d) + d, d) + np.arange(total)
-    step = sp.csr_matrix((np.ones(total - arcs, dtype=bool),
-                          col[dst[col] != np.repeat(src, d)], np.append(0, np.cumsum(d - 1))),
-                         shape=(arcs, arcs))
-    wide = step + sp.identity(arcs, dtype=bool, format="csr")
-    lo, hi = length // 2, length - length // 2
-    # R_lo by repeated squaring of I + B, then R_hi
-    short = step if lo else sp.csr_matrix((arcs, arcs), dtype=bool)
-    base, m = wide, lo - 1
-    try:
-        while m > 0:
-            if m & 1:
-                short = _support_product(base, short)
-            m >>= 1
-            if m:
-                base = _support_product(base, base)
-        walks = short if hi == lo else _support_product(short, wide)
-    except _PastCap:
+    to = np.repeat(indptr[dst] - np.cumsum(fan) + fan, fan) + np.arange(total)
+    of = np.repeat(np.arange(arcs, dtype=dst.dtype), fan)
+    keep = dst[to] != src[of]
+    of, to = of[keep], to[keep].astype(dst.dtype)
+    half = length - length // 2
+    counts, sizes = [fan - 1], [len(to)]  # per arc, the walks of 1, 2, ... steps from it
+    while len(counts) < half and sum(sizes) <= MAX_CORE_ROWS:
+        counts.append(np.bincount(of, weights=counts[-1][to], minlength=arcs).astype(np.int64))
+        sizes.append(int(counts[-1].sum()))
+    if sum(sizes) > MAX_CORE_ROWS:
         return edges
-    closed = np.diff(walks.multiply(short.T.tocsr()).indptr) > 0
+    keys = np.empty(sum(sizes), dtype=np.int64)
+    last, at = to, 0
+    for t, (count, size) in enumerate(zip(counts, sizes)):
+        if t:
+            after = counts[t - 1][to]  # the walks each step goes on with
+            start = np.cumsum(counts[t - 1]) - counts[t - 1]
+            last = last[np.repeat(start[to] - np.cumsum(after) + after, after)
+                        + np.arange(size)]
+        origin = np.repeat(np.arange(arcs, dtype=last.dtype), count)
+        key = keys[at:at + size]
+        at += size
+        np.minimum(origin, last, out=key)
+        key *= arcs
+        key += np.maximum(origin, last)
+        key <<= 2
+        np.add(key, 3, out=key, where=origin > last)
+        if length % 2 and t == half - 1:
+            key ^= 1
+    keys.sort()
+    # runs of walks of one pair: neighbours that differ in the code alone
+    run = np.zeros(len(keys) + 1, dtype=np.int8)
+    run[1:-1] = (keys[1:] ^ keys[:-1]) < 4
+    bounds = np.diff(run)
+    head, tail = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
+    lo, hi = np.divmod(keys[head[keys[tail] - keys[head] >= 2]] >> 2, arcs)
+    closed = np.zeros(arcs, dtype=bool)
+    closed[lo] = True
+    closed[hi] = True
     # the arcs with src < dst run in the order of the edges
     return edges if closed.all() else edges[closed[src < dst]]
+
+
+def _grow_ball(ball: np.ndarray, k: int, dst: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys x·k + z of the pairs one step or less from a
+    pair of `ball`, sorted keys x·k + y over k positions whose arcs are
+    ``(dst, indptr)``: the pairs themselves and each (x, z) of an arc y→z.
+    Duplicates go by a sort and an adjacent-difference mask."""
+    x, y = np.divmod(ball, k)
+    d = np.diff(indptr)[y]
+    total = int(d.sum())
+    z = dst[np.repeat(indptr[y] - np.cumsum(d) + d, d) + np.arange(total)]
+    out = np.concatenate([ball, np.repeat(x * k, d) + z])
+    out.sort()
+    return out[np.diff(out, prepend=-1) != 0]
+
+
+def _neighbour_ranks(dst: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, list]:
+    """The arcs ``(dst, indptr)`` of positions that all have one, by
+    neighbour rank: each position's first neighbour, and for r = 1..Δ-1 the
+    positions of degree > r with their r-th neighbours. All are intp, which
+    indexes without a cast. A sum over each position's neighbours is then Δ
+    array passes whose lengths add up to the arcs."""
+    deg = np.diff(indptr)
+    ranks = []
+    for r in range(1, int(deg.max(initial=0))):
+        at = np.flatnonzero(deg > r)
+        ranks.append((at, dst[indptr[at] + r].astype(np.intp)))
+    return dst[indptr[:-1]].astype(np.intp), ranks
 
 
 def _hom_dtypes(n: int, max_degree: int, aleph: int) -> tuple[type, type]:
@@ -433,31 +478,26 @@ class _HomPlan:
         between them, of at most 2ℵ - c1 - c2 <= 2ℵ-6 steps. An injective map
         sends these walks to host walks that are still non-backtracking, so
         its image keeps every edge, and its paths, which bound the distance
-        pruning, lie in the reduced core. When the reduction's sets would
-        pass MAX_CORE_ROWS entries, the whole core is searched.
+        pruning, lie in the reduced core. When the reduction's walks would
+        number more than MAX_CORE_ROWS, the whole core is searched.
 
         Each node of `search_tree` is expanded once, from its parent's rows,
         and the cores ending at it all get its rows; a node without rows
         prunes its subtree. Partial maps are pruned by degree and by host
-        distance; a node whose expansion would exceed MAX_CORE_ROWS
-        candidates raises MemoryError."""
+        distance, whose balls `_grow_ball` widens a step at a time; a node
+        whose expansion would exceed MAX_CORE_ROWS candidates raises
+        MemoryError."""
         labels, keys, _, dst, indptr = _arcs(_short_walk_core(core.edge_array,
                                                               self.walk_bound))
         k = len(labels)
         if k == 0:
             return labels, [None] * len(self.cores)
         deg = np.diff(indptr)
-        step = sp.csr_matrix((np.ones(len(keys), dtype=bool), dst, indptr), shape=(k, k))
-        step = step + sp.identity(k, dtype=bool, format="csr")
         balls = [None, keys]  # balls[r]: sorted keys of the pairs at distance <= r
-        reach = step
 
         def within(r: int) -> np.ndarray:
-            nonlocal reach
             while len(balls) <= r:
-                reach = reach @ step
-                pairs = reach.tocoo()
-                balls.append(np.sort(pairs.row.astype(np.int64) * k + pairs.col))
+                balls.append(_grow_ball(balls[-1], k, dst, indptr))
             return balls[r]
 
         out: list = [None] * len(self.cores)
@@ -510,27 +550,24 @@ class _HomPlan:
         second.
 
         That is exact: every vector entry, every partial product and every
-        partial matvec sum counts the rooted homomorphisms of a tree with at
+        partial message sum counts the rooted homomorphisms of a tree with at
         most ℵ edges, so it is at most Δ^ℵ, and a pattern's P is at most
         |S|·Δ^ℵ. The vectors run over S alone: every table pattern has an
         edge, so no map of one sends a vertex to an isolated host vertex, and
-        an isolated vertex sends no message. The support adjacency is built
-        once as a CSR matrix of the vectors' dtype on the int32 ``(dst,
-        indptr)``, which scipy keeps uncopied, so a message A·h is one
-        compiled CSR matvec. Python-integer vectors, which scipy has no kernel
-        for, sum each neighbour segment with one `add.reduceat` (no support
-        vertex has an empty one). The single vertex's message A·1 is the support's degree
-        vector, read off `indptr`. The host 2-core's vertices have degree
-        >= 2, so all lie in the support. The jobs run in the plan's order,
+        an isolated vertex sends no message. A message A·h, in any of the
+        dtypes, gathers h at each support vertex's first neighbour (none has
+        an empty segment) and then adds, for r = 1..Δ-1, h at the r-th
+        neighbours of the vertices of degree > r (`_neighbour_ranks`).
+        The single vertex's message A·1 is the support's degree vector, read
+        off `indptr`. The host 2-core's vertices have degree >= 2, so all
+        lie in the support. The jobs run in the plan's order,
         and each message is dropped after its last consumer."""
         core_labels, embeddings = core
         support = len(labels)
-        vector, wide = _hom_dtypes(support, int(np.diff(indptr).max(initial=0)),
-                                   self.aleph)
+        deg = np.diff(indptr)
+        vector, wide = _hom_dtypes(support, int(deg.max(initial=0)), self.aleph)
         at_labels = np.searchsorted(labels, core_labels)
-        if vector is not object:
-            adj = sp.csr_matrix((np.ones(len(dst), dtype=vector), dst, indptr),
-                                shape=(support, support))
+        first, ranks = _neighbour_ranks(dst, indptr)
         hom = np.zeros(self.size, wide)
         msg: dict[int, np.ndarray] = {}
         at_core: dict[int, np.ndarray] = {}
@@ -549,11 +586,11 @@ class _HomPlan:
                 at_core[j] = h[at_labels].astype(wide)
             if spread:
                 if not children:
-                    msg[j] = np.diff(indptr).astype(vector, copy=False)
-                elif vector is object:
-                    msg[j] = np.add.reduceat(h[dst], indptr[:-1])
+                    msg[j] = deg.astype(vector, copy=False)
                 else:
-                    msg[j] = adj @ h
+                    msg[j] = m = h[first]
+                    for at, nb in ranks:
+                        m[at] += h[nb]
             for c in done:
                 del msg[c]
         for i, r, pendants in self.cyclic:

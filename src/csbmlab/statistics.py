@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .counting import counting_engine
+from .counting import _arcs, _neighbour_ranks, counting_engine
 from .graphs import Graph, count_cycles
 from .models import ModelParams
 from .moments import predicted_f_mean
@@ -78,15 +77,11 @@ class CenteredMatrix:
         return self.edge_value - self.nonedge_value
 
     def dense(self) -> np.ndarray:
-        out = np.where(self.sparse_adjacency().toarray() > 0,
-                       self.edge_value, self.nonedge_value)
+        out = np.full((self.n, self.n), self.nonedge_value)
+        u, v = self.base_graph.edge_array.T
+        out[u, v] = out[v, u] = self.edge_value
         np.fill_diagonal(out, 0.0)
         return out
-
-    def sparse_adjacency(self) -> sp.csr_matrix:
-        u, v = self.base_graph.edge_array.T
-        return sp.csr_matrix((np.ones(2 * len(u)), (np.append(u, v), np.append(v, u))),
-                             shape=(self.n, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +177,24 @@ def _disjoint_mask_pairs(n_colors: int, acc_size: int, child_size: int
     return flat_a[disjoint], flat_c[disjoint], (flat_a | flat_c)[disjoint]
 
 
-def _cc_messages(dp: np.ndarray, x: CenteredMatrix, adj: sp.csr_matrix) -> np.ndarray:
+def _cc_messages(dp: np.ndarray, x: CenteredMatrix, arcs: tuple) -> np.ndarray:
     """M[r, S, i] = Σ_{j≠i} entry(i, j)·dp[r, S, j].
 
     With entry = nonedge + slope·A, the all-j sum is a rank-one column sum
-    plus a sparse product, with the j = i term removed explicitly."""
+    plus a sparse part, with the j = i term removed explicitly. The sparse
+    part sums each vertex's neighbour columns from zero, one neighbour rank
+    at a time, so in increasing neighbour order; ``arcs`` is the host's
+    non-isolated labels and their `counting._neighbour_ranks`."""
     reps, n_masks, n = dp.shape
     colsum = dp.sum(axis=2, keepdims=True)
-    flat = dp.reshape(reps * n_masks, n)
-    sparse_part = adj.dot(flat.T).T.reshape(reps, n_masks, n)
-    return x.nonedge_value * (colsum - dp) + x.slope * sparse_part
+    labels, first, ranks = arcs
+    columns = np.ascontiguousarray(dp.reshape(reps * n_masks, n).T)  # a row per vertex
+    sparse_part = np.zeros_like(columns)
+    sparse_part[labels] += columns[labels[first]]
+    for at, nb in ranks:
+        sparse_part[labels[at]] += columns[labels[nb]]
+    return (x.nonedge_value * (colsum - dp)
+            + x.slope * sparse_part.T.reshape(reps, n_masks, n))
 
 
 def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
@@ -208,7 +211,8 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
     n = x.n
     children = _rooted_children(shape)
     q = colorful_probability(shape.aleph)
-    adj = x.sparse_adjacency()
+    labels, _, _, dst, indptr = _arcs(x.base_graph.edge_array)
+    arcs = (labels, *_neighbour_ranks(dst, indptr))
     batch = max(1, (1 << 22) // ((1 << c) * max(n, 1)))
     samples = np.empty(reps)
     done = 0
@@ -227,7 +231,7 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
             acc[ridx, bit.ravel(), hidx] = 1.0
             acc_size = 1
             for child in children[v]:
-                msg = _cc_messages(dp_cache.pop(child), x, adj)
+                msg = _cc_messages(dp_cache.pop(child), x, arcs)
                 csz = sizes[child]
                 a_masks, c_masks, out_masks = _disjoint_mask_pairs(c, acc_size, csz)
                 new = np.zeros_like(acc)

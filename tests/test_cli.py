@@ -117,22 +117,29 @@ class TestDetect:
         assert (code, capsys.readouterr()) == (2, ("", "error: reps must be >= 1\n"))
 
     def test_aleph_without_a_table_is_refused(self, tmp_path, capsys, monkeypatch):
-        # ℵ=11 has no committed table: the engine refuses it at once, naming
-        # the writer, and never starts the generator
-        from csbmlab import tablegen
+        # ℵ=11 and ℵ=14 have no committed table: the engine refuses them at
+        # once, naming the writer, and neither starts the generator nor
+        # lists the catalog (4-5 s at ℵ=14) for τ
+        from csbmlab import tablegen, trees
 
         def generate(*args):
             raise AssertionError("detect ran the generator")
 
+        def catalog(aleph, _enumerate=trees.enumerate_trees):
+            if aleph > 10:
+                raise AssertionError(f"detect listed the aleph={aleph} catalog")
+            return _enumerate(aleph)
+
         monkeypatch.setattr(tablegen, "_quotient_counts", generate)
+        monkeypatch.setattr(trees, "enumerate_trees", catalog)
         path = tmp_path / "g.json"
         path.write_text(Graph.build([(0, 1), (1, 2)], n=4).to_json())
-        code = run(["detect", "--input-a", str(path), "--input-b", str(path),
-                    "--aleph", "11", "--lambda", "1.0", "--s", "0.5"])
-        out, err = capsys.readouterr()
-        assert (code, out) == (2, "")
-        assert "write_quotient_table(11)" in err
-
+        for aleph in (11, 14):
+            code = run(["detect", "--input-a", str(path), "--input-b", str(path),
+                        "--aleph", str(aleph), "--lambda", "1.0", "--s", "0.5"])
+            assert (code, capsys.readouterr()) == (2, ("", (
+                f"error: no quotient table for aleph={aleph}: quotients{aleph}.json is "
+                f"written by counting.write_quotient_table({aleph})\n")))
 
     @pytest.mark.parametrize("C", ["5", "-1"])
     def test_threshold_scale_refused_before_scoring(self, tmp_path, capsys,

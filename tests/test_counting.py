@@ -354,6 +354,61 @@ def per_core_embeddings(plan, core: Graph) -> tuple[np.ndarray, list]:
     return labels, out
 
 
+class _PastCap(Exception):
+    """A sparse product that could hold more than MAX_CORE_ROWS entries."""
+
+
+def _support_product(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
+    """x·y of two boolean CSR matrices. It has at most one entry per entry
+    (i, j) of x and entry of row j of y, and raises _PastCap before it is
+    formed when that bound passes MAX_CORE_ROWS."""
+    if int(np.diff(y.indptr)[x.indices].sum()) > counting.MAX_CORE_ROWS:
+        raise _PastCap
+    return x @ y
+
+
+def spgemm_short_walk_core(edges: np.ndarray, length: int) -> np.ndarray:
+    """What `counting._short_walk_core` returned when it squared sparse
+    boolean matrices: the rows of a 2-core's sorted edge array that lie on a
+    closed, cyclically non-backtracking walk of at most `length` steps;
+    `edges` itself when B or a walk set below could pass MAX_CORE_ROWS
+    entries.
+
+    With R_a the pairs of arcs (d, f) joined by 1..a steps of the
+    non-backtracking matrix B, the support of (I + B)^(a-1)·B, d lies on a
+    closed walk of ℓ <= length steps iff some f has (d, f) in
+    R_⌈length/2⌉ and (f, d) in R_⌊length/2⌋."""
+    if len(edges) == 0:
+        return edges
+    _, _, src, dst, indptr = counting._arcs(edges)
+    arcs = len(src)
+    d = np.diff(indptr)[dst]
+    total = int(d.sum())
+    if total > counting.MAX_CORE_ROWS:
+        return edges
+    col = np.repeat(indptr[dst] - np.cumsum(d) + d, d) + np.arange(total)
+    step = sp.csr_matrix((np.ones(total - arcs, dtype=bool),
+                          col[dst[col] != np.repeat(src, d)], np.append(0, np.cumsum(d - 1))),
+                         shape=(arcs, arcs))
+    wide = step + sp.identity(arcs, dtype=bool, format="csr")
+    lo, hi = length // 2, length - length // 2
+    # R_lo by repeated squaring of I + B, then R_hi
+    short = step if lo else sp.csr_matrix((arcs, arcs), dtype=bool)
+    base, m = wide, lo - 1
+    try:
+        while m > 0:
+            if m & 1:
+                short = _support_product(base, short)
+            m >>= 1
+            if m:
+                base = _support_product(base, base)
+        walks = short if hi == lo else _support_product(short, wide)
+    except _PastCap:
+        return edges
+    closed = np.diff(walks.multiply(short.T.tocsr()).indptr) > 0
+    return edges if closed.all() else edges[closed[src < dst]]
+
+
 def exact_w(eng, graph: Graph, c0: float, c1: float) -> list[float]:
     """Each shape's W as the float nearest the exact rational sum, rebuilt
     from `forest_counts` and the forest record's shape terms."""
@@ -862,6 +917,23 @@ def host_maps(labels: np.ndarray, rows) -> list[tuple]:
     return [] if rows is None else sorted(map(tuple, labels[rows].tolist()))
 
 
+CORE_HOSTS = [
+    pytest.param(lambda: sampled_host(3000, 1.2, 0.3, 12), id="c12-s0.3"),
+    pytest.param(lambda: sampled_host(3000, 1.2, 0.9, 12), id="c12-s0.9"),
+    pytest.param(lambda: sampled_host(3000, 1.2, 0.9, 12, trial=1), id="c12-s0.9-b"),
+    pytest.param(lambda: sampled_host(3000, 2.0, 0.8, 3000), id="lam2"),
+    pytest.param(lambda: sampled_host(3000, 3.0, 0.8, 3000), id="lam3"),
+    pytest.param(lambda: sampled_host(100_000, 1.2, 0.8, 1), id="n1e5"),
+    # a lone 5-cycle among isolated vertices: every root that needs
+    # degree >= 3 is empty, and so is every other node under the
+    # degree-2 root
+    pytest.param(lambda: Graph.build([(2, 3), (3, 5), (5, 8), (8, 9), (2, 9)],
+                                     n=12), id="lone-cycle"),
+    pytest.param(lambda: Graph.empty(5), id="empty"),
+]
+BARBELL = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
+
+
 class TestShortWalkCore:
     """The host 2-core reduced to the edges on closed non-backtracking walks
     of at most L(ℵ) = max(ℵ, 2ℵ-6) steps before the core search."""
@@ -880,7 +952,7 @@ class TestShortWalkCore:
     def test_barbell_keeps_its_bridge(self):
         # two triangles joined by a 2-edge path: the closed walk around both
         # triangles and twice along the path has 10 steps, L(8)
-        barbell = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
+        barbell = BARBELL
         host = Graph.build(barbell + [(6, 7), (7, 8)], n=12)
         plan = counting_engine(8).plan
         labels, rows = plan.core_embeddings(two_core(host))
@@ -912,6 +984,37 @@ class TestShortWalkCore:
         monkeypatch.setattr(counting, "_short_walk_core", lambda core, length: core)
         assert eng.w_all_shapes(host, x.nonedge_value, x.slope).tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("host", CORE_HOSTS + [
+        pytest.param(lambda: Graph.build(BARBELL), id="barbell")])
+    def test_edges_equal_the_spgemm_form(self, host):
+        # odd lengths included, where the walks' two halves differ by a step;
+        # on lam3 at L >= 13 both forms pass the cap and keep the whole core
+        core = two_core(host()).edge_array
+        for length in range(3, 15):
+            got = counting._short_walk_core(core, length)
+            want = spgemm_short_walk_core(core, length)
+            assert (got is core) == (want is core), length
+            assert got.tobytes() == want.tobytes(), length
+
+    @pytest.mark.parametrize("host", CORE_HOSTS)
+    def test_balls_equal_the_sparse_powers(self, host):
+        # the distance balls of the searched core, grown a step at a time,
+        # against the supports of (A + I)^r
+        reduced = counting._short_walk_core(two_core(host()).edge_array,
+                                            counting_engine(8).plan.walk_bound)
+        _, keys, src, dst, indptr = counting._arcs(reduced)
+        k = len(indptr) - 1
+        if k == 0:
+            return
+        step = sp.csr_matrix((np.ones(len(keys), dtype=bool), (src, dst)), shape=(k, k))
+        step = step + sp.identity(k, dtype=bool, format="csr")
+        ball, reach = keys, step
+        for _ in range(2, 7):
+            ball = counting._grow_ball(ball, k, dst, indptr)
+            reach = reach @ step
+            pairs = reach.tocoo()
+            assert np.array_equal(ball, np.sort(pairs.row.astype(np.int64) * k + pairs.col))
+
     def test_reduced_core_is_a_two_core(self):
         core = two_core(sampled_host(3000, 2.0, 0.8, 3000))
         reduced = Graph.build(counting._short_walk_core(core.edge_array, 10))
@@ -932,20 +1035,7 @@ class TestSharedCoreSearch:
     """The pattern cores searched as one prefix tree against the per-core
     search oracle."""
 
-    @pytest.mark.parametrize("host", [
-        pytest.param(lambda: sampled_host(3000, 1.2, 0.3, 12), id="c12-s0.3"),
-        pytest.param(lambda: sampled_host(3000, 1.2, 0.9, 12), id="c12-s0.9"),
-        pytest.param(lambda: sampled_host(3000, 1.2, 0.9, 12, trial=1), id="c12-s0.9-b"),
-        pytest.param(lambda: sampled_host(3000, 2.0, 0.8, 3000), id="lam2"),
-        pytest.param(lambda: sampled_host(3000, 3.0, 0.8, 3000), id="lam3"),
-        pytest.param(lambda: sampled_host(100_000, 1.2, 0.8, 1), id="n1e5"),
-        # a lone 5-cycle among isolated vertices: every root that needs
-        # degree >= 3 is empty, and so is every other node under the
-        # degree-2 root
-        pytest.param(lambda: Graph.build([(2, 3), (3, 5), (5, 8), (8, 9), (2, 9)],
-                                         n=12), id="lone-cycle"),
-        pytest.param(lambda: Graph.empty(5), id="empty"),
-    ])
+    @pytest.mark.parametrize("host", CORE_HOSTS)
     def test_rows_equal_the_per_core_search(self, host):
         # the shared search runs on the reduced core, so its rows are
         # positions among fewer labels: compare the maps as host labels
@@ -958,7 +1048,7 @@ class TestSharedCoreSearch:
             assert host_maps(labels, a) == host_maps(want_labels, b)
 
     def test_cap_falls_back_to_the_unreduced_search(self, monkeypatch):
-        # on this host the reduction needs a cap of 49,082 entries and the
+        # on this host the reduction needs a cap of 45,822 entries and the
         # unreduced search one of 19,166 candidate rows: between the two,
         # the reduction gives up and the whole core is searched
         plan = counting_engine(8).plan

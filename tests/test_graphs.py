@@ -434,8 +434,9 @@ class TestArrayBuild:
             assert two_core(g) == by_label
             assert "v=" in g.to_text() and '"vertices"' in g.to_json()
         dense = Graph.build(np.array([(0, 1), (1, 2)]), vertices=(0, 1, 2))
-        adj = CenteredMatrix.from_graph(dense, PARAMS).sparse_adjacency()
-        assert adj.indices.tolist() == [1, 0, 2, 1]
+        x = CenteredMatrix.from_graph(dense, PARAMS)
+        assert (x.dense() == x.edge_value).tolist() == [
+            [False, True, False], [True, False, True], [False, True, False]]
         assert "v=" not in dense.to_text() and '"vertices"' not in dense.to_json()
 
 

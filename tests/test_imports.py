@@ -1,6 +1,7 @@
 """Static checks: no module of the package imports a name it never uses,
 every name in a module's ``__all__`` is bound in that module and has a
-caller, and no module-level private helper is left without a caller.
+caller, and no module-level private helper is left without a caller. And
+one run-time check: the package's run paths load numpy alone, not scipy.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module or listed in
@@ -8,6 +9,10 @@ its ``__all__`` (the package's ``__init__`` imports to re-export).
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -165,3 +170,39 @@ def test_check_finds_an_uncalled_export():
     }
     readers = {"tool.py": "import a\n\na.by_tool()\n"}
     assert uncalled_exports(modules, readers) == ["a.py: Lone", "a.py: recursive"]
+
+
+EVERY_RUN_PATH = """
+import contextlib, io, json, sys
+import numpy as np
+import csbmlab
+from csbmlab import cli, counting, experiments, statistics
+counting.CountingEngine(8)
+params = csbmlab.ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
+smp = csbmlab.sample_correlated(params, experiments.trial_generator(3000, 0, 0, 0))
+statistics.f_tree_stat(smp.a, smp.b, params, 8)
+small = csbmlab.ModelParams(n=12, lam=2.0, k=2, eps=0.3, s=0.9)
+host = csbmlab.sample_correlated(small, experiments.trial_generator(1, 0, 0, 0)).a
+x = statistics.CenteredMatrix.from_graph(host, small)
+for shape in csbmlab.enumerate_trees(3):
+    statistics.w_exact(shape, x)
+    statistics.w_color_coding(shape, x, 2, np.random.default_rng(0))
+experiments.sweep(csbmlab.SweepConfig(n=300, lam=1.2, k=2, eps=0.3, s_grid=(0.9,),
+                                      aleph=4, trials=2, seed=0, workers=1))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--help"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_no_run_path_loads_scipy():
+    # scipy is a test dependency only: an engine build, a sparse score, the
+    # reference evaluators, a one-worker sweep and the command line leave it
+    # unloaded in a fresh interpreter
+    src = ROOT / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", EVERY_RUN_PATH],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []

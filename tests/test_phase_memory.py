@@ -18,12 +18,13 @@ def test_every_phase_is_printed(capsys):
                               "--aleph", "8", "--seed", "0", "--trials", "1"]) == 0
     assert not tracemalloc.is_tracing()
     lines = capsys.readouterr().out.splitlines()
-    rows = {(line.split()[0], line.split()[1]) for line in lines[3:-1]}
+    rows = {(line.split()[0], line.split()[1]) for line in lines[4:-1]}
     want = {("sample_correlated", "P"), ("sample_null", "Q")}
     want |= {(phase, host) for phase in HOST_PHASES for host in ("P.a", "P.b", "Q.a", "Q.b")}
     assert rows == want
-    for line in lines[3:-1]:
+    for line in lines[4:-1]:
         peak, held = map(float, line.split()[2:])
         assert peak >= held
-    assert lines[1].startswith("ru_maxrss_mb ") and "after 1 untraced trials" in lines[1]
+    assert lines[1].startswith("ru_maxrss_mb ") and "after the import and engine build" in lines[1]
+    assert lines[2].startswith("ru_maxrss_mb ") and "after 1 untraced trials" in lines[2]
     assert lines[-1].startswith("ru_maxrss_mb ") and float(lines[-1].split()[1]) > 0

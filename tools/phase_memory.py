@@ -10,7 +10,9 @@ of `CountingEngine.pattern_counts`: `two_core`, `core_embeddings`,
 counts (`forest/W`), and last the whole `w_all_shapes` pass. Per phase it
 prints the `tracemalloc` peak above the phase's start and what the phase
 left allocated (its result included), in MB, then the process's
-`ru_maxrss`, which tracing inflates. Run from the repository root:
+`ru_maxrss`, which tracing inflates. It first prints `ru_maxrss` after the
+import and the engine build, the fixed share of every process. Run from the
+repository root:
 
     PYTHONPATH=src python3 tools/phase_memory.py --n 1000000 --lam 1.2 \\
         --s 0.9 --aleph 8 --seed 0
@@ -85,8 +87,9 @@ def main(argv=None) -> int:
     params = ModelParams(n=args.n, lam=args.lam, k=2, eps=EPS, s=args.s)
     print(f"phase_memory: n={args.n} lam={args.lam} eps={EPS} s={args.s} "
           f"aleph={args.aleph} seed={args.seed}")
+    counting_engine(args.aleph)
+    print(f"ru_maxrss_mb {rss_mb():.1f} after the import and engine build")
     if args.trials:
-        counting_engine(args.aleph)
         for t in range(args.trials):
             experiments._one_trial((args.seed, 0, t, params, args.aleph, "sparse", None))
         print(f"ru_maxrss_mb {rss_mb():.1f} after {args.trials} untraced trials")
