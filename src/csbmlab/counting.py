@@ -21,9 +21,11 @@ homomorphisms and injective on K number P(Q) = Σ_ρ inj(Q/ρ), over the
 partitions ρ of V(Q) into independent sets with at most one K-vertex per
 block. The system is unitriangular with graph-independent integer
 coefficients, which the table holds with the forest expansions. An engine
-only loads them: each ℵ from 1 to 10 has its table file in the package's
-`tables/` (`CountingEngine(10)` loads in about 2 s), and an ℵ without one is
-refused. They are generated by `tablegen`, which only
+only loads them, from the one file `tables/quotients.npz`: the ℵ_max = 10
+patterns and their rows once, and a forest record per ℵ <= 10 in their
+indices, as int32 arrays. `load_quotient_table(ℵ)` keeps the patterns with
+at most ℵ edges (`CountingEngine(10)` builds in about 1.1 s), and an ℵ past
+ℵ_max is refused. They are generated by `tablegen`, which only
 `write_quotient_table(aleph)` imports.
 
 Per host graph, `_arcs` lays out the host's edge array, its 2-core's and
@@ -59,7 +61,7 @@ cores share a search plan (264 cores, 40 distinct, at ℵ=8)."""
 
 from __future__ import annotations
 
-import json
+import zipfile
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
@@ -84,44 +86,81 @@ def falling_factorial(base: int, length: int) -> int:
     return out
 
 
-def _table_path(aleph: int) -> Path:
-    return Path(__file__).with_name("tables") / f"quotients{aleph}.json"
+_TABLE = Path(__file__).with_name("tables") / "quotients.npz"
 
 
 def write_quotient_table(aleph: int) -> Path:
-    """Generate the aleph table (`tablegen.quotient_table`) and write it
-    where the engine loads it from: one line per pattern, ``[edges, row]``,
-    then the forest record, one line per forest and per shape."""
+    """Generate the table of every ℵ' <= aleph (`tablegen.quotient_table`)
+    and write it where the engine loads it from, as an uncompressed `.npz` of
+    int32 arrays (numpy refuses a value past int32). Each ragged list ``x``
+    (the patterns' edges and quotient rows, and per ℵ' the forests'
+    components, coefficients and factors and the shapes' edges and terms)
+    is stored as ``x``, its items in order, and ``x_lengths``."""
     from .tablegen import quotient_table
 
-    graphs, rows, record = quotient_table(aleph)
+    graphs, rows, records = quotient_table(aleph)
+    ragged = {"edges": [g.edges for g in graphs], "rows": rows}
+    for a, record in enumerate(records, 1):
+        forests, shapes = record["forests"], record["shapes"]
+        ragged |= {f"comps{a}": [comps for comps, _ in forests],
+                   f"coeffs{a}": [[coeff for coeff, _ in terms] for _, terms in forests],
+                   f"factors{a}": [factors for _, terms in forests for _, factors in terms],
+                   f"shapes{a}": [edges for edges, _ in shapes],
+                   f"shape_terms{a}": [terms for _, terms in shapes]}
+    # members carry ZipInfo's fixed default date, so a rewrite is byte-identical
+    with zipfile.ZipFile(_TABLE, "w") as table:
+        for name, lists in ragged.items():
+            for member, items in ((name, [x for part in lists for x in part]),
+                                  (f"{name}_lengths", [len(part) for part in lists])):
+                with table.open(zipfile.ZipInfo(f"{member}.npy"), "w") as out:
+                    np.lib.format.write_array(out, np.array(items, dtype=np.int32))
+    return _TABLE
 
-    def lines(items) -> str:
-        return "[\n" + ",\n".join(json.dumps(x, separators=(",", ":")) for x in items) + "\n]"
 
-    patterns = [[[list(e) for e in g.edges], [list(r) for r in row]]
-                for g, row in zip(graphs, rows)]
-    path = _table_path(aleph)
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(f'{{"aleph": {aleph}, "patterns": {lines(patterns)},\n'
-                    f'"forests": {lines(record["forests"])},\n'
-                    f'"shapes": {lines(record["shapes"])}}}\n')
-    return path
+def _split(items: list, lengths: np.ndarray) -> list[list]:
+    """`items` cut into consecutive lists of these lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [items[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]], dict]:
-    """The committed table and forest record of aleph, as
-    `write_quotient_table` wrote them; ValueError when there is none."""
-    path = _table_path(aleph)
-    if not path.exists():
-        raise ValueError(f"no quotient table for aleph={aleph}: {path.name} is "
-                         f"written by counting.write_quotient_table({aleph})")
-    data = json.loads(path.read_text())
-    if data["aleph"] != aleph:
-        raise RuntimeError(f"{path} holds the table of aleph={data['aleph']}")
-    return ([Graph.build(edges) for edges, _ in data["patterns"]],
-            [[tuple(r) for r in row] for _, row in data["patterns"]],
-            {name: data[name] for name in ("forests", "shapes")})
+    """The committed table's patterns with at most aleph edges, their quotient
+    rows and aleph's forest record, as `tablegen.quotient_table(aleph)` gives
+    them: the table orders its patterns as that does, so a pattern's index at
+    aleph is its rank among the kept ones. ValueError past the table's
+    ℵ_max, its largest pattern."""
+    with np.load(_TABLE) as table:
+        sizes = table["edges_lengths"]
+        if not 1 <= aleph <= sizes.max():
+            raise ValueError(f"no quotient table for aleph={aleph}: {_TABLE.name} holds "
+                             f"aleph <= {sizes.max()} and is written by "
+                             f"counting.write_quotient_table({aleph})")
+        keep = sizes <= aleph
+        # table index + 1 -> index at aleph: a dropped pattern and the two
+        # ends hold -1, which the engine refuses, and `clip` sends any index
+        # outside the table to an end
+        renumber = np.concatenate([[-1], np.where(keep, np.cumsum(keep) - 1, -1), [-1]])
+
+        def local(index: np.ndarray) -> list[int]:
+            return renumber.take(index + 1, mode="clip").tolist()
+
+        def member(name: str) -> np.ndarray:  # of aleph's forest record
+            return table[f"{name}{aleph}"]
+
+        def lists(name: str, items: list) -> list[list]:
+            return _split(items, table[f"{name}{aleph}_lengths"])
+
+        edges = table["edges"].reshape(-1, 2)[np.repeat(keep, sizes)].tolist()
+        graphs = [Graph.build(e) for e in _split(edges, sizes[keep])]
+        row_sizes = table["rows_lengths"]
+        entries = table["rows"].reshape(-1, 2)[np.repeat(keep, row_sizes)]
+        rows = _split(list(zip(local(entries[:, 0]), entries[:, 1].tolist())), row_sizes[keep])
+        factors = lists("factors", local(member("factors")))
+        terms = lists("coeffs", [[c, f] for c, f in zip(member("coeffs").tolist(), factors)])
+        forests = [[c, t] for c, t in zip(lists("comps", local(member("comps"))), terms)]
+        shapes = [[e, t] for e, t in zip(*(lists(name, member(name).reshape(-1, 2).tolist())
+                                            for name in ("shapes", "shape_terms")))]
+    return graphs, rows, {"forests": forests, "shapes": shapes}
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +697,10 @@ def _quotient_levels(graphs: list[Graph], rows: list[list[tuple[int, int]]]) -> 
 class CountingEngine:
     """Per-ℵ tables: the forests spanned by edge subsets of every catalog
     shape, their expansions into connected pattern counts, and the counting
-    plan. Construction is graph-independent: it reads the quotient table and
-    its forest record (`load_quotient_table`), and keys only the cyclic
-    patterns' 2-cores (`_HomPlan`)."""
+    plan. Construction is graph-independent: it reads the quotient table's
+    patterns with at most ℵ edges and ℵ's forest record
+    (`load_quotient_table`), and keys only the cyclic patterns' 2-cores
+    (`_HomPlan`)."""
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph

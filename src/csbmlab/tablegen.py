@@ -1,8 +1,8 @@
-"""Generator of the quotient tables that `counting` loads, from the tree
+"""Generator of the quotient table that `counting` loads, from the tree
 catalog alone. Only `counting.write_quotient_table(aleph)` imports it, in its
-body, to write `tables/quotients{aleph}.json`: so no engine build generates.
-A write takes about 3 s at ℵ=8, 30-40 s at ℵ=9 and 6-9 minutes at ℵ=10 on
-2 vCPUs."""
+body, to write `tables/quotients.npz`: so no engine build generates. A write
+takes about 3 s at ℵ_max=8, 30-40 s at ℵ_max=9 and 6-9 minutes at
+ℵ_max=10 on 2 vCPUs."""
 
 from __future__ import annotations
 
@@ -125,11 +125,11 @@ def _quotient_counts(g: Graph, key_of, group: list[int]) -> dict[tuple, int]:
     return out
 
 
-def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]], dict]:
+def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]], list[dict]]:
     """Every connected graph with 1..aleph edges, by increasing vertex count,
     each with its row of nontrivial quotients ``[(pattern index, count)]``,
-    and the catalog's forest record in those pattern indices
-    (`_forest_record`).
+    and the forest record of each ℵ' = 1..aleph in those pattern indices
+    (`_forest_records`).
 
     For a pattern Q with 2-core K and a host G, let P(Q) count the maps
     V(Q) -> V(G) that are homomorphisms and are injective on K. Grouping them
@@ -157,31 +157,36 @@ def quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]]
     index = {k: i for i, k in enumerate(order)}
     return ([reps[k] for k in order],
             [sorted((index[q], c) for q, c in rows[k].items()) for k in order],
-            _forest_record(aleph, index))
+            _forest_records(aleph, index))
 
 
-def _forest_record(aleph: int, index: dict[tuple, int]) -> dict:
-    """What `CountingEngine` needs of the forests spanned by edge subsets of
-    the aleph catalog's shapes, in table pattern indices (`index` maps a
-    pattern key to its index), as JSON-ready lists:
+def _forest_records(aleph: int, index: dict[tuple, int]) -> list[dict]:
+    """Per ℵ' = 1..aleph, what `CountingEngine(ℵ')` needs of the forests
+    spanned by edge subsets of the ℵ' catalog's shapes, in table pattern
+    indices (`index` maps a pattern key to its index), as lists:
 
     * ``forests``: per forest, in order of first appearance, its component
       patterns and its expansion terms ``[coeff, factors]``;
     * ``shapes``: per catalog shape, its canonical edges and, per forest its
-      edge subsets span, ``[forest, number of subsets]``."""
+      edge subsets span, ``[forest, number of subsets]``.
+
+    The records share one `_Algebra`, so each forest is expanded once."""
     algebra = _Algebra()
-    forests: dict[tuple, int] = {}  # component keys -> position
-    shapes = []
-    for shape in enumerate_trees(aleph):
-        edges = shape.canonical_edges
-        terms: dict[tuple, list[int]] = {}
-        for bits in range(1 << len(edges)):
-            subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
-            fkey = algebra._split(subset)
-            terms.setdefault(fkey, [forests.setdefault(fkey, len(forests)), 0])[1] += 1
-        shapes.append([[list(e) for e in edges], list(terms.values())])
-    expansions = [[[index[k] for k in fkey],
-                   [[coeff, [index[k] for k in prod]] for prod, coeff
-                    in sorted(algebra.expansion(fkey).items(), key=repr)]]
-                  for fkey in forests]
-    return {"forests": expansions, "shapes": shapes}
+    records = []
+    for a in range(1, aleph + 1):
+        forests: dict[tuple, int] = {}  # component keys -> position
+        shapes = []
+        for shape in enumerate_trees(a):
+            edges = shape.canonical_edges
+            terms: dict[tuple, list[int]] = {}
+            for bits in range(1 << len(edges)):
+                subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
+                fkey = algebra._split(subset)
+                terms.setdefault(fkey, [forests.setdefault(fkey, len(forests)), 0])[1] += 1
+            shapes.append([[list(e) for e in edges], list(terms.values())])
+        expansions = [[[index[k] for k in fkey],
+                       [[coeff, [index[k] for k in prod]] for prod, coeff
+                        in sorted(algebra.expansion(fkey).items(), key=repr)]]
+                      for fkey in forests]
+        records.append({"forests": expansions, "shapes": shapes})
+    return records

@@ -138,8 +138,8 @@ class TestDetect:
             code = run(["detect", "--input-a", str(path), "--input-b", str(path),
                         "--aleph", str(aleph), "--lambda", "1.0", "--s", "0.5"])
             assert (code, capsys.readouterr()) == (2, ("", (
-                f"error: no quotient table for aleph={aleph}: quotients{aleph}.json is "
-                f"written by counting.write_quotient_table({aleph})\n")))
+                f"error: no quotient table for aleph={aleph}: quotients.npz holds "
+                f"aleph <= 10 and is written by counting.write_quotient_table({aleph})\n")))
 
     @pytest.mark.parametrize("C", ["5", "-1"])
     def test_threshold_scale_refused_before_scoring(self, tmp_path, capsys,

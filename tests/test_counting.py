@@ -1235,32 +1235,39 @@ class TestHomBasis:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_shape_guard_survives_optimize(self, flags, tmp_path):
-        # a table file whose shapes are out of catalog order would pair each
-        # shape with another's terms, and a factor index of -1, a shape's
-        # forest index past the forests or a quotient column of -(len - 1)
-        # would read another slot; the explicit raises must refuse each, and
-        # a quotient column past the end or a count of 0, with asserts
-        # stripped too
-        text = counting._table_path(7).read_text()
+        # a table whose aleph=7 shapes are out of catalog order would pair
+        # each shape with another's terms, and a factor index of -1, a
+        # shape's forest index past the forests, a quotient column of
+        # -(len - 1) or one naming a pattern of more than 7 edges would read
+        # another slot; the explicit raises must refuse each, and a quotient
+        # column past the end or a count of 0, with asserts stripped too
+        with np.load(counting._TABLE) as table:
+            committed = dict(table)
+        sizes = committed["edges_lengths"]
+        last = np.flatnonzero(sizes <= 7)[-1]  # the last aleph=7 pattern
+        entry = committed["rows_lengths"][:last].sum()  # its first quotient
 
         def swap_shapes(table):
-            shapes = table["shapes"]
-            shapes[0], shapes[1] = shapes[1], shapes[0]
+            shapes = table["shapes7"].reshape(-1, 7, 2)
+            shapes[[0, 1]] = shapes[[1, 0]]
 
         def factor_minus_one(table):
-            table["forests"][-1][1][-1][1][0] = -1
+            table["factors7"][-1] = -1
 
         def forest_past_the_end(table):
-            table["shapes"][0][1][0][0] = len(table["forests"])
+            table["shape_terms7"][0, 0] = len(table["comps7_lengths"])
 
         def column_wraps_to_one(table):
-            table["patterns"][-1][1][0][0] = 1 - len(table["patterns"])
+            table["rows"][entry, 0] = 1 - len(sizes)
 
         def column_past_the_end(table):
-            table["patterns"][-1][1][0][0] = len(table["patterns"])
+            table["rows"][entry, 0] = len(sizes)
+
+        def column_of_a_larger_pattern(table):
+            table["rows"][entry, 0] = np.flatnonzero(sizes > 7)[0]
 
         def count_zero(table):
-            table["patterns"][-1][1][0][1] = 0
+            table["rows"][entry, 1] = 0
 
         for corrupt, message in (
                 (swap_shapes, "forest record's shapes are not the catalog's"),
@@ -1268,32 +1275,46 @@ class TestHomBasis:
                 (forest_past_the_end, "names a pattern or a forest its table does not hold"),
                 (column_wraps_to_one, "quotient row names a pattern its table does not hold"),
                 (column_past_the_end, "quotient row names a pattern its table does not hold"),
+                (column_of_a_larger_pattern, "quotient row names a pattern its table does not hold"),
                 (count_zero, "or a count below 1")):
-            table = json.loads(text)
+            table = {name: array.copy() for name, array in committed.items()}
             corrupt(table)
             (tmp_path / corrupt.__name__).mkdir()
-            (tmp_path / corrupt.__name__ / "quotients7.json").write_text(json.dumps(table))
+            np.savez(tmp_path / corrupt.__name__ / "quotients.npz", **table)
             done = run_python(flags, LOAD_FROM_DIRECTORY, str(tmp_path / corrupt.__name__))
             assert done.returncode == 0, done.stdout + done.stderr
             assert message in done.stdout, corrupt.__name__
 
     def test_committed_tables_regenerate(self):
-        # the quotient rows and the forest record alike, at every aleph the
-        # generator reaches in seconds
+        # the patterns, quotient rows and forest record alike, at every aleph
+        # the generator reaches in seconds. The table keeps the aleph_max
+        # generator's labelled copy of each pattern, which for most patterns
+        # differs from a smaller aleph's (240 of the 358 at aleph=8), so the
+        # patterns are compared by their canonical forms
         for aleph in range(1, 9):
             graphs, rows, record = load_quotient_table(aleph)
-            assert (graphs, rows) == generated_table(aleph)[:2]
-            assert record == generated_table(aleph)[2]
+            built, built_rows, records = generated_table(aleph)
+            assert [canonical_form(g) for g in graphs] == [canonical_form(g) for g in built]
+            assert rows == built_rows
+            assert record == records[-1]
 
-    def test_writer_rewrites_the_committed_files(self, tmp_path, monkeypatch):
-        # byte for byte, not only as parsed objects: the file format is pinned
-        monkeypatch.setattr(counting, "_table_path",
-                            lambda aleph: tmp_path / f"quotients{aleph}.json")
-        monkeypatch.setattr(tablegen, "quotient_table", generated_table)
-        committed = Path(counting.__file__).with_name("tables")
-        for aleph in range(1, 9):
-            assert (write_quotient_table(aleph).read_bytes()
-                    == (committed / f"quotients{aleph}.json").read_bytes()), aleph
+    def test_writer_rewrites_the_committed_file(self, tmp_path, monkeypatch):
+        # byte for byte, not only as parsed arrays: the file format is
+        # pinned. Generating aleph_max = 10 takes minutes, so the writer is
+        # fed the committed table back, each record renumbered to its indices
+        graphs, rows, _ = load_quotient_table(10)
+        records = []
+        for aleph in range(1, 11):
+            back = [i for i, g in enumerate(graphs) if g.n_edges <= aleph]
+            record = load_quotient_table(aleph)[2]
+            records.append({"forests": [[[back[i] for i in comps],
+                                         [[c, [back[i] for i in f]] for c, f in terms]]
+                                        for comps, terms in record["forests"]],
+                            "shapes": record["shapes"]})
+        committed = counting._TABLE
+        monkeypatch.setattr(counting, "_TABLE", tmp_path / "quotients.npz")
+        monkeypatch.setattr(tablegen, "quotient_table", lambda _: (graphs, rows, records))
+        assert write_quotient_table(10).read_bytes() == committed.read_bytes()
 
     @pytest.mark.parametrize("aleph", [7, 8])
     def test_loaded_engine_equals_the_generated(self, aleph):
@@ -1326,21 +1347,22 @@ class TestHomBasis:
         assert out["sizes"] == [177, 83, 153]
 
     def test_written_table_loads_back(self, tmp_path, monkeypatch):
-        # the writer is the only way to regenerate a committed table; check
-        # it round-trips through the loader, forest record included, and the
-        # loader's aleph guard
-        monkeypatch.setattr(counting, "_table_path",
-                            lambda aleph: tmp_path / f"quotients{aleph}.json")
-        assert write_quotient_table(5) == tmp_path / "quotients5.json"
-        loaded = load_quotient_table(5)
-        assert loaded == quotient_table(5)
-        assert len(loaded[2]["shapes"]) == len(enumerate_trees(5))
-        (tmp_path / "quotients5.json").rename(tmp_path / "quotients6.json")
-        with pytest.raises(RuntimeError, match="holds the table of aleph=5"):
+        # the writer is the only way to regenerate the committed table; check
+        # it round-trips through the loader at every aleph up to its
+        # aleph_max, forest records included, and the loader's bound
+        monkeypatch.setattr(counting, "_TABLE", tmp_path / "quotients.npz")
+        assert write_quotient_table(5) == tmp_path / "quotients.npz"
+        graphs, rows, records = generated_table(5)
+        assert load_quotient_table(5) == (graphs, rows, records[-1])
+        for aleph in range(1, 5):
+            loaded, loaded_rows, record = load_quotient_table(aleph)
+            built, built_rows, built_records = generated_table(aleph)
+            assert [canonical_form(g) for g in loaded] == [canonical_form(g) for g in built]
+            assert (loaded_rows, record) == (built_rows, built_records[-1])
+        assert len(record["shapes"]) == len(enumerate_trees(4))
+        # an aleph past the table's is refused, naming the writer
+        with pytest.raises(ValueError, match=r"holds aleph <= 5 .*write_quotient_table\(6\)"):
             load_quotient_table(6)
-        # a missing table is refused, never generated
-        with pytest.raises(ValueError, match=r"write_quotient_table\(5\)"):
-            load_quotient_table(5)
 
     @pytest.mark.parametrize("aleph", [9, 10])
     def test_deep_forest_record(self, aleph):
@@ -1424,7 +1446,7 @@ LOAD_FROM_DIRECTORY = """
 import sys
 from pathlib import Path
 from csbmlab import counting
-counting._table_path = lambda aleph: Path(sys.argv[1]) / f"quotients{aleph}.json"
+counting._TABLE = Path(sys.argv[1]) / "quotients.npz"
 try:
     counting.CountingEngine(7)
 except RuntimeError as exc:
@@ -1473,8 +1495,9 @@ def table_index(eng) -> dict[tuple, int]:
 def generated_engine(aleph: int) -> counting.CountingEngine:
     """CountingEngine(aleph) built from the generator's table and forest
     record instead of the committed file."""
+    graphs, rows, records = generated_table(aleph)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "load_quotient_table", generated_table)
+        patch.setattr(counting, "load_quotient_table", lambda _: (graphs, rows, records[-1]))
         return counting.CountingEngine(aleph)
 
 

@@ -1,6 +1,7 @@
 """Harness: reproducibility, sweep mechanics, verification suite."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import weakref
@@ -359,6 +360,21 @@ class TestOutputPin:
             584745963739918.8, 210906039074485.2, 312491352667634.4,
             819189259565320.2, 978657883470681.8, -989243367420579.4,
             -538985574977591.44, 2543833622624487.5])
+
+    @pytest.mark.parametrize("aleph, digest", [
+        (9, "b1f70d49a66765f8757ac8b5b03a57a62f1bfe3aac20f09fc9de1b42db3e5364"),
+        (10, "788bb3cdd1e7f5adfc9c8bbd6f7e0a0c46aeb98430c48fc14ad844d7c7c6d16e")],
+        ids=["aleph9", "aleph10"])
+    def test_per_shape_w_past_the_generator(self, aleph, digest):
+        # no generator oracle is fast enough here at ℵ=9 and 10, so W on the
+        # ℵ=8 pin's host is pinned by the sha256 of its values' float.hex()
+        # joined by commas, recorded when each ℵ had its own table file
+        params = ModelParams(n=3000, lam=1.2, k=2, eps=0.3, s=0.9)
+        a = sample_correlated(params, np.random.default_rng(8)).a
+        x = CenteredMatrix.from_graph(a, params)
+        w = counting_engine(aleph).w_all_shapes(a, x.nonedge_value, x.slope).tolist()
+        assert hashlib.sha256(",".join(v.hex() for v in w).encode()).hexdigest() == digest
+        self.check_pins(aleph, a, params, w)
 
     @staticmethod
     def check_pins(aleph, host, params, pinned):

@@ -1,7 +1,8 @@
 """Static checks: no module of the package imports a name it never uses,
 every name in a module's ``__all__`` is bound in that module and has a
-caller, and no module-level private helper is left without a caller. And
-one run-time check: the package's run paths load numpy alone, not scipy.
+caller, and no module-level private helper is left without a caller; and
+every data file of the package is one that an install ships. And one
+run-time check: the package's run paths load numpy alone, not scipy.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module or listed in
@@ -13,8 +14,9 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from collections import Counter
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -29,7 +31,7 @@ READERS = sorted((ROOT / "tools").glob("*.py")) + [ROOT / "tests" / "test_accept
 # suite reads, kept on purpose.
 UNCALLED_EXPORTS = {
     "counting.py: write_quotient_table":
-        "run by hand to write a table; README gives the command",
+        "run by hand to write tables/quotients.npz; README gives the command",
     "density.py: choose_N":
         "the paper's cutoff N(delta), pinned by test_density",
     "graphs.py: intersection":
@@ -206,3 +208,15 @@ def test_no_run_path_loads_scipy():
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stdout + done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_every_table_file_ships():
+    # setuptools installs only the data files that a package-data glob
+    # matches, so a table without one would be missing from an install
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["csbmlab"]
+    package = Path(csbmlab.__file__).parent
+    files = [PurePosixPath(p.relative_to(package).as_posix())
+             for p in (package / "tables").rglob("*") if p.is_file()]
+    assert files
+    assert [f for f in files if not any(f.match(glob) for glob in globs)] == []
