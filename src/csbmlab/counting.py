@@ -23,10 +23,9 @@ block. The system is unitriangular with graph-independent integer
 coefficients, which the table holds with the forest expansions. An engine
 only loads them, from the one file `tables/quotients.npz`: the ℵ_max = 10
 patterns and their rows once, and a forest record per ℵ <= 10 in their
-indices, as int32 arrays. `load_quotient_table(ℵ)` keeps the patterns with
-at most ℵ edges (`CountingEngine(10)` builds in about 1.1 s), and an ℵ past
-ℵ_max is refused. They are generated by `tablegen`, which only
-`write_quotient_table(aleph)` imports.
+indices, as int32 arrays that it builds its index arrays from
+(`CountingEngine(10)` builds in about 0.7 s). They are generated by
+`tablegen`, which only `write_quotient_table(aleph)` imports.
 
 Per host graph, `_arcs` lays out the host's edge array, its 2-core's and
 the reduced core's once each, as arcs on int32 positions. P of a tree is a
@@ -71,7 +70,7 @@ import numpy as np
 
 from .graphs import (Graph, _general_canonical_code, _has, _tree_centers,
                      _tree_rooted_code, two_core)
-from .trees import enumerate_trees
+from .trees import MAX_ALEPH, enumerate_trees
 
 __all__ = ["CountingEngine", "counting_engine", "falling_factorial",
            "load_quotient_table", "write_quotient_table"]
@@ -89,16 +88,10 @@ def falling_factorial(base: int, length: int) -> int:
 _TABLE = Path(__file__).with_name("tables") / "quotients.npz"
 
 
-def write_quotient_table(aleph: int) -> Path:
-    """Generate the table of every ℵ' <= aleph (`tablegen.quotient_table`)
-    and write it where the engine loads it from, as an uncompressed `.npz` of
-    int32 arrays (numpy refuses a value past int32). Each ragged list ``x``
-    (the patterns' edges and quotient rows, and per ℵ' the forests'
-    components, coefficients and factors and the shapes' edges and terms)
-    is stored as ``x``, its items in order, and ``x_lengths``."""
-    from .tablegen import quotient_table
-
-    graphs, rows, records = quotient_table(aleph)
+def _table_members(graphs: list[Graph], rows: list, records: list[dict]) -> dict[str, np.ndarray]:
+    """`tablegen.quotient_table`'s lists as the table file's int32 arrays
+    (numpy refuses a value past int32): each ragged list ``x`` as ``x``, its
+    items in order, and ``x_lengths``."""
     ragged = {"edges": [g.edges for g in graphs], "rows": rows}
     for a, record in enumerate(records, 1):
         forests, shapes = record["forests"], record["shapes"]
@@ -107,28 +100,36 @@ def write_quotient_table(aleph: int) -> Path:
                    f"factors{a}": [factors for _, terms in forests for _, factors in terms],
                    f"shapes{a}": [edges for edges, _ in shapes],
                    f"shape_terms{a}": [terms for _, terms in shapes]}
-    # members carry ZipInfo's fixed default date, so a rewrite is byte-identical
-    with zipfile.ZipFile(_TABLE, "w") as table:
-        for name, lists in ragged.items():
+    return {member: np.array(items, dtype=np.int32)
+            for name, lists in ragged.items()
             for member, items in ((name, [x for part in lists for x in part]),
-                                  (f"{name}_lengths", [len(part) for part in lists])):
-                with table.open(zipfile.ZipInfo(f"{member}.npy"), "w") as out:
-                    np.lib.format.write_array(out, np.array(items, dtype=np.int32))
+                                  (f"{name}_lengths", [len(part) for part in lists]))}
+
+
+def write_quotient_table(aleph: int) -> Path:
+    """Generate the table of every ℵ' <= aleph (`tablegen.quotient_table`)
+    and write its `_table_members` where the engine loads it from, as an
+    uncompressed `.npz`. ValueError outside 1..MAX_ALEPH."""
+    if not 1 <= aleph <= MAX_ALEPH:
+        raise ValueError(f"aleph must be in 1..{MAX_ALEPH}, got {aleph}")
+    from .tablegen import quotient_table
+
+    # every array is built before the file is opened, so a failed conversion
+    # leaves the old file; ZipInfo's fixed default date makes a rewrite byte-identical
+    members = _table_members(*quotient_table(aleph))
+    with zipfile.ZipFile(_TABLE, "w") as table:
+        for name, array in members.items():
+            with table.open(zipfile.ZipInfo(f"{name}.npy"), "w") as out:
+                np.lib.format.write_array(out, array)
     return _TABLE
 
 
-def _split(items: list, lengths: np.ndarray) -> list[list]:
-    """`items` cut into consecutive lists of these lengths."""
-    ends = np.cumsum(lengths).tolist()
-    return [items[start:end] for start, end in zip([0] + ends, ends)]
-
-
-def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, int]]], dict]:
-    """The committed table's patterns with at most aleph edges, their quotient
-    rows and aleph's forest record, as `tablegen.quotient_table(aleph)` gives
-    them: the table orders its patterns as that does, so a pattern's index at
-    aleph is its rank among the kept ones. ValueError past the table's
-    ℵ_max, its largest pattern."""
+def load_quotient_table(aleph: int) -> tuple[list[Graph], dict[str, tuple[np.ndarray, ...]]]:
+    """The committed table's patterns with at most aleph edges, as graphs,
+    and their ``rows`` and aleph's forest record as `_table_members` lays
+    them out, ``name: (items, lengths)`` with pairs as rows of two. A
+    pattern's index at aleph is its rank among the kept ones. ValueError
+    past the table's ℵ_max, its largest pattern."""
     with np.load(_TABLE) as table:
         sizes = table["edges_lengths"]
         if not 1 <= aleph <= sizes.max():
@@ -140,27 +141,18 @@ def load_quotient_table(aleph: int) -> tuple[list[Graph], list[list[tuple[int, i
         # ends hold -1, which the engine refuses, and `clip` sends any index
         # outside the table to an end
         renumber = np.concatenate([[-1], np.where(keep, np.cumsum(keep) - 1, -1), [-1]])
-
-        def local(index: np.ndarray) -> list[int]:
-            return renumber.take(index + 1, mode="clip").tolist()
-
-        def member(name: str) -> np.ndarray:  # of aleph's forest record
-            return table[f"{name}{aleph}"]
-
-        def lists(name: str, items: list) -> list[list]:
-            return _split(items, table[f"{name}{aleph}_lengths"])
-
-        edges = table["edges"].reshape(-1, 2)[np.repeat(keep, sizes)].tolist()
-        graphs = [Graph.build(e) for e in _split(edges, sizes[keep])]
+        edges = table["edges"].reshape(-1, 2)[np.repeat(keep, sizes)]
+        graphs = [Graph.build(e.tolist()) for e in np.split(edges, np.cumsum(sizes[keep])[:-1])]
         row_sizes = table["rows_lengths"]
-        entries = table["rows"].reshape(-1, 2)[np.repeat(keep, row_sizes)]
-        rows = _split(list(zip(local(entries[:, 0]), entries[:, 1].tolist())), row_sizes[keep])
-        factors = lists("factors", local(member("factors")))
-        terms = lists("coeffs", [[c, f] for c, f in zip(member("coeffs").tolist(), factors)])
-        forests = [[c, t] for c, t in zip(lists("comps", local(member("comps"))), terms)]
-        shapes = [[e, t] for e, t in zip(*(lists(name, member(name).reshape(-1, 2).tolist())
-                                            for name in ("shapes", "shape_terms")))]
-    return graphs, rows, {"forests": forests, "shapes": shapes}
+        arrays = {"rows": (table["rows"].reshape(-1, 2)[np.repeat(keep, row_sizes)],
+                           row_sizes[keep])}
+        for name in ("comps", "coeffs", "factors", "shapes", "shape_terms"):
+            items = table[f"{name}{aleph}"]
+            arrays[name] = (items.reshape(-1, 2) if name in ("shapes", "shape_terms") else items,
+                            table[f"{name}{aleph}_lengths"])
+        for index in (arrays["rows"][0][:, 0], arrays["comps"][0], arrays["factors"][0]):
+            index[:] = renumber.take(index + 1, mode="clip")
+    return graphs, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +420,7 @@ class _HomPlan:
     and the messages it is the last to use. `hom_counts` runs them over the
     host's support arcs."""
 
-    def __init__(self, aleph: int, graphs: list[Graph], rows: list[list[tuple[int, int]]],
+    def __init__(self, aleph: int, graphs: list[Graph], rows: tuple[np.ndarray, np.ndarray],
                  cyclic_out: list[int]) -> None:
         self.aleph = aleph
         self.walk_bound = max(aleph, 2 * aleph - 6)
@@ -665,28 +657,27 @@ class _HomPlan:
         return {i: inj[i] for i in self.tree_out}
 
 
-def _quotient_levels(graphs: list[Graph], rows: list[list[tuple[int, int]]]) -> list[tuple]:
-    """The quotient table's rows as index arrays, one ``(patterns, starts,
-    columns, coefficients)`` tuple per vertex count that has nonempty rows:
-    the patterns of that count, where each one's entries start, and the
-    entries. A row may only refer to patterns with fewer vertices, so a level
-    is solved once the levels below it are."""
+def _quotient_levels(graphs: list[Graph], rows: tuple[np.ndarray, np.ndarray]) -> list[tuple]:
+    """The quotient rows' ``(entries, lengths)`` sliced by vertex count, one
+    ``(patterns, starts, columns, coefficients)`` tuple per count that has
+    nonempty rows: its patterns, where each one's entries start, and the
+    entries. A row may only refer to patterns with fewer vertices, so a
+    level is solved once the levels below it are."""
+    entries, lengths = rows
     verts = np.array([g.n_vertices for g in graphs])
+    cols, coeffs = entries.T.astype(np.int64)
+    # an index array would read a column of -1, say, as another pattern
+    if not (((0 <= cols) & (cols < len(graphs))).all() and (coeffs >= 1).all()):
+        raise RuntimeError("a quotient row names a pattern its table does not "
+                           "hold, or a count below 1")
+    level = np.repeat(verts, lengths)  # the vertex count of each entry's pattern
+    if (verts[cols] >= level).any():
+        raise RuntimeError("a quotient row refers to a pattern that is not smaller")
     levels = []
-    for v in np.unique(verts):
-        at = [i for i in np.flatnonzero(verts == v).tolist() if rows[i]]
-        if not at:
-            continue
-        cols = np.array([j for i in at for j, _ in rows[i]], dtype=np.int64)
-        coeffs = np.array([c for i in at for _, c in rows[i]], dtype=np.int64)
-        # an index array would read a column of -1, say, as another pattern
-        if not (0 <= cols.min() and cols.max() < len(graphs) and coeffs.min() >= 1):
-            raise RuntimeError("a quotient row names a pattern its table does not "
-                               "hold, or a count below 1")
-        if (verts[cols] >= v).any():
-            raise RuntimeError("a quotient row refers to a pattern that is not smaller")
-        starts = np.cumsum([0] + [len(rows[i]) for i in at[:-1]])
-        levels.append((np.array(at), starts, cols, coeffs))
+    for v in np.unique(level):
+        at = np.flatnonzero((verts == v) & (lengths > 0))
+        mine = level == v
+        levels.append((at, np.cumsum(lengths[at]) - lengths[at], cols[mine], coeffs[mine]))
     return levels
 
 
@@ -704,50 +695,54 @@ class CountingEngine:
 
     def __init__(self, aleph: int) -> None:
         self.aleph = aleph
-        graphs, rows, record = load_quotient_table(aleph)
+        graphs, table = load_quotient_table(aleph)
         self.catalog = enumerate_trees(aleph)
-        forests, shapes = record["forests"], record["shapes"]
-        if [edges for edges, _ in shapes] != [
-                [list(e) for e in shape.canonical_edges] for shape in self.catalog]:
+        (comps, per_forest), (coeffs, terms), (factors, per_term), (shape_terms, per_shape) = (
+            table[name] for name in ("comps", "coeffs", "factors", "shape_terms"))
+        if (table["shapes"][1].tolist() != [aleph] * len(self.catalog) or not np.array_equal(
+                table["shapes"][0], [e for shape in self.catalog for e in shape.canonical_edges])):
             raise RuntimeError(f"the aleph={aleph} forest record's shapes are not "
                                f"the catalog's")
-        # the needed patterns, the expansions' factors, hold every tree with
-        # at most aleph edges and the cyclic patterns that quotients form
-        needed = {i for _, terms in forests for _, prod in terms for i in prod}
         # an index array would read a bad index, -1 say, as another slot
-        if not (needed.union(*(comps for comps, _ in forests)) <= set(range(len(graphs)))
-                and {f for _, terms in shapes for f, _ in terms} <= set(range(len(forests)))):
+        bounds = (factors, len(graphs)), (comps, len(graphs)), (shape_terms[:, 0], len(per_forest))
+        if not all(((0 <= index) & (index < stop)).all() for index, stop in bounds):
             raise RuntimeError(f"the aleph={aleph} forest record names a pattern "
                                f"or a forest its table does not hold")
 
+        # the needed patterns, the expansions' factors, hold every tree with
+        # at most aleph edges and the cyclic patterns that quotients form.
         # perfbench reads these names: it counts algebra.patterns,
         # cyclic_keys and forest_defs, and wraps plan.count_embeddings,
         # pattern_counts, forest_counts and w_all_shapes
-        self.algebra = SimpleNamespace(patterns={i: graphs[i] for i in sorted(needed)})
-        self.cyclic_keys = {i for i in needed if graphs[i].n_edges >= graphs[i].n_vertices}
-        self.forest_defs = [tuple(comps) for comps, _ in forests]
-        self.plan = _HomPlan(aleph, graphs, rows, sorted(self.cyclic_keys))
+        verts, sizes = np.array([(g.n_vertices, g.n_edges) for g in graphs]).T
+        needed = np.unique(factors)
+        self.algebra = SimpleNamespace(patterns={i: graphs[i] for i in needed.tolist()})
+        self.cyclic_keys = set(needed[sizes[needed] >= verts[needed]].tolist())
+        self.forest_defs = [tuple(c.tolist()) for c in np.split(comps, np.cumsum(per_forest)[:-1])]
+        self.plan = _HomPlan(aleph, graphs, table["rows"], sorted(self.cyclic_keys))
 
         # the expansions as index arrays: the terms' factors, as table
         # indices (an empty product names an extra last slot, which holds 1),
         # where each term's factors start, its coefficient, and where each
         # forest's terms start
-        flat = [(coeff, prod or [len(graphs)]) for _, ts in forests for coeff, prod in ts]
-        self._products = (np.array([i for _, prod in flat for i in prod]),
-                          np.cumsum([0] + [len(prod) for _, prod in flat[:-1]]),
-                          np.array([coeff for coeff, _ in flat], dtype=object),
-                          np.cumsum([0] + [len(ts) for _, ts in forests[:-1]]))
+        factors = np.insert(factors, (np.cumsum(per_term) - per_term)[per_term == 0], len(graphs))
+        per_term = np.maximum(per_term, 1)
+        self._products = (factors, np.cumsum(per_term) - per_term, coeffs.astype(object),
+                          np.cumsum(terms) - terms)
 
         # the W terms sorted by their cell (shape, |F|) of K: per term its
         # forest, vertex count and multiplicity; per cell its first term. A
         # forest's vertices and edges are its components'
-        size = [(sum(graphs[i].n_vertices for i in comps), sum(graphs[i].n_edges for i in comps))
-                for comps, _ in forests]
-        cell, forest, verts, mult = map(np.array, zip(*sorted(
-            (idx * (aleph + 1) + size[f][1], f, size[f][0], mult)
-            for idx, (_, terms) in enumerate(shapes) for f, mult in terms)))
+        owner = np.repeat(np.arange(len(per_forest)), per_forest)
+        forest_verts, forest_edges = (np.bincount(owner, weights[comps], len(per_forest))
+                                      .astype(np.int64) for weights in (verts, sizes))
+        forest, mult = shape_terms.astype(np.int64).T
+        cell = np.repeat(np.arange(len(per_shape)) * (aleph + 1), per_shape) + forest_edges[forest]
+        order = np.lexsort((forest, cell))  # a shape lists each forest once
+        forest, cell = forest[order], cell[order]
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
-        self._w_terms = (forest, verts, mult.astype(object), starts, cell[starts])
+        self._w_terms = (forest, forest_verts[forest], mult[order].astype(object), starts,
+                         cell[starts])
 
     # -- per-graph evaluation ------------------------------------------------
 

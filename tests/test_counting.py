@@ -1,6 +1,7 @@
 """Exact sparse counting engine: forest counts, their expansion into
 connected counts over vertex identifications, pattern counts, W values."""
 
+import copy
 import gc
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -702,7 +704,7 @@ class TestArrayPasses:
     def test_solve_matches_row_by_row(self):
         eng = counting_engine(8)
         plan = eng.plan
-        rows = load_quotient_table(8)[1]
+        rows = table_lists(load_quotient_table(8)[1])[0]
         dtypes = []
         for host in self.hosts():
             core = plan.core_embeddings(two_core(host))
@@ -1236,8 +1238,8 @@ class TestHomBasis:
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_shape_guard_survives_optimize(self, flags, tmp_path):
         # a table whose aleph=7 shapes are out of catalog order would pair
-        # each shape with another's terms, and a factor index of -1, a
-        # shape's forest index past the forests, a quotient column of
+        # each shape with another's terms, and a factor or component index
+        # of -1, a shape's forest index past the forests, a quotient column of
         # -(len - 1) or one naming a pattern of more than 7 edges would read
         # another slot; the explicit raises must refuse each, and a quotient
         # column past the end or a count of 0, with asserts stripped too
@@ -1253,6 +1255,9 @@ class TestHomBasis:
 
         def factor_minus_one(table):
             table["factors7"][-1] = -1
+
+        def component_minus_one(table):
+            table["comps7"][-1] = -1
 
         def forest_past_the_end(table):
             table["shape_terms7"][0, 0] = len(table["comps7_lengths"])
@@ -1272,6 +1277,7 @@ class TestHomBasis:
         for corrupt, message in (
                 (swap_shapes, "forest record's shapes are not the catalog's"),
                 (factor_minus_one, "names a pattern or a forest its table does not hold"),
+                (component_minus_one, "names a pattern or a forest its table does not hold"),
                 (forest_past_the_end, "names a pattern or a forest its table does not hold"),
                 (column_wraps_to_one, "quotient row names a pattern its table does not hold"),
                 (column_past_the_end, "quotient row names a pattern its table does not hold"),
@@ -1292,9 +1298,10 @@ class TestHomBasis:
         # differs from a smaller aleph's (240 of the 358 at aleph=8), so the
         # patterns are compared by their canonical forms
         for aleph in range(1, 9):
-            graphs, rows, record = load_quotient_table(aleph)
+            graphs, arrays = load_quotient_table(aleph)
             built, built_rows, records = generated_table(aleph)
             assert [canonical_form(g) for g in graphs] == [canonical_form(g) for g in built]
+            rows, record = table_lists(arrays)
             assert rows == built_rows
             assert record == records[-1]
 
@@ -1302,15 +1309,11 @@ class TestHomBasis:
         # byte for byte, not only as parsed arrays: the file format is
         # pinned. Generating aleph_max = 10 takes minutes, so the writer is
         # fed the committed table back, each record renumbered to its indices
-        graphs, rows, _ = load_quotient_table(10)
-        records = []
-        for aleph in range(1, 11):
-            back = [i for i, g in enumerate(graphs) if g.n_edges <= aleph]
-            record = load_quotient_table(aleph)[2]
-            records.append({"forests": [[[back[i] for i in comps],
-                                         [[c, [back[i] for i in f]] for c, f in terms]]
-                                        for comps, terms in record["forests"]],
-                            "shapes": record["shapes"]})
+        graphs, arrays = load_quotient_table(10)
+        rows = table_lists(arrays)[0]
+        sizes = np.array([g.n_edges for g in graphs])
+        records = [table_lists(load_quotient_table(aleph)[1], np.flatnonzero(sizes <= aleph))[1]
+                   for aleph in range(1, 11)]
         committed = counting._TABLE
         monkeypatch.setattr(counting, "_TABLE", tmp_path / "quotients.npz")
         monkeypatch.setattr(tablegen, "quotient_table", lambda _: (graphs, rows, records))
@@ -1353,9 +1356,11 @@ class TestHomBasis:
         monkeypatch.setattr(counting, "_TABLE", tmp_path / "quotients.npz")
         assert write_quotient_table(5) == tmp_path / "quotients.npz"
         graphs, rows, records = generated_table(5)
-        assert load_quotient_table(5) == (graphs, rows, records[-1])
+        loaded, arrays = load_quotient_table(5)
+        assert (loaded, *table_lists(arrays)) == (graphs, rows, records[-1])
         for aleph in range(1, 5):
-            loaded, loaded_rows, record = load_quotient_table(aleph)
+            loaded, arrays = load_quotient_table(aleph)
+            loaded_rows, record = table_lists(arrays)
             built, built_rows, built_records = generated_table(aleph)
             assert [canonical_form(g) for g in loaded] == [canonical_form(g) for g in built]
             assert (loaded_rows, record) == (built_rows, built_records[-1])
@@ -1364,12 +1369,38 @@ class TestHomBasis:
         with pytest.raises(ValueError, match=r"holds aleph <= 5 .*write_quotient_table\(6\)"):
             load_quotient_table(6)
 
+    @pytest.mark.parametrize("aleph", [0, -1, 15])
+    def test_writer_refuses_an_aleph_out_of_range(self, aleph, tmp_path, monkeypatch):
+        # an aleph of 0 or below names no pattern, and a table without
+        # patterns is one no load can read; the writer refuses it, and one
+        # past the tree catalog's, before it touches the file
+        before = counting._TABLE.read_bytes()
+        table = tmp_path / "quotients.npz"
+        table.write_bytes(before)
+        monkeypatch.setattr(counting, "_TABLE", table)
+        with pytest.raises(ValueError, match=r"aleph must be in 1\.\.14"):
+            write_quotient_table(aleph)
+        assert table.read_bytes() == before
+
+    def test_failed_write_leaves_the_table(self, tmp_path, monkeypatch):
+        # a coefficient past int32 in the last record is refused before the
+        # file is opened, so the table written before stays whole
+        monkeypatch.setattr(counting, "_TABLE", tmp_path / "quotients.npz")
+        before = write_quotient_table(3).read_bytes()
+        graphs, rows, records = copy.deepcopy(generated_table(3))
+        records[-1]["forests"][-1][1][-1][0] = 2 ** 31
+        monkeypatch.setattr(tablegen, "quotient_table", lambda _: (graphs, rows, records))
+        with pytest.raises(OverflowError):
+            write_quotient_table(3)
+        assert (tmp_path / "quotients.npz").read_bytes() == before
+
     @pytest.mark.parametrize("aleph", [9, 10])
     def test_deep_forest_record(self, aleph):
         # too slow to regenerate here, so check its structure: indices in
         # range, factors with at most aleph edges, each forest's leading term
         # itself, and each shape's 2^aleph edge subsets
-        graphs, _, record = load_quotient_table(aleph)
+        graphs, arrays = load_quotient_table(aleph)
+        record = table_lists(arrays)[1]
         forests = record["forests"]
 
         def pattern(i: int) -> Graph:
@@ -1391,7 +1422,8 @@ class TestHomBasis:
 
     @pytest.mark.parametrize("aleph", [9, 10])
     def test_deep_table(self, aleph):
-        graphs, rows, _ = load_quotient_table(aleph)
+        graphs, arrays = load_quotient_table(aleph)
+        rows = table_lists(arrays)[0]
         # connected graphs with at most aleph edges (OEIS A002905, summed)
         assert len(graphs) == {9: 1068, 10: 3390}[aleph]
         for g, row in zip(graphs, rows):
@@ -1467,12 +1499,48 @@ def run_python(flags: list[str], code: str, *args: str) -> subprocess.CompletedP
 
 
 generated_table = lru_cache(maxsize=None)(quotient_table)
+_GENERATED = tempfile.TemporaryDirectory()
+
+
+@lru_cache(maxsize=None)
+def generated_file(aleph: int) -> Path:
+    """The generator's table of ℵ_max = aleph, laid out as the writer lays
+    it out (`counting._table_members`), in a temporary file."""
+    path = Path(_GENERATED.name) / f"quotients{aleph}.npz"
+    np.savez(path, **counting._table_members(*generated_table(aleph)))
+    return path
+
+
+def ragged(items: list, lengths: np.ndarray) -> list[list]:
+    """`items` cut into consecutive lists of these lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [items[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def table_lists(arrays: dict, back: np.ndarray | None = None) -> tuple[list, dict]:
+    """The quotient rows and the forest record, which `load_quotient_table`
+    gives as arrays, as `tablegen.quotient_table` lists them; with `back`,
+    each pattern index i is written back[i]."""
+    def patterns(index: np.ndarray) -> list[int]:
+        return (index if back is None else back[index]).tolist()
+
+    def cut(name: str, items: list) -> list[list]:
+        return ragged(items, arrays[name][1])
+
+    entries = arrays["rows"][0]
+    rows = cut("rows", list(zip(patterns(entries[:, 0]), entries[:, 1].tolist())))
+    factors = cut("factors", patterns(arrays["factors"][0]))
+    terms = cut("coeffs", [[c, f] for c, f in zip(arrays["coeffs"][0].tolist(), factors)])
+    forests = [[c, t] for c, t in zip(cut("comps", patterns(arrays["comps"][0])), terms)]
+    shapes = [[e, t] for e, t in zip(*(cut(name, arrays[name][0].tolist())
+                                       for name in ("shapes", "shape_terms")))]
+    return rows, {"forests": forests, "shapes": shapes}
 
 
 @lru_cache(maxsize=None)
 def forest_record(aleph: int) -> dict:
     """The forest record `CountingEngine(aleph)` is built from."""
-    return load_quotient_table(aleph)[2]
+    return table_lists(load_quotient_table(aleph)[1])[1]
 
 
 @lru_cache(maxsize=None)
@@ -1493,11 +1561,10 @@ def table_index(eng) -> dict[tuple, int]:
 
 @lru_cache(maxsize=None)
 def generated_engine(aleph: int) -> counting.CountingEngine:
-    """CountingEngine(aleph) built from the generator's table and forest
-    record instead of the committed file."""
-    graphs, rows, records = generated_table(aleph)
+    """CountingEngine(aleph) built by the loader from the generator's table
+    (`generated_file`) instead of the committed file."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "load_quotient_table", lambda _: (graphs, rows, records[-1]))
+        patch.setattr(counting, "_TABLE", generated_file(aleph))
         return counting.CountingEngine(aleph)
 
 

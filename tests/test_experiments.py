@@ -386,11 +386,16 @@ class TestOutputPin:
         assert w == pinned
         forests = eng.forest_counts(host)
         c0, c1, n = Fraction(x.nonedge_value), Fraction(x.slope), host.n_vertices
-        graphs, _, record = load_quotient_table(aleph)
+        graphs, table = load_quotient_table(aleph)
+
+        def split(name):  # the record's ``(items, lengths)`` arrays, cut into lists
+            items, lengths = table[name]
+            return [part.tolist() for part in np.split(items, np.cumsum(lengths)[:-1])]
+
         # a forest's vertex and edge counts are its components'
         size = [(sum(graphs[i].n_vertices for i in comps), sum(graphs[i].n_edges for i in comps))
-                for comps, _ in record["forests"]]
-        for value, shape, (_, terms) in zip(pinned, eng.catalog, record["shapes"]):
+                for comps in split("comps")]
+        for value, shape, terms in zip(pinned, eng.catalog, split("shape_terms")):
             exact = sum(mult * c0 ** (aleph - e) * c1 ** e * forests[fkey]
                         * falling_factorial(n - v, aleph + 1 - v)
                         for fkey, mult in terms for v, e in [size[fkey]])
