@@ -37,12 +37,14 @@ in an order fixed once per ℵ that frees messages early, so at ℵ=8 at most
 vectors over the injective maps of K into the host's 2-core. A map keeps
 K's closed non-backtracking walks so, as K has at most ℵ edges, its image
 lies on the host 2-core's edges that close such a walk within L(ℵ) =
-max(ℵ, 2ℵ-6) steps, found by enumerating the non-backtracking walks of
-⌈L/2⌉ steps or fewer; a sparse host keeps few of them. The maps are found
-there by one search pruned by degree and host distance, over a tree of
-placement steps built once per ℵ: cores whose placement orders begin alike
-share a node, and its rows, per host. Solving
-the system in order of vertex count gives every injective count.
+max(ℵ, 2ℵ-6) steps. The search keeps those within the even bound 2·⌈L/2⌉,
+found by enumerating the non-backtracking walks of ⌈L/2⌉ steps or fewer;
+at odd L (ℵ = 1, 3, 5) that is a superset, which loses no map, and a
+sparse host keeps few of them. The maps are found there by one search
+pruned by degree and host distance, over a tree of placement steps built
+once per ℵ: cores whose placement orders begin alike share a node, and its
+rows, per host. Solving the system in order of vertex count gives every
+injective count.
 
 Everything is exact: counts are Python integers, and W is the correctly
 rounded float of the exact rational sum, combined in integers from the
@@ -68,7 +70,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .graphs import (Graph, _general_canonical_code, _has, _tree_centers,
+from .graphs import (Graph, _distinct, _general_canonical_code, _has, _tree_centers,
                      _tree_rooted_code, two_core)
 from .trees import MAX_ALEPH, enumerate_trees
 
@@ -248,26 +250,31 @@ def _arcs(edges: np.ndarray) -> tuple[np.ndarray, ...]:
     return labels, keys, src, dst, indptr
 
 
-def _short_walk_core(edges: np.ndarray, length: int) -> np.ndarray:
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lengths[i] - 1, concatenated: the
+    positions that a gather of these segments reads, in order."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _short_walk_core(edges: np.ndarray, half: int) -> np.ndarray:
     """The rows of a 2-core's sorted edge array that lie on a closed,
-    cyclically non-backtracking walk of at most `length` steps; `edges`
+    cyclically non-backtracking walk of at most 2·`half` steps; `edges`
     itself when the walks below number more than MAX_CORE_ROWS.
 
     Such a walk is a closed walk of the non-backtracking matrix B, whose
-    step from arc (u→v) goes to each arc (v→w) with w ≠ u. With h =
-    ⌈length/2⌉, every walk of B of 1..h steps is enumerated from every arc.
-    Arcs d ≠ f lie on a closed walk of at most `length` steps iff walks run
-    from d to f and from f to d, not both of h steps when `length` is odd:
-    split the closed walk after ⌈ℓ/2⌉ of its ℓ steps. (A closed walk has at
-    least 3 steps, so it also pairs each of its arcs with the next.)
+    step from arc (u→v) goes to each arc (v→w) with w ≠ u. Every walk of B
+    of 1..half steps is enumerated from every arc. Arcs d ≠ f lie on a
+    closed walk of at most 2·half steps iff walks of at most half steps run
+    from d to f and from f to d: split the closed walk after ⌈ℓ/2⌉ of its ℓ
+    steps. (A closed walk has at least 3 steps, so it also pairs each of
+    its arcs with the next.)
 
     The walks of t steps are counted first, per first arc, by B·1, B·B·1,
     ..., and held grouped by first arc: those of t + 1 steps from u are,
     for each step u → w of B, the last arcs of the walks of t steps from w.
-    A walk is keyed by its pair, min·A + max over the A arcs, and a code
-    that sorts the pair's walks: 0 from the lower arc, 1 from it in h steps
-    at odd `length`, 2 to it in those steps, 3 to it. After one sort, a
-    pair qualifies iff its codes span at least 2. A walk reversed runs
+    A walk is keyed by its pair, min·A + max over the A arcs, times 2, plus
+    1 when it runs from the higher arc. After one sort, a pair qualifies iff
+    two neighbouring keys differ in that bit alone. A walk reversed runs
     through the reverse arcs, so both arcs of an edge agree. Every vertex
     of a closed walk meets two distinct edges of it, so the result is its
     own 2-core."""
@@ -278,14 +285,12 @@ def _short_walk_core(edges: np.ndarray, length: int) -> np.ndarray:
     # B's steps u → w in order of u: the arcs w out of dst[u] but the one
     # back to src[u]
     fan = np.diff(indptr)[dst]
-    total = int(fan.sum())
-    if total > MAX_CORE_ROWS:
+    if int(fan.sum()) > MAX_CORE_ROWS:
         return edges
-    to = np.repeat(indptr[dst] - np.cumsum(fan) + fan, fan) + np.arange(total)
+    to = _segments(indptr[dst], fan)
     of = np.repeat(np.arange(arcs, dtype=dst.dtype), fan)
     keep = dst[to] != src[of]
     of, to = of[keep], to[keep].astype(dst.dtype)
-    half = length - length // 2
     counts, sizes = [fan - 1], [len(to)]  # per arc, the walks of 1, 2, ... steps from it
     while len(counts) < half and sum(sizes) <= MAX_CORE_ROWS:
         counts.append(np.bincount(of, weights=counts[-1][to], minlength=arcs).astype(np.int64))
@@ -298,25 +303,18 @@ def _short_walk_core(edges: np.ndarray, length: int) -> np.ndarray:
         if t:
             after = counts[t - 1][to]  # the walks each step goes on with
             start = np.cumsum(counts[t - 1]) - counts[t - 1]
-            last = last[np.repeat(start[to] - np.cumsum(after) + after, after)
-                        + np.arange(size)]
+            last = last[_segments(start[to], after)]
         origin = np.repeat(np.arange(arcs, dtype=last.dtype), count)
         key = keys[at:at + size]
         at += size
         np.minimum(origin, last, out=key)
         key *= arcs
         key += np.maximum(origin, last)
-        key <<= 2
-        np.add(key, 3, out=key, where=origin > last)
-        if length % 2 and t == half - 1:
-            key ^= 1
+        key <<= 1
+        key += origin > last
     keys.sort()
-    # runs of walks of one pair: neighbours that differ in the code alone
-    run = np.zeros(len(keys) + 1, dtype=np.int8)
-    run[1:-1] = (keys[1:] ^ keys[:-1]) < 4
-    bounds = np.diff(run)
-    head, tail = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
-    lo, hi = np.divmod(keys[head[keys[tail] - keys[head] >= 2]] >> 2, arcs)
+    # the pairs with walks both ways: neighbours that differ in the bit alone
+    lo, hi = np.divmod(keys[1:][(keys[1:] ^ keys[:-1]) == 1] >> 1, arcs)
     closed = np.zeros(arcs, dtype=bool)
     closed[lo] = True
     closed[hi] = True
@@ -327,15 +325,11 @@ def _short_walk_core(edges: np.ndarray, length: int) -> np.ndarray:
 def _grow_ball(ball: np.ndarray, k: int, dst: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """The sorted distinct keys x·k + z of the pairs one step or less from a
     pair of `ball`, sorted keys x·k + y over k positions whose arcs are
-    ``(dst, indptr)``: the pairs themselves and each (x, z) of an arc y→z.
-    Duplicates go by a sort and an adjacent-difference mask."""
+    ``(dst, indptr)``: the pairs themselves and each (x, z) of an arc y→z."""
     x, y = np.divmod(ball, k)
     d = np.diff(indptr)[y]
-    total = int(d.sum())
-    z = dst[np.repeat(indptr[y] - np.cumsum(d) + d, d) + np.arange(total)]
-    out = np.concatenate([ball, np.repeat(x * k, d) + z])
-    out.sort()
-    return out[np.diff(out, prepend=-1) != 0]
+    z = dst[_segments(indptr[y], d)]
+    return _distinct(np.concatenate([ball, np.repeat(x * k, d) + z]))
 
 
 def _neighbour_ranks(dst: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, list]:
@@ -423,7 +417,7 @@ class _HomPlan:
     def __init__(self, aleph: int, graphs: list[Graph], rows: tuple[np.ndarray, np.ndarray],
                  cyclic_out: list[int]) -> None:
         self.aleph = aleph
-        self.walk_bound = max(aleph, 2 * aleph - 6)
+        self.walk_half = (max(aleph, 2 * aleph - 6) + 1) // 2
         self.size = len(graphs)
         self.levels = _quotient_levels(graphs, rows)
         self.cyclic_out = cyclic_out
@@ -500,17 +494,20 @@ class _HomPlan:
         pattern core, its injective maps into the host 2-core as rows of
         positions in those labels (None when the search ran dry).
 
-        The search runs on `_short_walk_core(core, walk_bound)`, the edges on
-        closed cyclically non-backtracking walks of at most L(ℵ) =
-        max(ℵ, 2ℵ-6) steps. That loses no map: a pattern core K has at most
-        ℵ edges, so each edge of a cycle of K lies on a cycle of at most
-        |V(K)| <= ℵ edges, and a bridge of K on the closed walk that goes
-        round the cycles c1, c2 at its two ends and twice along the path
-        between them, of at most 2ℵ - c1 - c2 <= 2ℵ-6 steps. An injective map
-        sends these walks to host walks that are still non-backtracking, so
-        its image keeps every edge, and its paths, which bound the distance
-        pruning, lie in the reduced core. When the reduction's walks would
-        number more than MAX_CORE_ROWS, the whole core is searched.
+        The search runs on `_short_walk_core(core, walk_half)`, the edges on
+        closed cyclically non-backtracking walks of at most 2·walk_half
+        steps, L(ℵ) = max(ℵ, 2ℵ-6) rounded up to even. That loses no map: a
+        pattern core K has at most ℵ edges, so each edge of a cycle of K lies
+        on a cycle of at most |V(K)| <= ℵ edges, and a bridge of K on the
+        closed walk that goes round the cycles c1, c2 at its two ends and
+        twice along the path between them, of at most 2ℵ - c1 - c2 <= 2ℵ-6
+        steps. An injective map sends these walks to host walks that are
+        still non-backtracking, so its image keeps every edge, and its paths,
+        which bound the distance pruning, lie in the reduced core. At odd L
+        (ℵ = 1, 3, 5) the even bound keeps a superset of those edges, still
+        inside the host 2-core, so it holds every such image too and admits
+        no other map. When the reduction's walks would number more than
+        MAX_CORE_ROWS, the whole core is searched.
 
         Each node of `search_tree` is expanded once, from its parent's rows,
         and the cores ending at it all get its rows; a node without rows
@@ -519,7 +516,7 @@ class _HomPlan:
         whose expansion would exceed MAX_CORE_ROWS candidates raises
         MemoryError."""
         labels, keys, _, dst, indptr = _arcs(_short_walk_core(core.edge_array,
-                                                              self.walk_bound))
+                                                              self.walk_half))
         k = len(labels)
         if k == 0:
             return labels, [None] * len(self.cores)
@@ -551,7 +548,7 @@ class _HomPlan:
                         f"the host 2-core ({k} vertices, max degree {deg.max()}) is "
                         f"too dense for exact counting at aleph={self.aleph}")
                 parent = np.repeat(np.arange(len(rows)), d)
-                new = dst[np.repeat(indptr[anchor] - np.cumsum(d) + d, d) + np.arange(total)]
+                new = dst[_segments(indptr[anchor], d)]
                 ok = deg[new] >= need
                 parent, new = parent[ok], new[ok]
                 for p in near[1:]:
@@ -674,7 +671,7 @@ def _quotient_levels(graphs: list[Graph], rows: tuple[np.ndarray, np.ndarray]) -
     if (verts[cols] >= level).any():
         raise RuntimeError("a quotient row refers to a pattern that is not smaller")
     levels = []
-    for v in np.unique(level):
+    for v in _distinct(verts[lengths > 0]):
         at = np.flatnonzero((verts == v) & (lengths > 0))
         mine = level == v
         levels.append((at, np.cumsum(lengths[at]) - lengths[at], cols[mine], coeffs[mine]))
@@ -715,7 +712,7 @@ class CountingEngine:
         # cyclic_keys and forest_defs, and wraps plan.count_embeddings,
         # pattern_counts, forest_counts and w_all_shapes
         verts, sizes = np.array([(g.n_vertices, g.n_edges) for g in graphs]).T
-        needed = np.unique(factors)
+        needed = _distinct(factors.copy())
         self.algebra = SimpleNamespace(patterns={i: graphs[i] for i in needed.tolist()})
         self.cyclic_keys = set(needed[sizes[needed] >= verts[needed]].tolist())
         self.forest_defs = [tuple(c.tolist()) for c in np.split(comps, np.cumsum(per_forest)[:-1])]

@@ -56,6 +56,17 @@ def _has(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return keys[at] == query
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-d array `a`, sorted: `a` is sorted in
+    place and the first value of each run kept, so a caller that still needs
+    `a` passes a copy."""
+    a.sort()
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     u, v = int(u), int(v)
     if u == v:
@@ -156,7 +167,7 @@ class Graph:
                 labels = np.array(vts, dtype=np.int64)
                 inside = np.isin(lo, labels) & np.isin(hi, labels)
             else:
-                vts = tuple(np.unique(ends).tolist())
+                vts = tuple(_distinct(ends.flatten()).tolist())
                 inside = np.ones(len(ends), dtype=bool)
             if vts and vts[0] < 0:
                 raise ValueError("vertex labels must be nonnegative")
@@ -171,11 +182,7 @@ class Graph:
         keys = lo * base
         keys += hi
         del lo, hi, inside
-        keys.sort()
-        first = np.empty(len(keys), dtype=bool)  # the first of each run of equal keys
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
+        keys = _distinct(keys)
         edge_array = np.empty((len(keys), 2), dtype=np.int64)
         np.divmod(keys, base, out=(edge_array[:, 0], edge_array[:, 1]))
         edge_array.flags.writeable = False
@@ -450,12 +457,12 @@ def two_core(g: Graph) -> Graph:
     other labels dropped: they have degree 0, so the next round would drop
     them. After a relabelling k' <= 2·edges, so the relabellings cost
     O(n + m) in all, and a near-tree host's many late rounds cost what is
-    left of it, not O(n) each."""
-    if g._dense:  # labels are positions
-        labels, ends = None, g.edge_array
-    else:  # edge endpoints as positions in the sorted label tuple
-        labels = np.array(g.vertices, dtype=np.int64)
-        ends = np.searchsorted(labels, g.edge_array)
+    left of it, not O(n) each. Every vertex the core keeps has degree >= 2,
+    so the kept edges' endpoints are exactly its vertices, and the core is
+    built from those edges alone."""
+    ends = g.edge_array
+    if not g._dense:  # edge endpoints as positions in the sorted label tuple
+        ends = np.searchsorted(np.array(g.vertices, dtype=np.int64), ends)
     u, v = ends[:, 0], ends[:, 1]
     kept = np.arange(len(ends))
     k = g.n_vertices
@@ -466,8 +473,7 @@ def two_core(g: Graph) -> Graph:
             used[u] = used[v] = True
             at = np.cumsum(used) - 1
             u, v = at[u], at[v]
-            labels = np.flatnonzero(used) if labels is None else labels[used]
-            k = len(labels)
+            k = np.count_nonzero(used)
             alive = np.ones(k, dtype=bool)
         drop = alive & (np.bincount(u, minlength=k) + np.bincount(v, minlength=k) <= 1)
         if not drop.any():
@@ -475,8 +481,7 @@ def two_core(g: Graph) -> Graph:
         alive &= ~drop
         inner = alive[u] & alive[v]
         u, v, kept = u[inner], v[inner], kept[inner]
-    core = np.flatnonzero(alive) if labels is None else labels[alive]
-    return Graph.build(g.edge_array[kept], vertices=core.tolist())
+    return Graph.build(g.edge_array[kept])
 
 
 def connected_components(g: Graph) -> list[Graph]:

@@ -4,12 +4,12 @@ short-cycle/density-truncated variant.
 All samplers take an explicit numpy Generator and are bit-reproducible for a
 fixed stream: edge sets are drawn per block pair as a Binomial count followed
 by a uniform distinct-pair sample, which reproduces independent Bernoulli
-edges in O(expected edges) time. The sample is deduplicated by a sort and
-an adjacent-difference mask, not `np.unique`, whose int64 hash path is far
-slower on draws this size. Edges stay ``(m, 2)`` arrays, masked and
-relabelled by numpy, until `Graph.build` makes each host straight from its
-array, which the host keeps as `Graph.edge_array`; the generator calls and
-their order are those of the former per-edge Python samplers.
+edges in O(expected edges) time. The sample is deduplicated by
+`graphs._distinct`, a sort in place and a mask of each run's first value.
+Edges stay ``(m, 2)`` arrays, masked and relabelled by numpy, until
+`Graph.build` makes each host straight from its array, which the host keeps
+as `Graph.edge_array`; the generator calls and their order are those of the
+former per-edge Python samplers.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .density import MAX_SUBGRAPH_EDGES, DensityParams, is_self_bad
 from .graphs import (
     Graph,
+    _distinct,
     _edge_subset,
     canonical_form,
     connected_components,
@@ -110,15 +111,14 @@ class CorrelatedSample:
 
 def _sample_distinct(rng: np.random.Generator, total: int, m: int) -> np.ndarray:
     """Uniform m-subset of range(total), sorted, by iid draws deduplicated
-    by a sort and an adjacent-difference mask."""
+    by `_distinct`."""
     if m > total:
         raise ValueError("cannot sample more pairs than exist")
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < m:
         need = m - chosen.size
         batch = rng.integers(0, total, size=need + max(4, need // 4), dtype=np.int64)
-        chosen = np.sort(np.concatenate([chosen, batch]))
-        chosen = chosen[np.diff(chosen, prepend=-1) != 0]
+        chosen = _distinct(np.concatenate([chosen, batch]))
         if chosen.size > m:
             # keep a uniform subset of what we have
             keep = rng.permutation(chosen.size)[:m]
@@ -135,26 +135,19 @@ def _decode_triangular(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _binomial_pairs_within(rng: np.random.Generator, members: np.ndarray,
-                           p: float) -> np.ndarray:
-    na = len(members)
-    total = na * (na - 1) // 2
+def _binomial_pairs(rng: np.random.Generator, left: np.ndarray,
+                    right: np.ndarray | None, p: float) -> np.ndarray:
+    """Each pair of `left` × `right`, or of distinct members of `left` when
+    `right` is None, as an edge with probability p: a Binomial count of
+    pairs, then a uniform distinct sample of their indices."""
+    within = right is None
+    right = left if within else right
+    total = len(left) * (len(left) - 1) // 2 if within else len(left) * len(right)
     if total == 0 or p <= 0:
         return np.empty((0, 2), dtype=np.int64)
     m = rng.binomial(total, p)
     idx = _sample_distinct(rng, total, int(m))
-    i, j = _decode_triangular(idx)
-    return np.stack([members[i], members[j]], axis=1)
-
-
-def _binomial_pairs_between(rng: np.random.Generator, left: np.ndarray,
-                            right: np.ndarray, p: float) -> np.ndarray:
-    total = len(left) * len(right)
-    if total == 0 or p <= 0:
-        return np.empty((0, 2), dtype=np.int64)
-    m = rng.binomial(total, p)
-    idx = _sample_distinct(rng, total, int(m))
-    i, j = idx // len(right), idx % len(right)
+    i, j = _decode_triangular(idx) if within else divmod(idx, len(right))
     return np.stack([left[i], right[j]], axis=1)
 
 
@@ -166,10 +159,9 @@ def sample_sbm(params: ModelParams, rng: np.random.Generator) -> tuple[np.ndarra
     blocks = [np.flatnonzero(sigma == c) for c in range(params.k)]
     edges = []
     for a in range(params.k):
-        edges.append(_binomial_pairs_within(rng, blocks[a], params.p_intra))
+        edges.append(_binomial_pairs(rng, blocks[a], None, params.p_intra))
         for b in range(a + 1, params.k):
-            edges.append(_binomial_pairs_between(rng, blocks[a], blocks[b],
-                                                 params.p_inter))
+            edges.append(_binomial_pairs(rng, blocks[a], blocks[b], params.p_inter))
     return sigma, Graph.build(np.concatenate(edges), n=params.n)
 
 
@@ -198,7 +190,7 @@ def sample_null(params: ModelParams, rng: np.random.Generator) -> tuple[Graph, G
     out = []
     all_vertices = np.arange(params.n)
     for _ in range(2):
-        edges = _binomial_pairs_within(rng, all_vertices, params.null_density)
+        edges = _binomial_pairs(rng, all_vertices, None, params.null_density)
         out.append(Graph.build(edges, n=params.n))
     return out[0], out[1]
 

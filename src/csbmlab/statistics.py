@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import _arcs, _neighbour_ranks, counting_engine
-from .graphs import Graph, count_cycles
+from .graphs import Graph, _distinct, count_cycles
 from .models import ModelParams
 from .moments import predicted_f_mean
 from .trees import TreeShape, a_coefficient, enumerate_trees, tree_count
@@ -235,7 +235,7 @@ def w_color_coding(shape: TreeShape, x: CenteredMatrix, reps: int,
                 csz = sizes[child]
                 a_masks, c_masks, out_masks = _disjoint_mask_pairs(c, acc_size, csz)
                 new = np.zeros_like(acc)
-                for cm in np.unique(c_masks):
+                for cm in _distinct(c_masks.copy()):
                     sel = c_masks == cm
                     new[:, out_masks[sel], :] += (acc[:, a_masks[sel], :]
                                                   * msg[:, cm, :][:, None, :])

@@ -824,7 +824,19 @@ class TestSupportCounting:
 
 
 class TestArcs:
-    """`_arcs`, the one layout of an edge array as arcs on positions."""
+    """`_arcs`, the one layout of an edge array as arcs on positions, and
+    `_segments`, the one gather of position runs."""
+
+    def test_segments_are_concatenated_ranges(self):
+        rng = np.random.default_rng(4)
+        cases = [([], []), ([7], [0]), ([3, 0, 9, 2], [2, 0, 4, 1])]
+        cases += [(rng.integers(0, 50, size=30), rng.integers(0, 4, size=30))]
+        for starts, lengths in cases:
+            starts = np.asarray(starts, dtype=np.int64)
+            lengths = np.asarray(lengths, dtype=np.int32)
+            want = np.concatenate([np.arange(s, s + d) for s, d in zip(starts, lengths)]
+                                  + [np.empty(0, dtype=np.int64)])
+            assert np.array_equal(counting._segments(starts, lengths), want)
 
     @staticmethod
     def graphs():
@@ -938,22 +950,24 @@ BARBELL = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
 
 class TestShortWalkCore:
     """The host 2-core reduced to the edges on closed non-backtracking walks
-    of at most L(ℵ) = max(ℵ, 2ℵ-6) steps before the core search."""
+    of at most 2·⌈L(ℵ)/2⌉ steps, L(ℵ) = max(ℵ, 2ℵ-6), before the core search."""
 
     @pytest.mark.parametrize("aleph", range(3, 11))
     def test_bound_keeps_every_pattern_core(self, aleph):
-        # L(ℵ) keeps each pattern core whole, so an injective map's image
-        # survives the reduction; it is the least bound that does
+        # 2·walk_half keeps each pattern core whole, so an injective map's
+        # image survives the reduction; it is the least even bound that does
         plan = counting_engine(aleph).plan
-        assert plan.walk_bound == max(aleph, 2 * aleph - 6)
+        bound = max(aleph, 2 * aleph - 6)
+        assert 2 * plan.walk_half in (bound, bound + 1)
         for core, _, _ in plan.cores:
-            assert counting._short_walk_core(core.edge_array, plan.walk_bound) is core.edge_array
-        assert any(len(counting._short_walk_core(core.edge_array, plan.walk_bound - 1))
+            assert counting._short_walk_core(core.edge_array, plan.walk_half) is core.edge_array
+        assert any(len(counting._short_walk_core(core.edge_array, plan.walk_half - 1))
                    < core.n_edges for core, _, _ in plan.cores)
 
     def test_barbell_keeps_its_bridge(self):
         # two triangles joined by a 2-edge path: the closed walk around both
-        # triangles and twice along the path has 10 steps, L(8)
+        # triangles and twice along the path has 10 steps, so half 5, ℵ=8's,
+        # keeps the bridge and half 4 drops it
         barbell = BARBELL
         host = Graph.build(barbell + [(6, 7), (7, 8)], n=12)
         plan = counting_engine(8).plan
@@ -962,16 +976,18 @@ class TestShortWalkCore:
         slot = [canonical_form(core) for core, _, _ in plan.cores].index(
             canonical_form(Graph.build(barbell)))
         assert len(rows[slot]) == 8  # |Aut| of the barbell
-        reduced = counting._short_walk_core(Graph.build(barbell).edge_array, 9)
+        edges = Graph.build(barbell).edge_array
+        reduced = counting._short_walk_core(edges, 4)
         assert Graph.build(reduced) == Graph.build(barbell[:3] + barbell[-3:])
+        assert counting._short_walk_core(edges, 5) is edges
 
     def test_lone_long_cycle_reduces_to_nothing(self):
         plan = counting_engine(8).plan
         host = Graph.cycle(12, offset=3)
-        assert len(counting._short_walk_core(host.edge_array, plan.walk_bound)) == 0
+        assert len(counting._short_walk_core(host.edge_array, plan.walk_half)) == 0
         labels, rows = plan.core_embeddings(host)
         assert len(labels) == 0 and rows == [None] * len(plan.cores)
-        assert counting._short_walk_core(host.edge_array, 12) is host.edge_array
+        assert counting._short_walk_core(host.edge_array, 6) is host.edge_array
 
     @pytest.mark.parametrize("n, lam, seed", [(3000, 3.0, 3000), (100_000, 2.0, 1)],
                              ids=["lam3", "n1e5-lam2"])
@@ -983,27 +999,26 @@ class TestShortWalkCore:
         core = two_core(host)
         assert len(eng.plan.core_embeddings(core)[0]) < core.n_vertices
         w = eng.w_all_shapes(host, x.nonedge_value, x.slope)
-        monkeypatch.setattr(counting, "_short_walk_core", lambda core, length: core)
+        monkeypatch.setattr(counting, "_short_walk_core", lambda core, half: core)
         assert eng.w_all_shapes(host, x.nonedge_value, x.slope).tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("host", CORE_HOSTS + [
         pytest.param(lambda: Graph.build(BARBELL), id="barbell")])
     def test_edges_equal_the_spgemm_form(self, host):
-        # odd lengths included, where the walks' two halves differ by a step;
-        # on lam3 at L >= 13 both forms pass the cap and keep the whole core
+        # on lam3 at 2·half >= 14 both forms pass the cap and keep the whole core
         core = two_core(host()).edge_array
-        for length in range(3, 15):
-            got = counting._short_walk_core(core, length)
-            want = spgemm_short_walk_core(core, length)
-            assert (got is core) == (want is core), length
-            assert got.tobytes() == want.tobytes(), length
+        for half in range(1, 8):
+            got = counting._short_walk_core(core, half)
+            want = spgemm_short_walk_core(core, 2 * half)
+            assert (got is core) == (want is core), half
+            assert got.tobytes() == want.tobytes(), half
 
     @pytest.mark.parametrize("host", CORE_HOSTS)
     def test_balls_equal_the_sparse_powers(self, host):
         # the distance balls of the searched core, grown a step at a time,
         # against the supports of (A + I)^r
         reduced = counting._short_walk_core(two_core(host()).edge_array,
-                                            counting_engine(8).plan.walk_bound)
+                                            counting_engine(8).plan.walk_half)
         _, keys, src, dst, indptr = counting._arcs(reduced)
         k = len(indptr) - 1
         if k == 0:
@@ -1019,7 +1034,7 @@ class TestShortWalkCore:
 
     def test_reduced_core_is_a_two_core(self):
         core = two_core(sampled_host(3000, 2.0, 0.8, 3000))
-        reduced = Graph.build(counting._short_walk_core(core.edge_array, 10))
+        reduced = Graph.build(counting._short_walk_core(core.edge_array, 5))
         assert 0 < reduced.n_vertices < core.n_vertices
         assert two_core(reduced) == reduced
         assert reduced.edge_set <= core.edge_set

@@ -324,6 +324,20 @@ class TestTwoCore:
 class TestArrayBuild:
     """`Graph.build` on an (m, 2) array against the tuple path."""
 
+    def test_distinct_equals_unique(self):
+        # the one sorted-distinct routine: np.unique's values and dtype, with
+        # `a` itself left sorted
+        rng = np.random.default_rng(11)
+        arrays = [np.empty(0, dtype=np.int64), np.full(9, 4, dtype=np.int64)]
+        arrays += [rng.integers(0, high, size=size, dtype=np.int64)
+                   for high, size in ((3, 1), (5, 40), (2 ** 62, 300), (1000, 5000))]
+        for a in arrays:
+            want = np.unique(a)
+            kept = a.copy()
+            got = graphs._distinct(a)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(a, np.sort(kept))
+
     @staticmethod
     def random_edges(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
         """Pairs with duplicates and reversed copies; most labels of 0..n-1

@@ -2,7 +2,8 @@
 every name in a module's ``__all__`` is bound in that module and has a
 caller, and no module-level private helper is left without a caller; and
 every data file of the package is one that an install ships. And one
-run-time check: the package's run paths load numpy alone, not scipy.
+run-time check: the package's run paths load numpy alone, not scipy, and
+not numpy's masked arrays.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module or listed in
@@ -193,14 +194,17 @@ experiments.sweep(csbmlab.SweepConfig(n=300, lam=1.2, k=2, eps=0.3, s_grid=(0.9,
                                       aleph=4, trials=2, seed=0, workers=1))
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["--help"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                      if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])))
 """
 
 
 def test_no_run_path_loads_scipy():
     # scipy is a test dependency only: an engine build, a sparse score, the
     # reference evaluators, a one-worker sweep and the command line leave it
-    # unloaded in a fresh interpreter
+    # unloaded in a fresh interpreter. Nor do they load numpy.ma, which a
+    # first `np.unique` call imports (`import numpy` loads numpy.matrixlib by
+    # itself, so that one is not checked)
     src = ROOT / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
